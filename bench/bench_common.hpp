@@ -10,11 +10,13 @@
 #pragma once
 
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -31,10 +33,47 @@ struct BenchRecord {
   std::vector<std::pair<std::string, double>> metrics;
 };
 
+/// The machine and build a result was measured on. Numbers from different
+/// hosts are not comparable, so every result file carries one.
+struct HostStamp {
+  std::string cpu_model = "unknown";
+  unsigned cores = 0;
+  std::string compiler = "unknown";
+  std::string build_type = KNOTS_BUILD_TYPE;
+  std::string git_sha = "unknown";  ///< `-dirty` when the tree had edits
+};
+
+inline HostStamp host_stamp() {
+  HostStamp host;
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  for (std::string line; std::getline(cpuinfo, line);) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const auto value = line.find_first_not_of(" \t:", line.find(':'));
+    if (value != std::string::npos) host.cpu_model = line.substr(value);
+    break;
+  }
+  host.cores = std::thread::hardware_concurrency();
+#if defined(__clang__)
+  host.compiler = "clang " __clang_version__;
+#elif defined(__GNUC__)
+  host.compiler = "gcc " __VERSION__;
+#endif
+  if (FILE* git = ::popen("git -C '" KNOTS_SOURCE_DIR "' describe --always "
+                          "--dirty --abbrev=40 2>/dev/null", "r")) {
+    char sha[128] = {};
+    if (std::fgets(sha, sizeof sha, git) != nullptr && sha[0] != '\n') {
+      host.git_sha = std::string(sha, std::strcspn(sha, "\r\n"));
+    }
+    ::pclose(git);
+  }
+  return host;
+}
+
 /// Serializes records as the BENCH_perf.json schema:
-///   {"suite": ..., "wall_seconds": ..., "benchmarks": [{"name": ...}]}
+///   {"suite": ..., "host": {...}, "wall_seconds": ...,
+///    "benchmarks": [{"name": ...}]}
 inline void write_bench_json(std::ostream& os, const std::string& suite,
-                             double wall_seconds,
+                             const HostStamp& host, double wall_seconds,
                              const std::vector<BenchRecord>& records) {
   const auto num = [](double v) {
     std::ostringstream s;
@@ -42,8 +81,21 @@ inline void write_bench_json(std::ostream& os, const std::string& suite,
     s << v;
     return s.str();
   };
-  os << "{\n  \"suite\": \"" << suite << "\",\n  \"wall_seconds\": "
-     << num(wall_seconds) << ",\n  \"benchmarks\": [";
+  const auto str = [](const std::string& v) {
+    std::string out = "\"";
+    for (const char c : v) {
+      if (c == '"' || c == '\\') out += '\\';
+      out += c;
+    }
+    return out + '"';
+  };
+  os << "{\n  \"suite\": " << str(suite) << ",\n  \"host\": {\"cpu_model\": "
+     << str(host.cpu_model) << ", \"cores\": " << host.cores
+     << ", \"compiler\": " << str(host.compiler)
+     << ", \"build_type\": " << str(host.build_type)
+     << ", \"git_sha\": " << str(host.git_sha)
+     << "},\n  \"wall_seconds\": " << num(wall_seconds)
+     << ",\n  \"benchmarks\": [";
   for (std::size_t i = 0; i < records.size(); ++i) {
     os << (i == 0 ? "" : ",") << "\n    {\"name\": \"" << records[i].name
        << '"';
@@ -98,7 +150,7 @@ class Session {
       std::cerr << "bench: cannot write " << json_path_ << '\n';
       return;
     }
-    write_bench_json(out, suite_, wall, records_);
+    write_bench_json(out, suite_, host_stamp(), wall, records_);
     std::cout << "wrote " << json_path_ << " (" << records_.size()
               << " benchmarks)\n";
   }

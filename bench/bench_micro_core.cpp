@@ -21,20 +21,20 @@ namespace {
 using namespace knots;
 
 void BM_TsdbIngest(benchmark::State& state) {
-  telemetry::TimeSeriesDb db;
+  telemetry::TimeSeriesDb db(GpuId{0}, 1);
   SimTime t = 0;
   for (auto _ : state) {
-    db.write(GpuId{0}, telemetry::Metric::kSmUtil, {t++, 0.5});
+    db.write(GpuId{0}, {t++, 0.5, 0.5, 150.0, 0.0, 0.0});
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TsdbIngest);
 
 void BM_TsdbWindowQuery(benchmark::State& state) {
-  telemetry::TimeSeriesDb db;
+  telemetry::TimeSeriesDb db(GpuId{0}, 1);
   const auto n = static_cast<SimTime>(state.range(0));
   for (SimTime t = 0; t < n; ++t) {
-    db.write(GpuId{0}, telemetry::Metric::kSmUtil, {t, 0.5});
+    db.write(GpuId{0}, {t, 0.5, 0.5, 150.0, 0.0, 0.0});
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(

@@ -1,12 +1,12 @@
 // Telemetry hot-path microbenchmarks + end-to-end sweep throughput.
 //
-// This is the perf trajectory recorder for the PR-2 optimisation work: it
-// times the telemetry→scheduler primitives both the *naive* way (the
-// pre-optimisation recompute-per-query code shape: vector materialization,
-// copy + full sort per percentile) and the *fast* way (zero-copy views,
-// write-maintained rolling accumulators, per-tick aggregate caches), counts
-// heap allocations via a replaced operator new, and finishes with the
-// 10-node four-scheduler sweep measured in ticks/sec.
+// Times the per-tick telemetry layer the way the simulator drives it — the
+// whole scrape of a 1,000-node cluster (heartbeat rows + the aggregator's
+// lane refresh) and PP's 500-sample window read — plus the window-percentile
+// primitives both the naive way (vector materialization, copy + full sort
+// per percentile) and the incremental way (RollingQuantile). Heap
+// allocations are counted via a replaced operator new, and the run finishes
+// with the 10-node four-scheduler sweep measured in ticks/sec.
 //
 //   bench_micro_telemetry --json BENCH_perf.json   # machine-readable output
 //   bench_micro_telemetry --fast                   # CI smoke sizing
@@ -14,14 +14,17 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "bench_common.hpp"
+#include "core/page_arena.hpp"
 #include "core/percentile.hpp"
 #include "core/rng.hpp"
 #include "stats/rolling.hpp"
 #include "telemetry/aggregator.hpp"
+#include "telemetry/sampler.hpp"
 #include "telemetry/timeseries_db.hpp"
 
 namespace {
@@ -80,12 +83,16 @@ std::vector<std::pair<std::string, double>> as_metrics(const Measurement& m) {
 
 constexpr std::size_t kWindow = 512;  ///< Samples per scheduler window.
 
-telemetry::TimeSeriesDb prefilled_db(std::size_t samples) {
-  telemetry::TimeSeriesDb db;
+/// One GPU's heartbeat carrying `value` in every column.
+telemetry::Row row_of(SimTime t, double value) {
+  return {t, value, value, value, value, value};
+}
+
+telemetry::TimeSeriesDb prefilled_db(std::size_t rows) {
+  telemetry::TimeSeriesDb db(GpuId{0}, 1);
   Rng rng(7);
-  for (std::size_t t = 0; t < samples; ++t) {
-    db.write(GpuId{0}, telemetry::Metric::kMemUtil,
-             {static_cast<SimTime>(t), rng.uniform()});
+  for (std::size_t t = 0; t < rows; ++t) {
+    db.write(GpuId{0}, row_of(static_cast<SimTime>(t), rng.uniform()));
   }
   return db;
 }
@@ -105,41 +112,107 @@ double naive_window_percentiles(const telemetry::TimeSeriesDb& db,
   return p50 + p99;
 }
 
-void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
-  // -- Ingest --
-  {
-    telemetry::TimeSeriesDb db;
-    SimTime t = 0;
-    const auto m = measure(iters, [&](std::size_t) {
-      db.write(GpuId{0}, telemetry::Metric::kSmUtil, {t++, 0.5});
-    });
-    session.record("tsdb_ingest", as_metrics(m));
-  }
-  {
-    telemetry::TimeSeriesDb db(/*retention=*/65536, /*stats_window=*/kWindow);
-    SimTime t = 0;
-    const auto m = measure(iters, [&](std::size_t) {
-      db.write(GpuId{0}, telemetry::Metric::kSmUtil, {t++, 0.5});
-    });
-    session.record("tsdb_ingest_live_stats", as_metrics(m));
+/// A pods-1k-shaped telemetry tier: 1,000 single-P100 nodes on one shared
+/// arena with 1024-row retention, three in four GPUs running a pod, the
+/// cluster's noise level, and an aggregator with query demand (PP's).
+class ScrapeFixture {
+ public:
+  static constexpr int kNodes = 1000;
+  static constexpr std::size_t kRetention = 1024;
+
+  ScrapeFixture() {
+    gpu::NodeSpec spec;
+    spec.gpus_per_node = 1;
+    for (int n = 0; n < kNodes; ++n) {
+      nodes_.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, spec, n));
+      dbs_.push_back(std::make_unique<telemetry::TimeSeriesDb>(
+          GpuId{n}, 1, kRetention, &arena_));
+      agg_.register_node(*nodes_.back(), *dbs_.back());
+      auto& dev = nodes_.back()->gpu(0);
+      if (n % 4 != 3 && dev.attach(PodId{n + 1}, 8000.0)) {
+        (void)dev.set_usage(PodId{n + 1},
+                            {0.3 + 0.1 * (n % 5), 2000.0 + 500.0 * (n % 9),
+                             800.0, 400.0});
+      }
+    }
+    for (std::size_t n = 0; n < nodes_.size(); ++n) {
+      samplers_.emplace_back(*nodes_[n], *dbs_[n], Rng(1000 + n), 0.005);
+    }
+    agg_.set_lane_partition(std::vector<std::uint32_t>(nodes_.size(), 0), 1);
+    (void)agg_.active_sorted_by_free_memory();  // PP's demand, as in a run
+    // Fill every ring once so the timed ticks write into wrapped rings.
+    for (std::size_t t = 0; t < kRetention; ++t) scrape();
   }
 
-  // -- Window materialization: vector query vs zero-copy view --
+  /// One tick's telemetry phase, as Cluster::tick runs it.
+  void scrape() {
+    ++now_;
+    agg_.begin_tick(now_);
+    for (auto& sampler : samplers_) sampler.sample(now_);
+    agg_.refresh_lane(0);
+  }
+
+  [[nodiscard]] SimTime now() const noexcept { return now_; }
+  [[nodiscard]] const telemetry::UtilizationAggregator& aggregator() const {
+    return agg_;
+  }
+
+ private:
+  core::PageArena arena_;
+  std::vector<std::unique_ptr<gpu::GpuNode>> nodes_;
+  std::vector<std::unique_ptr<telemetry::TimeSeriesDb>> dbs_;
+  std::vector<telemetry::HeartbeatSampler> samplers_;
+  telemetry::UtilizationAggregator agg_;
+  SimTime now_ = 0;
+};
+
+void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
+  // -- Ingest: one heartbeat row --
+  {
+    telemetry::TimeSeriesDb db(GpuId{0}, 1);
+    SimTime t = 0;
+    const auto m = measure(
+        iters, [&](std::size_t) { db.write(GpuId{0}, row_of(t++, 0.5)); });
+    session.record("tsdb_ingest", as_metrics(m));
+  }
+
+  // -- The scrape: heartbeat rows + lane refresh for 1,000 nodes --
+  {
+    ScrapeFixture fx;
+    const std::size_t ticks = std::max<std::size_t>(iters / 10, 100);
+    const auto m = measure(ticks, [&](std::size_t) { fx.scrape(); });
+    const double per_node = m.ns_per_op / ScrapeFixture::kNodes;
+    session.record("scrape_1000node",
+                   {{"ns_per_node_tick", per_node},
+                    {"allocs_per_tick", m.allocs_per_op}});
+    std::cout << "scrape (1,000 nodes, 3/4 busy): " << fmt(per_node, 0)
+              << " ns per node-tick\n";
+
+    // -- PP's window read: 500 rows of one GPU's memory column --
+    std::vector<double> scratch;
+    double sink = 0;
+    const SimTime window = 499;  // rows at now-499 .. now
+    const auto w = measure(iters, [&](std::size_t i) {
+      const GpuId gpu{static_cast<std::int32_t>(i % ScrapeFixture::kNodes)};
+      fx.aggregator().window_into(gpu, telemetry::Metric::kMemUtil, fx.now(),
+                                  window, scratch);
+      sink += static_cast<double>(scratch.size());
+    });
+    if (sink < 0) std::cout << sink;  // defeat dead-code elimination
+    session.record("pp_window_into_500", as_metrics(w));
+  }
+
+  // -- Window materialization into a fresh vector --
   {
     const auto db = prefilled_db(4 * kWindow);
     const auto since = static_cast<SimTime>(3 * kWindow);
     double sink = 0;
     const auto vec = measure(iters, [&](std::size_t) {
-      sink += db.query_window(GpuId{0}, telemetry::Metric::kMemUtil, since)
-                  .size();
+      sink += static_cast<double>(
+          db.query_window(GpuId{0}, telemetry::Metric::kMemUtil, since).size());
     });
-    const auto view = measure(iters, [&](std::size_t) {
-      sink += db.window_view(GpuId{0}, telemetry::Metric::kMemUtil, since)
-                  .size();
-    });
-    if (sink < 0) std::cout << sink;  // defeat dead-code elimination
+    if (sink < 0) std::cout << sink;
     session.record("window_query_vector", as_metrics(vec));
-    session.record("window_query_view", as_metrics(view));
   }
 
   // -- The headline: per-tick window percentiles, naive vs incremental --
@@ -151,8 +224,8 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
     SimTime t = kWindow;
     double sink = 0;
     const auto m = measure(iters, [&](std::size_t) {
-      db.write(GpuId{0}, telemetry::Metric::kMemUtil,
-               {t, 0.25 + 0.5 * static_cast<double>(t % 7) / 7.0});
+      db.write(GpuId{0},
+               row_of(t, 0.25 + 0.5 * static_cast<double>(t % 7) / 7.0));
       sink += naive_window_percentiles(db, t - static_cast<SimTime>(kWindow));
       ++t;
     });
@@ -174,19 +247,6 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
     if (sink < 0) std::cout << sink;
     fast_ns = m.ns_per_op;
     session.record("window_percentile_incremental", as_metrics(m));
-  }
-  {
-    // Cached aggregate: queries between writes hit the per-tick cache.
-    auto db = prefilled_db(4 * kWindow);
-    const auto since = static_cast<SimTime>(3 * kWindow);
-    double sink = 0;
-    const auto m = measure(iters, [&](std::size_t) {
-      const auto& agg =
-          db.window_stats(GpuId{0}, telemetry::Metric::kMemUtil, since);
-      sink += agg.p50 + agg.p99;
-    });
-    if (sink < 0) std::cout << sink;
-    session.record("window_stats_cached", as_metrics(m));
   }
   const double speedup = fast_ns > 0 ? naive_ns / fast_ns : 0.0;
   session.record("window_percentile_speedup", {{"x", speedup}});

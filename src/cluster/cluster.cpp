@@ -50,7 +50,9 @@ Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
     nodes_.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, node_spec,
                                                     next_gpu));
     dbs_.push_back(std::make_unique<telemetry::TimeSeriesDb>(
-        config_.telemetry_retention, /*stats_window=*/0, &telemetry_arena_));
+        GpuId{next_gpu},
+        static_cast<std::size_t>(node_spec.gpus_per_node),
+        config_.telemetry_retention, &telemetry_arena_));
     for (int g = 0; g < node_spec.gpus_per_node; ++g) {
       gpu_index_.emplace_back(static_cast<std::size_t>(n),
                               static_cast<std::size_t>(g));
@@ -1061,7 +1063,7 @@ void Cluster::tick() {
         ++count;
       }
       lane_sampled_[lane] = count;
-      // Pull the fresh samples into the aggregator's per-lane series cache
+      // Pull the fresh rows into the aggregator's per-lane row cache
       // and sorted run while we are still lane-parallel; the scheduler's
       // first query then reduces to a k-way merge. No-op for policies that
       // never query the aggregator.

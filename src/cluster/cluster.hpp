@@ -99,11 +99,11 @@ struct ClusterConfig {
   /// Empty picks contiguous blocks. Pods sharing a GPU always share a lane
   /// because the partition is by node.
   std::vector<int> lane_assignment{};
-  /// Samples retained per telemetry series (the node-local time-series
-  /// store's retention policy). The default preserves the historical
-  /// capacity; datacenter-scale runs shrink it to bound memory — results
-  /// are unchanged as long as it covers the widest scheduler lookback
-  /// window (window / tick samples; 500 at the defaults).
+  /// Heartbeat rows retained per GPU (the node-local time-series store's
+  /// retention policy). The default preserves the historical capacity;
+  /// datacenter-scale runs shrink it to bound memory — results are
+  /// unchanged as long as it covers the widest scheduler lookback window
+  /// (window / tick rows; 500 at the defaults).
   std::size_t telemetry_retention = 65536;
   /// Optional datacenter fabric (empty = no fabric — the historical model
   /// where transfers are free). A non-inert fabric charges cold image pulls
@@ -372,7 +372,7 @@ class Cluster : private net::FabricObserver {
   /// Backs every node db's telemetry rings (declared before dbs_ so it
   /// outlives them): one shared huge-page arena packs the whole
   /// datacenter's rings contiguously in node order — per-node arenas would
-  /// never fill a huge page (a node's five series are ~KBs each).
+  /// never fill a huge page (a small node's rings are ~KBs).
   core::PageArena telemetry_arena_;
   std::vector<std::unique_ptr<telemetry::TimeSeriesDb>> dbs_;
   std::vector<telemetry::HeartbeatSampler> samplers_;

@@ -1,9 +1,9 @@
 // Huge-page bump arena for large, never-freed buffers.
 //
 // The telemetry tier of a datacenter-scale run holds one ring buffer per
-// (GPU, metric) series — 50k rings at 10k nodes. Allocated individually
-// through the default allocator they land on scattered 4 KiB pages, and the
-// per-tick scrape (which touches every ring head once) thrashes the dTLB.
+// GPU — 10k rings at 10k nodes. Allocated individually through the default
+// allocator they land on scattered 4 KiB pages, and the per-tick scrape
+// (which touches every ring head once) thrashes the dTLB.
 // This arena carves allocations out of 2 MiB-aligned chunks advised as
 // transparent huge pages: rings allocated in registration order become
 // contiguous and hugepage-dense, so the scrape's working set costs ~25 TLB

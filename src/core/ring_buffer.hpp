@@ -34,13 +34,6 @@ class RingBuffer {
     if (size_ < data_.size()) ++size_;
   }
 
-  /// Hints the cache that the next push's slot is about to be written.
-  void prefetch_write_slot() const noexcept {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(data_.data() + head_, 1);
-#endif
-  }
-
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] std::size_t capacity() const noexcept { return data_.size(); }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }

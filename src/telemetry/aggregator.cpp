@@ -24,7 +24,7 @@ inline bool key_before(double free_a, std::uint32_t slot_a, double free_b,
 void UtilizationAggregator::register_node(const gpu::GpuNode& node,
                                           const TimeSeriesDb& db) {
   const std::size_t entry = nodes_.size();
-  nodes_.push_back(Entry{&node, &db, series_cache_.size()});
+  nodes_.push_back(Entry{&node, &db, latest_.size()});
   for (std::size_t i = 0; i < node.gpu_count(); ++i) {
     gpu_to_entry_.emplace(node.gpu(i).id().value, entry);
     slot_entry_.push_back(static_cast<std::uint32_t>(entry));
@@ -32,11 +32,12 @@ void UtilizationAggregator::register_node(const gpu::GpuNode& node,
         node.gpu(i).id(), node.id(),
         static_cast<double>(node.gpu(i).spec().memory_mb),
         node.spec().preemptible});
-    series_cache_.emplace_back();
+    latest_.push_back(Row{.time = -1});
     live_bits_.emplace_back();
+    sorted_pos_.push_back(kUnlisted);
   }
-  // ~0 can never equal a real sample count, so the first snapshot always
-  // reads through.
+  // ~0 can never equal a real row count, so the first snapshot always reads
+  // through.
   entry_seen_.push_back(~std::uint64_t{0});
   // Invalidate any existing partition; it no longer covers this entry.
   lane_entries_.clear();
@@ -78,27 +79,15 @@ void UtilizationAggregator::ensure_partition() const {
 
 bool UtilizationAggregator::refresh_entry(std::size_t entry_idx) const {
   const Entry& entry = nodes_[entry_idx];
-  const std::uint64_t stamp = entry.db->total_samples();
+  const std::uint64_t stamp = entry.db->total_rows();
   if (entry_seen_[entry_idx] == stamp) return false;
   entry_seen_[entry_idx] = stamp;
-  for (std::size_t i = 0; i < entry.node->gpu_count(); ++i) {
-    const GpuId id = entry.node->gpu(i).id();
-    CachedSeries& c = series_cache_[entry.first_slot + i];
-    if (!c.h_sm) {
-      c.h_sm = entry.db->find_series(id, Metric::kSmUtil);
-      c.h_mem = entry.db->find_series(id, Metric::kMemUtil);
-      c.h_power = entry.db->find_series(id, Metric::kPowerWatts);
-    }
-    if (c.h_sm) {
-      c.sm_util = entry.db->latest(c.h_sm, 0.0);
-      c.mem_util = entry.db->latest(c.h_mem, 0.0);
-      c.power_watts = entry.db->latest(c.h_power, 0.0);
-      c.last_heartbeat = entry.db->latest_time(c.h_sm);
-    } else {
-      c.sm_util = entry.db->latest(id, Metric::kSmUtil);
-      c.mem_util = entry.db->latest(id, Metric::kMemUtil);
-      c.power_watts = entry.db->latest(id, Metric::kPowerWatts);
-      c.last_heartbeat = entry.db->latest_time(id, Metric::kSmUtil);
+  const std::size_t end = entry.first_slot + entry.node->gpu_count();
+  for (std::size_t slot = entry.first_slot; slot < end; ++slot) {
+    // Rows are never dropped, so a GPU without one has never reported and
+    // keeps its registration default.
+    if (const Row* row = entry.db->latest_row(slot_static_[slot].gpu)) {
+      latest_[slot] = *row;
     }
   }
   return true;
@@ -139,13 +128,12 @@ void UtilizationAggregator::rebuild_lane_keys(std::size_t lane) const {
       const std::size_t slot = entry.first_slot + i;
       const LiveBits& bits = live_bits_[slot];
       if (bits.parked) continue;
-      const CachedSeries& c = series_cache_[slot];
       // NVML reports used/physical; free is bounded by *usable* capacity
       // (physical minus ECC-retired pages). Usable capacity comes from the
       // live-bits diff (an ECC move dirties this lane, so any run the merge
       // consumes was rebuilt after a diff) — no device deref on this path.
       const double free_mb =
-          bits.effective_mb - c.mem_util * slot_static_[slot].cap;
+          bits.effective_mb - latest_[slot].mem * slot_static_[slot].cap;
       run.keys.push_back(SortKey{free_mb, static_cast<std::uint32_t>(slot)});
     }
   }
@@ -161,20 +149,20 @@ GpuView UtilizationAggregator::make_view(std::size_t entry_idx,
                                          std::size_t gpu_idx) const {
   const Entry& entry = nodes_[entry_idx];
   const auto& dev = entry.node->gpu(gpu_idx);
-  const CachedSeries& c = series_cache_[entry.first_slot + gpu_idx];
+  const Row& r = latest_[entry.first_slot + gpu_idx];
   const double cap = dev.spec().memory_mb;
   GpuView v;
   v.node = entry.node->id();
   v.gpu = dev.id();
-  v.sm_util = c.sm_util;
-  v.mem_util = c.mem_util;
-  v.mem_used_mb = c.mem_util * cap;
+  v.sm_util = r.sm;
+  v.mem_util = r.mem;
+  v.mem_used_mb = r.mem * cap;
   v.free_mem_mb = dev.effective_memory_mb() - v.mem_used_mb;
-  v.power_watts = c.power_watts;
+  v.power_watts = r.power;
   v.parked = dev.parked();
   v.residents = dev.totals().residents;
-  v.last_heartbeat = c.last_heartbeat;
-  v.stale = horizon_ > 0 && now_ - c.last_heartbeat > horizon_;
+  v.last_heartbeat = r.time;
+  v.stale = horizon_ > 0 && now_ - r.time > horizon_;
   v.preemptible = entry.node->spec().preemptible;
   return v;
 }
@@ -184,23 +172,23 @@ GpuView UtilizationAggregator::make_view_cached(std::uint32_t slot) const {
   // per-view device deref is a scattered cache miss ×5 — at 10k nodes that
   // is the dominant query cost. Everything a view needs is already resident
   // in three dense, slot-indexed arrays: registration-time facts
-  // (slot_static_), the series cache, and the live-bits diff. The diff ran
+  // (slot_static_), the newest rows, and the live-bits diff. The diff ran
   // under this query's epoch check, so the bits equal the live device.
   const SlotStatic& st = slot_static_[slot];
-  const CachedSeries& c = series_cache_[slot];
+  const Row& r = latest_[slot];
   const LiveBits& bits = live_bits_[slot];
   GpuView v;
   v.node = st.node;
   v.gpu = st.gpu;
-  v.sm_util = c.sm_util;
-  v.mem_util = c.mem_util;
-  v.mem_used_mb = c.mem_util * st.cap;
+  v.sm_util = r.sm;
+  v.mem_util = r.mem;
+  v.mem_used_mb = r.mem * st.cap;
   v.free_mem_mb = bits.effective_mb - v.mem_used_mb;
-  v.power_watts = c.power_watts;
+  v.power_watts = r.power;
   v.parked = bits.parked;
   v.residents = bits.residents;
-  v.last_heartbeat = c.last_heartbeat;
-  v.stale = horizon_ > 0 && now_ - c.last_heartbeat > horizon_;
+  v.last_heartbeat = r.time;
+  v.stale = horizon_ > 0 && now_ - r.time > horizon_;
   v.preemptible = st.preemptible;
   return v;
 }
@@ -209,9 +197,12 @@ void UtilizationAggregator::snapshot_into(std::vector<GpuView>& out) const {
   refresh_demand_ = true;
   out.clear();
   for (std::size_t e = 0; e < nodes_.size(); ++e) {
-    // Series values change only when samples land; everything else (parked,
-    // residents, ECC-retired capacity) is read live from the device.
-    refresh_entry(e);
+    // Telemetry values change only when rows land; everything else (parked,
+    // residents, ECC-retired capacity) is read live from the device. Rows
+    // consumed here must still re-sort the entry's lane.
+    if (refresh_entry(e) && !lane_runs_.empty()) {
+      lane_runs_[entry_lane_[e]].dirty = true;
+    }
     const Entry& entry = nodes_[e];
     for (std::size_t i = 0; i < entry.node->gpu_count(); ++i) {
       out.push_back(make_view(e, i));
@@ -250,8 +241,12 @@ bool UtilizationAggregator::live_bits_moved() const {
       moved = true;
     }
     if (residents != bits.residents) {
+      // Resident counts key neither the sort nor membership: patch the
+      // listed view instead of re-merging (a placement moves one GPU).
       bits.residents = residents;
-      moved = true;
+      if (merged_valid_ && sorted_pos_[slot] != kUnlisted) {
+        active_sorted_[sorted_pos_[slot]].residents = residents;
+      }
     }
   }
   return moved;
@@ -264,12 +259,12 @@ UtilizationAggregator::active_sorted_by_free_memory() const {
   sort_demand_ = true;
   ensure_partition();
   // Lanes the cluster's telemetry phase refreshed at this tick are known
-  // fresh (samples land only in that phase); anything else re-checks its
+  // fresh (rows land only in that phase); anything else re-checks its
   // entries' db stamps.
   for (std::size_t lane = 0; lane < lane_runs_.size(); ++lane) {
     // Only refresh_lane sets the stamp: a standalone caller that writes
     // between two same-tick queries without a telemetry phase must still
-    // see its samples, so queries themselves never claim freshness.
+    // see its rows, so queries themselves never claim freshness.
     if (lane_fresh_[lane] == now_) continue;
     bool changed = false;
     for (const std::uint32_t e : lane_entries_[lane]) {
@@ -301,15 +296,19 @@ UtilizationAggregator::active_sorted_by_free_memory() const {
   return active_sorted_;
 }
 
+void UtilizationAggregator::emit(std::uint32_t slot) const {
+  if (live_bits_[slot].parked) return;
+  sorted_pos_[slot] = static_cast<std::uint32_t>(active_sorted_.size());
+  active_sorted_.push_back(make_view_cached(slot));
+}
+
 void UtilizationAggregator::merge_runs() const {
   active_sorted_.clear();
+  std::fill(sorted_pos_.begin(), sorted_pos_.end(), kUnlisted);
   const std::size_t lanes = lane_runs_.size();
   if (lanes == 1) {
     // Degenerate merge: emit the single run in order.
-    for (const SortKey& key : lane_runs_[0].keys) {
-      if (live_bits_[key.slot].parked) continue;
-      active_sorted_.push_back(make_view_cached(key.slot));
-    }
+    for (const SortKey& key : lane_runs_[0].keys) emit(key.slot);
     return;
   }
   // K-way merge by linear scan of the lane heads; lane counts are small
@@ -331,9 +330,7 @@ void UtilizationAggregator::merge_runs() const {
       }
     }
     if (best == lanes) break;
-    const SortKey& key = lane_runs_[best].keys[merge_heads_[best]++];
-    if (live_bits_[key.slot].parked) continue;
-    active_sorted_.push_back(make_view_cached(key.slot));
+    emit(lane_runs_[best].keys[merge_heads_[best]++].slot);
   }
 }
 
@@ -348,31 +345,19 @@ std::vector<double> UtilizationAggregator::window(GpuId gpu, Metric metric,
 void UtilizationAggregator::window_into(GpuId gpu, Metric metric, SimTime now,
                                         SimTime window_len,
                                         std::vector<double>& out) const {
-  out.clear();
-  window_view(gpu, metric, now, window_len).append_values_to(out);
-}
-
-WindowView UtilizationAggregator::window_view(GpuId gpu, Metric metric,
-                                              SimTime now,
-                                              SimTime window_len) const {
   const Entry* entry = find_gpu(gpu);
-  if (entry == nullptr) return {};
-  return entry->db->window_view(gpu, metric, now - window_len);
-}
-
-const WindowAggregate& UtilizationAggregator::window_stats(
-    GpuId gpu, Metric metric, SimTime now, SimTime window_len) const {
-  static const WindowAggregate kEmpty{};
-  const Entry* entry = find_gpu(gpu);
-  if (entry == nullptr) return kEmpty;
-  return entry->db->window_stats(gpu, metric, now - window_len);
+  if (entry == nullptr) {
+    out.clear();
+    return;
+  }
+  entry->db->window_into(gpu, metric, now - window_len, out);
 }
 
 bool UtilizationAggregator::stale(GpuId gpu) const {
   if (horizon_ <= 0) return false;
   const Entry* entry = find_gpu(gpu);
   if (entry == nullptr) return false;
-  return now_ - entry->db->latest_time(gpu, Metric::kSmUtil) > horizon_;
+  return now_ - entry->db->latest_time(gpu) > horizon_;
 }
 
 const UtilizationAggregator::Entry* UtilizationAggregator::find_gpu(

@@ -6,16 +6,16 @@
 // (Algorithm 1's Sort_by_Free_Memory).
 //
 // The read API is tick-loop friendly: GPU lookup is O(1) via an index built
-// at registration, windows can be filled into caller-owned scratch buffers
-// or read zero-copy, and the sorted-by-free-memory list is hierarchical —
-// entries are partitioned into lanes (the cluster's node shards), each lane
-// maintains its own sorted run of {free-memory, slot} keys, and a query
-// k-way merges the runs instead of re-sorting the whole cluster. Runs are
+// at registration, windows are filled into caller-owned scratch buffers, and
+// the sorted-by-free-memory list is hierarchical — entries are partitioned
+// into lanes (the cluster's node shards), each lane maintains its own
+// sorted run of {free-memory, slot} keys, and a query k-way merges the runs
+// instead of re-sorting the whole cluster. Runs are
 // dirty-tracked: a lane re-sorts only when its databases actually appended
-// samples or a device's usable capacity moved (ECC retirement). The cluster
+// rows or a device's usable capacity moved (ECC retirement). The cluster
 // refreshes each lane's run from its lane-parallel telemetry phase
 // (refresh_lane), so by the time a scheduler asks, the merge is all that is
-// left. Both the series refresh and the run maintenance are demand-driven:
+// left. Both the row refresh and the run maintenance are demand-driven:
 // policies that never query (Res-Ag, Uniform) never pay for either.
 //
 // Query methods are not thread-safe; refresh_lane is safe to call from
@@ -45,8 +45,8 @@ struct GpuView {
   double power_watts = 0.0;
   bool parked = false;
   int residents = 0;
-  SimTime last_heartbeat = -1; ///< Time of the newest sample; -1 = never.
-  /// True when the series missed enough heartbeats to cross the staleness
+  SimTime last_heartbeat = -1; ///< Time of the newest row; -1 = never.
+  /// True when the GPU missed enough heartbeats to cross the staleness
   /// horizon — the values above are last-known-good, not current.
   bool stale = false;
   /// Spot capacity: the hosting node may be reclaimed by the provider.
@@ -73,7 +73,7 @@ class UtilizationAggregator {
   void set_lane_partition(std::vector<std::uint32_t> entry_lanes,
                           std::size_t lanes);
 
-  /// Refreshes one lane's series caches and (when a sorted query has ever
+  /// Refreshes one lane's newest-row cache and (when a sorted query has ever
   /// been made) rebuilds its sorted run if anything changed. Intended to be
   /// called from the cluster's lane-parallel telemetry phase: all state it
   /// writes is owned by `lane`, so concurrent calls for distinct lanes are
@@ -81,7 +81,7 @@ class UtilizationAggregator {
   void refresh_lane(std::size_t lane) const;
 
   // -- Staleness rule (DESIGN.md §7) --
-  /// A series is stale when now − last_heartbeat > horizon. Horizon 0
+  /// A GPU is stale when now − last_heartbeat > horizon. Horizon 0
   /// (default) disables the rule; the cluster sets it to
   /// stale_after_heartbeats × tick.
   void set_staleness_horizon(SimTime horizon) noexcept { horizon_ = horizon; }
@@ -89,7 +89,7 @@ class UtilizationAggregator {
   /// tick, after telemetry lands); snapshots compare heartbeat ages
   /// against it.
   void begin_tick(SimTime now) noexcept { now_ = now; }
-  /// Staleness of one GPU's series under the configured horizon.
+  /// Staleness of one GPU under the configured horizon.
   [[nodiscard]] bool stale(GpuId gpu) const;
 
   /// Latest per-GPU snapshot of the whole cluster.
@@ -101,16 +101,16 @@ class UtilizationAggregator {
 
   /// Snapshot of *active* (non-parked) GPUs sorted by free memory
   /// (descending) — Algorithm 1's node list. The returned reference stays
-  /// valid until the next call. Served from cache unless a lane run or a
-  /// live device field (parked/residents/capacity) moved since the last
-  /// merge; ties resolve by registration slot, exactly like the historical
-  /// stable_sort.
+  /// valid until the next call. Served from cache unless a lane run, a
+  /// parked bit or a usable capacity moved since the last merge; a moved
+  /// resident count (every placement and completion) is patched into the
+  /// cached view in place, since it keys neither order nor membership. Ties
+  /// resolve by registration slot, exactly like the historical stable_sort.
   [[nodiscard]] const std::vector<GpuView>& active_sorted_by_free_memory()
       const;
 
-  /// Windowed series for a metric of one GPU: samples with
-  /// time >= now − window. Allocates; prefer window_into()/window_view()
-  /// on the tick path.
+  /// Windowed series for a metric of one GPU: its values in the rows with
+  /// time >= now − window. Allocates; prefer window_into() on the tick path.
   [[nodiscard]] std::vector<double> window(GpuId gpu, Metric metric,
                                            SimTime now, SimTime window) const;
 
@@ -118,16 +118,6 @@ class UtilizationAggregator {
   /// capacity. Leaves `out` empty for unknown GPUs.
   void window_into(GpuId gpu, Metric metric, SimTime now, SimTime window,
                    std::vector<double>& out) const;
-
-  /// Zero-copy windowed series (empty view for unknown GPUs).
-  [[nodiscard]] WindowView window_view(GpuId gpu, Metric metric, SimTime now,
-                                       SimTime window) const;
-
-  /// Cached window aggregate for one GPU's metric (see
-  /// TimeSeriesDb::window_stats). Zero-count aggregate for unknown GPUs.
-  [[nodiscard]] const WindowAggregate& window_stats(GpuId gpu, Metric metric,
-                                                    SimTime now,
-                                                    SimTime window) const;
 
   /// Profiles each active_sorted_by_free_memory() call (wall time, ns) into
   /// `hist`. Pass nullptr to detach. Observation only.
@@ -151,21 +141,6 @@ class UtilizationAggregator {
     const TimeSeriesDb* db;
     std::size_t first_slot;  ///< Index of this node's first GPU slot.
   };
-  /// Latest-value cache for one GPU's series, refreshed only when its
-  /// node's database has actually appended samples (total_samples() moved).
-  /// Schedulers snapshot once per pending pod but telemetry lands once per
-  /// tick — without this, every snapshot pays four hash lookups per GPU.
-  struct CachedSeries {
-    double sm_util = 0.0;
-    double mem_util = 0.0;
-    double power_watts = 0.0;
-    SimTime last_heartbeat = -1;
-    /// Direct series handles, resolved on first refresh (the series appear
-    /// once the node's sampler runs); null until then.
-    TimeSeriesDb::ConstSeriesHandle h_sm{};
-    TimeSeriesDb::ConstSeriesHandle h_mem{};
-    TimeSeriesDb::ConstSeriesHandle h_power{};
-  };
   /// Sort key for Algorithm 1. Keyed (free_mem desc, slot asc): slot order
   /// is registration order, so merged output ties resolve exactly like the
   /// historical stable_sort over the unsorted snapshot did.
@@ -179,7 +154,7 @@ class UtilizationAggregator {
   /// not the parked long tail).
   struct LaneRun {
     std::vector<SortKey> keys;
-    /// Keys are out of date (registration, capacity change, or samples
+    /// Keys are out of date (registration, capacity change, or rows
     /// landed while sort demand was off).
     bool dirty = true;
     /// Bumped on every key rebuild; the merge caches the sum across lanes
@@ -204,19 +179,24 @@ class UtilizationAggregator {
   };
 
   [[nodiscard]] const Entry* find_gpu(GpuId gpu) const;
-  bool refresh_entry(std::size_t entry_idx) const;  ///< true if stamp moved
+  /// Copies each GPU's newest row into latest_ when the node's db wrote rows
+  /// since the last refresh; true if it did.
+  bool refresh_entry(std::size_t entry_idx) const;
   void ensure_partition() const;
   void rebuild_lane_keys(std::size_t lane) const;
   [[nodiscard]] GpuView make_view(std::size_t entry_idx,
                                   std::size_t gpu_idx) const;
-  /// make_view served entirely from slot_static_/series_cache_/live_bits_.
+  /// make_view served entirely from slot_static_/latest_/live_bits_.
   /// Valid only after the live-bits diff of the current query (the merge
   /// path) — snapshot paths, which never diff, keep reading devices live.
   [[nodiscard]] GpuView make_view_cached(std::uint32_t slot) const;
   /// Diffs parked/residents/capacity against the last merge; marks lanes
-  /// whose sort keys went stale (capacity moved) dirty. Returns true if any
-  /// field moved.
+  /// whose sort keys or membership went stale dirty and patches moved
+  /// resident counts into the merged list. Returns true if a parked bit or
+  /// a capacity moved (the merged list must be rebuilt).
   bool live_bits_moved() const;
+  /// Appends the view of `slot` to the merged list unless it is parked.
+  void emit(std::uint32_t slot) const;
   void merge_runs() const;
 
   std::vector<Entry> nodes_;
@@ -228,7 +208,11 @@ class UtilizationAggregator {
   SimTime now_ = 0;
 
   mutable std::vector<std::uint64_t> entry_seen_;  ///< db stamp per entry
-  mutable std::vector<CachedSeries> series_cache_;  ///< per GPU slot
+  /// Newest row per GPU slot (time -1 = never reported), refreshed only when
+  /// the node's db wrote rows. Schedulers snapshot once per pending pod but
+  /// telemetry lands once per tick, and the merge reads slots in random
+  /// order: a dense copy beats chasing each node's db.
+  mutable std::vector<Row> latest_;
 
   // -- Hierarchical sort state --
   // The partition is mutable because ensure_partition() lazily builds the
@@ -237,7 +221,7 @@ class UtilizationAggregator {
   mutable std::vector<std::uint32_t> entry_lane_;   ///< lane per entry
   mutable std::vector<std::vector<std::uint32_t>> lane_entries_;
   mutable std::vector<LaneRun> lane_runs_;
-  /// Tick at which refresh_lane last refreshed each lane's entries. Samples
+  /// Tick at which refresh_lane last refreshed each lane's entries. Rows
   /// land only in the cluster's telemetry phase, so a query at the same
   /// tick can skip re-checking every entry's db stamp.
   mutable std::vector<SimTime> lane_fresh_;
@@ -246,9 +230,14 @@ class UtilizationAggregator {
   /// refresh_lane so non-querying policies never pay refresh/sort costs.
   mutable bool refresh_demand_ = false;
   mutable bool sort_demand_ = false;
-  // Merged-result cache: valid while lane-run versions, live device bits,
-  // and the tick's `now` (staleness flags) are all unchanged.
+  // Merged-result cache: valid while lane-run versions, parked bits, usable
+  // capacities and the tick's `now` (staleness flags) are all unchanged;
+  // resident counts are patched in place.
   mutable std::vector<GpuView> active_sorted_;
+  /// Index of each slot's view in active_sorted_ (kUnlisted when parked),
+  /// so a resident-count move patches one view instead of re-merging.
+  static constexpr std::uint32_t kUnlisted = ~std::uint32_t{0};
+  mutable std::vector<std::uint32_t> sorted_pos_;
   mutable std::uint64_t merged_version_sum_ = ~std::uint64_t{0};
   mutable SimTime merged_now_ = -1;
   mutable bool merged_valid_ = false;

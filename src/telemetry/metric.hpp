@@ -32,10 +32,36 @@ constexpr std::string_view metric_name(Metric m) noexcept {
   return "unknown";
 }
 
-/// One logged observation.
+/// One logged observation of one metric (a column read of Rows).
 struct Sample {
   SimTime time;
   double value;
 };
+
+/// One heartbeat of one GPU: all five metrics, sampled at `time`.
+struct Row {
+  SimTime time = 0;
+  double sm = 0.0;     ///< Metric::kSmUtil
+  double mem = 0.0;    ///< Metric::kMemUtil
+  double power = 0.0;  ///< Metric::kPowerWatts
+  double tx = 0.0;     ///< Metric::kTxBandwidth
+  double rx = 0.0;     ///< Metric::kRxBandwidth
+
+  /// The field holding metric `m`.
+  [[nodiscard]] static constexpr double Row::*column(Metric m) noexcept {
+    switch (m) {
+      case Metric::kSmUtil: return &Row::sm;
+      case Metric::kMemUtil: return &Row::mem;
+      case Metric::kPowerWatts: return &Row::power;
+      case Metric::kTxBandwidth: return &Row::tx;
+      case Metric::kRxBandwidth: return &Row::rx;
+    }
+    return &Row::sm;
+  }
+  [[nodiscard]] constexpr double value(Metric m) const noexcept {
+    return this->*column(m);
+  }
+};
+static_assert(sizeof(Row) == 48, "a heartbeat row is six 8-byte fields");
 
 }  // namespace knots::telemetry

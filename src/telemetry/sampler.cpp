@@ -14,21 +14,16 @@ void HeartbeatSampler::sample(SimTime now) {
     const auto& dev = node_->gpu(i);
     const auto totals = dev.totals();
     const double cap = dev.spec().memory_mb;
-    const auto& s = series_[i];
-    // Warm the five write slots first so the ring misses overlap the
-    // Box–Muller math below instead of serializing after it.
-    for (const auto& h : s) db_->prefetch_write(h);
-    const double sm = std::clamp(jitter(totals.sm_util, 1.0), 0.0, 1.0);
-    const double mem =
-        std::clamp(jitter(totals.memory_used_mb / cap, 1.0), 0.0, 1.0);
-    const double watts = jitter(dev.power_watts(), 10.0);
-    const double tx = jitter(totals.tx_mbps, 100.0);
-    const double rx = jitter(totals.rx_mbps, 100.0);
-    db_->write(s[0], {now, sm});
-    db_->write(s[1], {now, mem});
-    db_->write(s[2], {now, watts});
-    db_->write(s[3], {now, tx});
-    db_->write(s[4], {now, rx});
+    // One noise draw per metric, in column order: the draw order is part of
+    // every digest.
+    Row row;
+    row.time = now;
+    row.sm = std::clamp(jitter(totals.sm_util, 1.0), 0.0, 1.0);
+    row.mem = std::clamp(jitter(totals.memory_used_mb / cap, 1.0), 0.0, 1.0);
+    row.power = jitter(dev.power_watts(), 10.0);
+    row.tx = jitter(totals.tx_mbps, 100.0);
+    row.rx = jitter(totals.rx_mbps, 100.0);
+    db_->write(dev.id(), row);
   }
 }
 

@@ -1,13 +1,11 @@
 // Heartbeat sampler — the pyNVML surrogate.
 //
 // At every heartbeat it reads the five metrics off each GPU of its node and
-// writes them to the node-local TimeSeriesDb. Real NVML counters quantize and
-// jitter; `noise_sigma` models that measurement noise, which is what makes
-// sub-millisecond heartbeats *hurt* prediction accuracy (Fig 10b).
+// writes them to the node-local TimeSeriesDb as one row per GPU. Real NVML
+// counters quantize and jitter; `noise_sigma` models that measurement noise,
+// which is what makes sub-millisecond heartbeats *hurt* prediction accuracy
+// (Fig 10b).
 #pragma once
-
-#include <array>
-#include <vector>
 
 #include "core/rng.hpp"
 #include "core/types.hpp"
@@ -18,24 +16,12 @@ namespace knots::telemetry {
 
 class HeartbeatSampler {
  public:
+  /// `db` must hold a ring for every GPU of `node`.
   HeartbeatSampler(const gpu::GpuNode& node, TimeSeriesDb& db,
                    Rng rng, double noise_sigma = 0.01)
-      : node_(&node), db_(&db), rng_(rng), noise_sigma_(noise_sigma) {
-    // Open every series this sampler will ever write once up front; the
-    // per-heartbeat writes then go through stable handles instead of a
-    // hash lookup per (GPU, metric) — the dominant cost at 1k+ nodes.
-    series_.reserve(node.gpu_count());
-    for (std::size_t i = 0; i < node.gpu_count(); ++i) {
-      const GpuId id = node.gpu(i).id();
-      series_.push_back({db.open_series(id, Metric::kSmUtil),
-                         db.open_series(id, Metric::kMemUtil),
-                         db.open_series(id, Metric::kPowerWatts),
-                         db.open_series(id, Metric::kTxBandwidth),
-                         db.open_series(id, Metric::kRxBandwidth)});
-    }
-  }
+      : node_(&node), db_(&db), rng_(rng), noise_sigma_(noise_sigma) {}
 
-  /// Samples all GPUs of the node once at time `now`.
+  /// Samples all GPUs of the node once at time `now`: one row per GPU.
   void sample(SimTime now);
 
   [[nodiscard]] double noise_sigma() const noexcept { return noise_sigma_; }
@@ -47,8 +33,6 @@ class HeartbeatSampler {
   TimeSeriesDb* db_;
   Rng rng_;
   double noise_sigma_;
-  /// Pre-opened handles per GPU, in sample() write order.
-  std::vector<std::array<TimeSeriesDb::SeriesHandle, 5>> series_;
 };
 
 }  // namespace knots::telemetry

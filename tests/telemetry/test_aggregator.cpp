@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -17,7 +18,7 @@ class AggregatorTest : public ::testing::Test {
     spec.gpus_per_node = 1;
     for (int n = 0; n < 3; ++n) {
       nodes_.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, spec, n));
-      dbs_.push_back(std::make_unique<TimeSeriesDb>());
+      dbs_.push_back(std::make_unique<TimeSeriesDb>(GpuId{n}, 1));
       agg_.register_node(*nodes_[static_cast<std::size_t>(n)],
                          *dbs_[static_cast<std::size_t>(n)]);
     }
@@ -89,7 +90,7 @@ TEST_F(AggregatorTest, WindowedSeriesQuery) {
   EXPECT_TRUE(agg_.window(GpuId{99}, Metric::kSmUtil, 100, 35).empty());
 }
 
-TEST_F(AggregatorTest, WindowIntoAndViewMatchAllocatingWindow) {
+TEST_F(AggregatorTest, WindowIntoMatchesAllocatingWindow) {
   for (SimTime t = 0; t <= 100; t += 10) sample_all(t);
   const auto expect =
       agg_.window(GpuId{1}, Metric::kSmUtil, /*now=*/100, /*window=*/35);
@@ -98,21 +99,8 @@ TEST_F(AggregatorTest, WindowIntoAndViewMatchAllocatingWindow) {
   agg_.window_into(GpuId{1}, Metric::kSmUtil, 100, 35, scratch);
   EXPECT_EQ(scratch, expect);
 
-  const auto view = agg_.window_view(GpuId{1}, Metric::kSmUtil, 100, 35);
-  ASSERT_EQ(view.size(), expect.size());
-  for (std::size_t i = 0; i < expect.size(); ++i) {
-    EXPECT_DOUBLE_EQ(view[i].value, expect[i]);
-  }
-
   agg_.window_into(GpuId{99}, Metric::kSmUtil, 100, 35, scratch);
   EXPECT_TRUE(scratch.empty());
-  EXPECT_TRUE(agg_.window_view(GpuId{99}, Metric::kSmUtil, 100, 35).empty());
-}
-
-TEST_F(AggregatorTest, WindowStatsForUnknownGpuIsZeroCount) {
-  sample_all(0);
-  EXPECT_EQ(agg_.window_stats(GpuId{99}, Metric::kSmUtil, 100, 35).count, 0u);
-  EXPECT_GT(agg_.window_stats(GpuId{1}, Metric::kSmUtil, 0, 35).count, 0u);
 }
 
 TEST_F(AggregatorTest, SnapshotIntoReusesBuffer) {
@@ -148,6 +136,19 @@ TEST_F(AggregatorTest, ActiveSortedCacheReactsToTelemetryWrites) {
   EXPECT_EQ(after.back().node.value, 0);
 }
 
+TEST_F(AggregatorTest, ActiveSortedCacheReactsToResidentMove) {
+  sample_all(0);
+  const auto* data = agg_.active_sorted_by_free_memory().data();
+  // A placement with no heartbeat since: the listed view's resident count
+  // follows the device, in place.
+  ASSERT_TRUE(nodes_[2]->gpu(0).attach(PodId{1}, 100));
+  const auto& after = agg_.active_sorted_by_free_memory();
+  EXPECT_EQ(after.data(), data);
+  for (const auto& v : after) {
+    EXPECT_EQ(v.residents, v.node.value == 2 ? 1 : 0);
+  }
+}
+
 TEST_F(AggregatorTest, ActiveSortedCacheReactsToParkFlip) {
   sample_all(0);
   EXPECT_EQ(agg_.active_sorted_by_free_memory().size(), 3u);
@@ -157,6 +158,105 @@ TEST_F(AggregatorTest, ActiveSortedCacheReactsToParkFlip) {
   EXPECT_EQ(agg_.active_sorted_by_free_memory().size(), 2u);
   nodes_[1]->gpu(0).set_parked(false);
   EXPECT_EQ(agg_.active_sorted_by_free_memory().size(), 3u);
+}
+
+// Algorithm 1's cached, lane-merged list against its definition: a stable
+// sort by free memory (descending) of snapshot()'s unparked views. Seeded
+// random heartbeats (some nodes silent, so staleness flips), attach/detach,
+// park/unpark and ECC retirement under the cluster's device-epoch
+// discipline, with and without the per-tick lane refresh; the two must agree
+// in every GpuView field.
+TEST(AggregatorProperty, ActiveSortedIsStableSortOfSnapshot) {
+  constexpr int kNodes = 12;
+  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
+    Rng rng(77 + lanes);
+    gpu::NodeSpec spec;
+    spec.gpus_per_node = 2;
+    std::vector<std::unique_ptr<gpu::GpuNode>> nodes;
+    std::vector<std::unique_ptr<TimeSeriesDb>> dbs;
+    std::vector<HeartbeatSampler> samplers;
+    UtilizationAggregator agg;
+    for (int n = 0; n < kNodes; ++n) {
+      nodes.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, spec, 2 * n));
+      dbs.push_back(std::make_unique<TimeSeriesDb>(GpuId{2 * n}, 2));
+      agg.register_node(*nodes.back(), *dbs.back());
+    }
+    for (int n = 0; n < kNodes; ++n) {
+      const auto i = static_cast<std::size_t>(n);
+      samplers.emplace_back(*nodes[i], *dbs[i], Rng(100 + i), 0.02);
+    }
+    std::uint64_t epoch = 0;
+    agg.set_live_epoch(&epoch);
+    agg.set_staleness_horizon(3);
+    std::vector<std::uint32_t> lane_of;
+    for (int n = 0; n < kNodes; ++n) {
+      lane_of.push_back(static_cast<std::uint32_t>(n) %
+                        static_cast<std::uint32_t>(lanes));
+    }
+    agg.set_lane_partition(lane_of, lanes);
+
+    std::vector<std::vector<PodId>> residents(2 * kNodes);
+    std::int32_t next_pod = 1;
+    SimTime now = 0;
+    for (int op = 0; op < 1500; ++op) {
+      const auto g =
+          static_cast<std::size_t>(rng.uniform_int(0, 2 * kNodes - 1));
+      gpu::GpuDevice& dev = nodes[g / 2]->gpu(g % 2);
+      const double dice = rng.uniform();
+      if (dice < 0.2) {
+        // A tick's telemetry phase, as the cluster runs it.
+        ++now;
+        agg.begin_tick(now);
+        for (auto& sampler : samplers) {
+          if (rng.chance(0.8)) sampler.sample(now);
+        }
+        // Standalone writers may skip the refresh; queries must still see
+        // their rows.
+        if (rng.chance(0.8)) {
+          for (std::size_t lane = 0; lane < lanes; ++lane) {
+            agg.refresh_lane(lane);
+          }
+        }
+      } else if (dice < 0.45) {
+        const PodId pod{next_pod++};
+        if (dev.attach(pod, rng.uniform(0, 4000))) {
+          (void)dev.set_usage(pod, {rng.uniform(0, 0.4), rng.uniform(0, 6000),
+                                    0, 0});
+          residents[g].push_back(pod);
+          ++epoch;
+        }
+      } else if (dice < 0.65) {
+        if (!residents[g].empty()) {
+          const auto k = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(residents[g].size()) - 1));
+          dev.detach(residents[g][k]);
+          residents[g].erase(residents[g].begin() +
+                             static_cast<std::ptrdiff_t>(k));
+          ++epoch;
+        }
+      } else if (dice < 0.8) {
+        if (dev.parked() || residents[g].empty()) {
+          dev.set_parked(!dev.parked());
+          ++epoch;
+        }
+      } else if (dice < 0.85) {
+        dev.retire_memory_mb(rng.uniform(0, 512));
+        ++epoch;
+      }
+      // Several mutations may land between queries, and a snapshot may be
+      // taken first: callers may mix both reads.
+      if (rng.chance(0.4)) continue;
+      if (rng.chance(0.3)) (void)agg.snapshot();
+      const std::vector<GpuView> got = agg.active_sorted_by_free_memory();
+      std::vector<GpuView> want = agg.snapshot();
+      std::erase_if(want, [](const GpuView& v) { return v.parked; });
+      std::stable_sort(want.begin(), want.end(),
+                       [](const GpuView& a, const GpuView& b) {
+                         return a.free_mem_mb > b.free_mem_mb;
+                       });
+      ASSERT_EQ(got, want) << "lanes " << lanes << " op " << op;
+    }
+  }
 }
 
 }  // namespace

@@ -2,47 +2,64 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <unordered_set>
+#include <array>
+#include <cstdint>
+#include <deque>
 #include <vector>
 
-#include "core/percentile.hpp"
+#include "core/page_arena.hpp"
 #include "core/rng.hpp"
 
 namespace knots::telemetry {
 namespace {
 
+/// A heartbeat whose every column is `v` (tests that read one metric).
+Row row_of(SimTime t, double v) { return Row{t, v, v, v, v, v}; }
+
 TEST(TimeSeriesDb, EmptyQueries) {
-  TimeSeriesDb db;
+  TimeSeriesDb db(GpuId{0}, 1);
   EXPECT_TRUE(db.query_window(GpuId{0}, Metric::kSmUtil, 0).empty());
   EXPECT_TRUE(db.query_all(GpuId{0}, Metric::kSmUtil).empty());
   EXPECT_DOUBLE_EQ(db.latest(GpuId{0}, Metric::kSmUtil, -3.0), -3.0);
-  EXPECT_EQ(db.series_count(), 0u);
+  EXPECT_EQ(db.latest_time(GpuId{0}), -1);
+  EXPECT_EQ(db.latest_row(GpuId{0}), nullptr);
+  EXPECT_EQ(db.total_rows(), 0u);
 }
 
 TEST(TimeSeriesDb, WriteAndLatest) {
-  TimeSeriesDb db;
-  db.write(GpuId{1}, Metric::kPowerWatts, {10, 100.0});
-  db.write(GpuId{1}, Metric::kPowerWatts, {20, 150.0});
+  TimeSeriesDb db(GpuId{1}, 1);
+  db.write(GpuId{1}, row_of(10, 100.0));
+  db.write(GpuId{1}, row_of(20, 150.0));
   EXPECT_DOUBLE_EQ(db.latest(GpuId{1}, Metric::kPowerWatts), 150.0);
-  EXPECT_EQ(db.total_samples(), 2u);
+  EXPECT_EQ(db.latest_time(GpuId{1}), 20);
+  EXPECT_EQ(db.total_rows(), 2u);
 }
 
 TEST(TimeSeriesDb, SeriesKeyedByGpuAndMetric) {
-  TimeSeriesDb db;
-  db.write(GpuId{1}, Metric::kSmUtil, {0, 0.5});
-  db.write(GpuId{2}, Metric::kSmUtil, {0, 0.9});
-  db.write(GpuId{1}, Metric::kMemUtil, {0, 0.2});
-  EXPECT_EQ(db.series_count(), 3u);
+  TimeSeriesDb db(GpuId{1}, 2);
+  db.write(GpuId{1}, Row{0, 0.5, 0.2, 100.0, 10.0, 20.0});
+  db.write(GpuId{2}, Row{0, 0.9, 0.7, 200.0, 30.0, 40.0});
   EXPECT_DOUBLE_EQ(db.latest(GpuId{1}, Metric::kSmUtil), 0.5);
   EXPECT_DOUBLE_EQ(db.latest(GpuId{2}, Metric::kSmUtil), 0.9);
   EXPECT_DOUBLE_EQ(db.latest(GpuId{1}, Metric::kMemUtil), 0.2);
+  EXPECT_DOUBLE_EQ(db.latest(GpuId{2}, Metric::kPowerWatts), 200.0);
+  EXPECT_DOUBLE_EQ(db.latest(GpuId{1}, Metric::kTxBandwidth), 10.0);
+  EXPECT_DOUBLE_EQ(db.latest(GpuId{2}, Metric::kRxBandwidth), 40.0);
+}
+
+TEST(TimeSeriesDb, RowColumnsMatchMetrics) {
+  const Row r{7, 1.0, 2.0, 3.0, 4.0, 5.0};
+  EXPECT_EQ(r.value(Metric::kSmUtil), 1.0);
+  EXPECT_EQ(r.value(Metric::kMemUtil), 2.0);
+  EXPECT_EQ(r.value(Metric::kPowerWatts), 3.0);
+  EXPECT_EQ(r.value(Metric::kTxBandwidth), 4.0);
+  EXPECT_EQ(r.value(Metric::kRxBandwidth), 5.0);
 }
 
 TEST(TimeSeriesDb, WindowQueryInclusiveOfSince) {
-  TimeSeriesDb db;
+  TimeSeriesDb db(GpuId{0}, 1);
   for (SimTime t = 0; t < 10; ++t) {
-    db.write(GpuId{0}, Metric::kSmUtil, {t, static_cast<double>(t)});
+    db.write(GpuId{0}, row_of(t, static_cast<double>(t)));
   }
   const auto window = db.query_window(GpuId{0}, Metric::kSmUtil, 6);
   ASSERT_EQ(window.size(), 4u);
@@ -51,18 +68,16 @@ TEST(TimeSeriesDb, WindowQueryInclusiveOfSince) {
 }
 
 TEST(TimeSeriesDb, WindowBeforeAllReturnsEverything) {
-  TimeSeriesDb db;
-  for (SimTime t = 100; t < 105; ++t) {
-    db.write(GpuId{0}, Metric::kRxBandwidth, {t, 1.0});
-  }
+  TimeSeriesDb db(GpuId{0}, 1);
+  for (SimTime t = 100; t < 105; ++t) db.write(GpuId{0}, row_of(t, 1.0));
   EXPECT_EQ(db.query_window(GpuId{0}, Metric::kRxBandwidth, 0).size(), 5u);
   EXPECT_TRUE(db.query_window(GpuId{0}, Metric::kRxBandwidth, 1000).empty());
 }
 
 TEST(TimeSeriesDb, RetentionDropsOldest) {
-  TimeSeriesDb db(/*retention=*/8);
+  TimeSeriesDb db(GpuId{0}, 1, /*retention=*/8);
   for (SimTime t = 0; t < 20; ++t) {
-    db.write(GpuId{0}, Metric::kSmUtil, {t, static_cast<double>(t)});
+    db.write(GpuId{0}, row_of(t, static_cast<double>(t)));
   }
   const auto all = db.query_all(GpuId{0}, Metric::kSmUtil);
   ASSERT_EQ(all.size(), 8u);
@@ -70,129 +85,157 @@ TEST(TimeSeriesDb, RetentionDropsOldest) {
   EXPECT_EQ(all.back().time, 19);
 }
 
-TEST(TimeSeriesDb, WindowViewMatchesQueryWindow) {
-  TimeSeriesDb db(/*retention=*/32);  // small retention forces ring wrap
+TEST(TimeSeriesDb, WindowIntoMatchesQueryWindow) {
+  TimeSeriesDb db(GpuId{3}, 1, /*retention=*/32);  // forces ring wrap
   Rng rng(5);
+  std::vector<double> scratch = {42.0};  // must be cleared, not appended to
   for (SimTime t = 0; t < 100; ++t) {
-    db.write(GpuId{3}, Metric::kMemUtil, {t, rng.uniform()});
+    db.write(GpuId{3}, row_of(t, rng.uniform()));
     const SimTime since = t > 10 ? t - 10 : 0;
     const auto vec = db.query_window(GpuId{3}, Metric::kMemUtil, since);
-    const auto view = db.window_view(GpuId{3}, Metric::kMemUtil, since);
-    ASSERT_EQ(view.size(), vec.size()) << "t=" << t;
-    for (std::size_t i = 0; i < vec.size(); ++i) {
-      EXPECT_DOUBLE_EQ(view[i].value, vec[i]);
-      EXPECT_GE(view[i].time, since);
+    db.window_into(GpuId{3}, Metric::kMemUtil, since, scratch);
+    ASSERT_EQ(scratch, vec) << "t=" << t;
+    ASSERT_EQ(vec.size(), static_cast<std::size_t>(t - since + 1));
+  }
+}
+
+TEST(TimeSeriesDb, WindowEmptyCases) {
+  TimeSeriesDb db(GpuId{0}, 1);
+  EXPECT_TRUE(db.query_window(GpuId{0}, Metric::kSmUtil, 0).empty());
+  db.write(GpuId{0}, row_of(5, 1.0));
+  EXPECT_TRUE(db.query_window(GpuId{0}, Metric::kSmUtil, 6).empty());
+  EXPECT_EQ(db.query_window(GpuId{0}, Metric::kSmUtil, 5).size(), 1u);
+  // GPUs outside the node read as never written.
+  EXPECT_TRUE(db.query_window(GpuId{1}, Metric::kSmUtil, 0).empty());
+  EXPECT_TRUE(db.query_window(GpuId{-1}, Metric::kSmUtil, 0).empty());
+}
+
+TEST(TimeSeriesDb, EqualTimesAreAccepted) {
+  TimeSeriesDb db(GpuId{0}, 1);
+  db.write(GpuId{0}, row_of(5, 1.0));
+  db.write(GpuId{0}, row_of(5, 2.0));
+  EXPECT_EQ(db.query_window(GpuId{0}, Metric::kSmUtil, 5),
+            (std::vector<double>{1.0, 2.0}));
+}
+
+TEST(TimeSeriesDbDeathTest, RejectsHeartbeatOlderThanNewestRow) {
+  TimeSeriesDb db(GpuId{0}, 2);
+  db.write(GpuId{0}, row_of(10, 1.0));
+  db.write(GpuId{1}, row_of(3, 1.0));  // other GPUs keep their own clock
+  EXPECT_DEATH(db.write(GpuId{0}, row_of(9, 1.0)),
+               "older than the GPU's newest row");
+}
+
+TEST(TimeSeriesDbDeathTest, RejectsGpuNotOnTheNode) {
+  TimeSeriesDb db(GpuId{4}, 2);
+  EXPECT_DEATH(db.write(GpuId{6}, row_of(0, 1.0)), "not on this node");
+  EXPECT_DEATH(db.write(GpuId{3}, row_of(0, 1.0)), "not on this node");
+}
+
+// The row store against the per-(GPU, metric) layout it replaced: one deque
+// per series, capped at retention. Random heartbeats to random GPUs (some
+// never written), tiny retentions so rings wrap many times, and windows
+// starting before, at, between and after the retained rows.
+TEST(TimeSeriesDbFuzz, MatchesPerSeriesDequeReference) {
+  Rng rng(2024);
+  for (int round = 0; round < 40; ++round) {
+    const std::int32_t first = static_cast<std::int32_t>(rng.uniform_int(0, 9));
+    const std::size_t gpus = static_cast<std::size_t>(rng.uniform_int(1, 4));
+    const std::size_t retention =
+        static_cast<std::size_t>(rng.uniform_int(1, 17));
+    TimeSeriesDb db(GpuId{first}, gpus, retention);
+    // ref[g][m]: the retained (time, value) samples of one series.
+    std::vector<std::array<std::deque<Sample>, 5>> ref(gpus);
+    std::vector<SimTime> clock(gpus, 0);
+    // GPU 0 of every other round never reports.
+    const std::size_t silent = round % 2 == 0 ? 0 : gpus;
+    std::uint64_t rows = 0;
+    for (int op = 0; op < 300; ++op) {
+      const auto g = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<int>(gpus) - 1));
+      if (g != silent && rng.uniform() < 0.6) {
+        clock[g] += rng.uniform_int(0, 3);  // repeats allowed
+        const Row row{clock[g], rng.uniform(), rng.uniform(), rng.uniform(),
+                      rng.uniform(), rng.uniform()};
+        db.write(GpuId{first + static_cast<std::int32_t>(g)}, row);
+        ++rows;
+        for (const Metric m : kAllMetrics) {
+          auto& series = ref[g][static_cast<std::size_t>(m)];
+          series.push_back({row.time, row.value(m)});
+          if (series.size() > retention) series.pop_front();
+        }
+        continue;
+      }
+      const GpuId id{first + static_cast<std::int32_t>(g)};
+      const Metric m = kAllMetrics[static_cast<std::size_t>(
+          rng.uniform_int(0, 4))];
+      const auto& series = ref[g][static_cast<std::size_t>(m)];
+      const SimTime oldest = series.empty() ? 0 : series.front().time;
+      const std::array<SimTime, 5> starts = {
+          oldest - 1, oldest, oldest + 1, clock[g], clock[g] + 1};
+      for (const SimTime since : starts) {
+        std::vector<double> want;
+        for (const Sample& s : series) {
+          if (s.time >= since) want.push_back(s.value);
+        }
+        ASSERT_EQ(db.query_window(id, m, since), want)
+            << "round " << round << " op " << op << " since " << since;
+      }
+      const auto all = db.query_all(id, m);
+      ASSERT_EQ(all.size(), series.size());
+      for (std::size_t i = 0; i < all.size(); ++i) {
+        ASSERT_EQ(all[i].time, series[i].time);
+        ASSERT_EQ(all[i].value, series[i].value);
+      }
+      ASSERT_EQ(db.latest(id, m, -1.0),
+                series.empty() ? -1.0 : series.back().value);
+      ASSERT_EQ(db.latest_time(id), series.empty() ? -1 : series.back().time);
     }
-    std::vector<double> flattened;
-    view.append_values_to(flattened);
-    EXPECT_EQ(flattened, vec);
-  }
-}
-
-TEST(TimeSeriesDb, WindowViewEmptyCases) {
-  TimeSeriesDb db;
-  EXPECT_TRUE(db.window_view(GpuId{0}, Metric::kSmUtil, 0).empty());
-  db.write(GpuId{0}, Metric::kSmUtil, {5, 1.0});
-  EXPECT_TRUE(db.window_view(GpuId{0}, Metric::kSmUtil, 6).empty());
-  EXPECT_EQ(db.window_view(GpuId{0}, Metric::kSmUtil, 5).size(), 1u);
-}
-
-TEST(TimeSeriesDb, WindowStatsMatchesNaivePercentiles) {
-  TimeSeriesDb db;
-  Rng rng(11);
-  for (SimTime t = 0; t < 200; ++t) {
-    db.write(GpuId{0}, Metric::kSmUtil, {t, rng.uniform(0, 100)});
-  }
-  const SimTime since = 50;
-  const auto agg = db.window_stats(GpuId{0}, Metric::kSmUtil, since);
-  const auto window = db.query_window(GpuId{0}, Metric::kSmUtil, since);
-  ASSERT_EQ(agg.count, window.size());
-  double sum = 0, mn = window[0], mx = window[0];
-  for (double v : window) {
-    sum += v;
-    mn = std::min(mn, v);
-    mx = std::max(mx, v);
-  }
-  // Summation order differs (the aggregate sums its sorted scratch), so
-  // mean agrees to the 1e-9 equivalence bound, not bit-exactly.
-  EXPECT_NEAR(agg.mean, sum / static_cast<double>(window.size()), 1e-9);
-  EXPECT_DOUBLE_EQ(agg.min, mn);
-  EXPECT_DOUBLE_EQ(agg.max, mx);
-  EXPECT_DOUBLE_EQ(agg.p50, percentile(window, 50));
-  EXPECT_DOUBLE_EQ(agg.p95, percentile(window, 95));
-  EXPECT_DOUBLE_EQ(agg.p99, percentile(window, 99));
-}
-
-TEST(TimeSeriesDb, WindowStatsCacheInvalidatedByWrite) {
-  TimeSeriesDb db;
-  for (SimTime t = 0; t < 10; ++t) {
-    db.write(GpuId{0}, Metric::kSmUtil, {t, 1.0});
-  }
-  const auto gen0 = db.generation(GpuId{0}, Metric::kSmUtil);
-  const auto& a = db.window_stats(GpuId{0}, Metric::kSmUtil, 0);
-  EXPECT_DOUBLE_EQ(a.max, 1.0);
-  // Repeat query with no intervening write: same cached aggregate object.
-  const auto* cached = &db.window_stats(GpuId{0}, Metric::kSmUtil, 0);
-  EXPECT_EQ(cached, &a);
-  EXPECT_EQ(db.generation(GpuId{0}, Metric::kSmUtil), gen0);
-  // A write must invalidate: the next query sees the new sample.
-  db.write(GpuId{0}, Metric::kSmUtil, {10, 9.0});
-  EXPECT_GT(db.generation(GpuId{0}, Metric::kSmUtil), gen0);
-  EXPECT_DOUBLE_EQ(db.window_stats(GpuId{0}, Metric::kSmUtil, 0).max, 9.0);
-  // Changing `since` must also bypass the cache.
-  EXPECT_EQ(db.window_stats(GpuId{0}, Metric::kSmUtil, 10).count, 1u);
-}
-
-TEST(TimeSeriesDb, LiveStatsTrackWindow) {
-  TimeSeriesDb db(/*retention=*/1024, /*stats_window=*/4);
-  EXPECT_EQ(db.live_stats(GpuId{0}, Metric::kSmUtil), nullptr);
-  for (SimTime t = 0; t < 8; ++t) {
-    db.write(GpuId{0}, Metric::kSmUtil, {t, static_cast<double>(t)});
-  }
-  const auto* live = db.live_stats(GpuId{0}, Metric::kSmUtil);
-  ASSERT_NE(live, nullptr);
-  EXPECT_EQ(live->count(), 4u);  // last four samples: 4,5,6,7
-  EXPECT_DOUBLE_EQ(live->mean(), 5.5);
-  EXPECT_DOUBLE_EQ(live->min(), 4.0);
-  EXPECT_DOUBLE_EQ(live->max(), 7.0);
-}
-
-TEST(TimeSeriesDb, LiveStatsDisabledByDefault) {
-  TimeSeriesDb db;
-  db.write(GpuId{0}, Metric::kSmUtil, {0, 1.0});
-  EXPECT_EQ(db.live_stats(GpuId{0}, Metric::kSmUtil), nullptr);
-}
-
-// The old KeyHash packed the metric into the low 8 bits of (gpu << 8),
-// colliding whole series once metric ids or gpu counts grew. The splitmix64
-// mix must keep every (gpu, metric) key distinct and well spread.
-TEST(TimeSeriesDbKeyHash, NoCollisionsOverGpuMetricGrid) {
-  TimeSeriesDb::KeyHash hash;
-  std::unordered_set<std::size_t> seen;
-  std::size_t keys = 0;
-  for (std::int32_t gpu = 0; gpu < 512; ++gpu) {
-    for (int metric = 0; metric < 512; metric += 37) {
-      seen.insert(hash(TimeSeriesDb::Key{gpu, metric}));
-      ++keys;
+    ASSERT_EQ(db.total_rows(), rows);
+    // Ids on either side of the node's range hold nothing.
+    for (const GpuId outside :
+         {GpuId{first - 1}, GpuId{first + static_cast<std::int32_t>(gpus)}}) {
+      EXPECT_TRUE(db.query_all(outside, Metric::kSmUtil).empty());
+      EXPECT_EQ(db.latest_time(outside), -1);
+      EXPECT_EQ(db.latest_row(outside), nullptr);
     }
   }
-  // splitmix64 is a bijection on the packed 64-bit key, so any collision
-  // here would have to come from the size_t truncation — none expected.
-  EXPECT_EQ(seen.size(), keys);
 }
 
-TEST(TimeSeriesDbKeyHash, LargeMetricIdsDoNotAliasAcrossGpus) {
-  // Regression for the (gpu << 8) | metric scheme: metric id 256 on gpu g
-  // collided with metric id 0 on gpu g+1.
-  TimeSeriesDb::KeyHash hash;
-  EXPECT_NE(hash(TimeSeriesDb::Key{0, 256}), hash(TimeSeriesDb::Key{1, 0}));
-  EXPECT_NE(hash(TimeSeriesDb::Key{0, 257}), hash(TimeSeriesDb::Key{1, 1}));
+// G GPUs at retention R cost G·R rows of 48 B in the arena, plus at most one
+// chunk of slack (the tail of each chunk a ring did not fit into).
+TEST(TimeSeriesDb, MemoryBoundIsOneRowPerHeartbeat) {
+  constexpr std::size_t kNodes = 128;
+  constexpr std::size_t kGpusPerNode = 4;
+  constexpr std::size_t kRetention = 300;
+  core::PageArena arena(core::PageArena::kHugePage);
+  std::vector<TimeSeriesDb> dbs;
+  dbs.reserve(kNodes);
+  for (std::size_t n = 0; n < kNodes; ++n) {
+    dbs.emplace_back(GpuId{static_cast<std::int32_t>(n * kGpusPerNode)},
+                     kGpusPerNode, kRetention, &arena);
+  }
+  for (SimTime t = 0; t < static_cast<SimTime>(2 * kRetention); ++t) {
+    for (std::size_t n = 0; n < kNodes; ++n) {
+      for (std::size_t g = 0; g < kGpusPerNode; ++g) {
+        dbs[n].write(GpuId{static_cast<std::int32_t>(n * kGpusPerNode + g)},
+                     row_of(t, 0.5));
+      }
+    }
+  }
+  const std::size_t rows_bytes =
+      kNodes * kGpusPerNode * kRetention * sizeof(Row);
+  EXPECT_EQ(sizeof(Row), 48u);
+  EXPECT_GE(arena.bytes_reserved(), rows_bytes);
+  EXPECT_LE(arena.bytes_reserved(), rows_bytes + core::PageArena::kHugePage);
 }
 
 TEST(MetricNames, AllDistinct) {
   for (auto a : kAllMetrics) {
     for (auto b : kAllMetrics) {
-      if (a != b) EXPECT_NE(metric_name(a), metric_name(b));
+      if (a != b) {
+        EXPECT_NE(metric_name(a), metric_name(b));
+      }
     }
   }
   EXPECT_EQ(metric_name(Metric::kSmUtil), "sm_util");
