@@ -2,7 +2,7 @@
 //
 // Times the per-tick telemetry layer the way the simulator drives it — the
 // whole scrape of a 1,000-node cluster (heartbeat rows + the aggregator's
-// lane refresh) and PP's 500-sample window read — plus the window-percentile
+// row refresh) and PP's 500-sample window read — plus the window-percentile
 // primitives both the naive way (vector materialization, copy + full sort
 // per percentile) and the incremental way (RollingQuantile). Heap
 // allocations are counted via a replaced operator new, and the run finishes
@@ -138,7 +138,6 @@ class ScrapeFixture {
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
       samplers_.emplace_back(*nodes_[n], *dbs_[n], Rng(1000 + n), 0.005);
     }
-    agg_.set_lane_partition(std::vector<std::uint32_t>(nodes_.size(), 0), 1);
     (void)agg_.active_sorted_by_free_memory();  // PP's demand, as in a run
     // Fill every ring once so the timed ticks write into wrapped rings.
     for (std::size_t t = 0; t < kRetention; ++t) scrape();
@@ -149,7 +148,7 @@ class ScrapeFixture {
     ++now_;
     agg_.begin_tick(now_);
     for (auto& sampler : samplers_) sampler.sample(now_);
-    agg_.refresh_lane(0);
+    agg_.refresh();
   }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -176,7 +175,7 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
     session.record("tsdb_ingest", as_metrics(m));
   }
 
-  // -- The scrape: heartbeat rows + lane refresh for 1,000 nodes --
+  // -- The scrape: heartbeat rows + row refresh for 1,000 nodes --
   {
     ScrapeFixture fx;
     const std::size_t ticks = std::max<std::size_t>(iters / 10, 100);

@@ -5,10 +5,6 @@
 //
 //   --fast   shrinks the solver and flow-chain workloads to CI smoke sizes
 //   --json   machine-readable BENCH_net.json schema
-//
-// Like bench_scale, numbers only count after a determinism gate: the
-// contended cluster config at lanes 1 and lanes 4 must produce the same
-// run digest, or the bench exits non-zero before any row is read.
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -29,9 +25,9 @@ namespace {
 using namespace knots;
 
 /// The contended cluster point: PP over an auto-derived leaf-spine fabric
-/// with real 2 GB image pulls and a mid-run ToR uplink outage. Both the
-/// lane gate and the committed flow-rate baseline use exactly this config.
-ExperimentConfig contended_config(int nodes, SimTime window, int lanes) {
+/// with real 2 GB image pulls and a mid-run ToR uplink outage. The committed
+/// flow-rate baseline uses exactly this config.
+ExperimentConfig contended_config(int nodes, SimTime window) {
   fault::FaultPlan faults;
   faults.link_down("tor0-up", window / 3, window / 6);
   return ExperimentConfig::Builder{}
@@ -39,7 +35,6 @@ ExperimentConfig contended_config(int nodes, SimTime window, int lanes) {
       .nodes(nodes)
       .duration(window)
       .seed(42)
-      .lanes(lanes)
       .load_scale(nodes / 10.0)
       .auto_fabric()
       .image_mb(2048.0)
@@ -151,19 +146,6 @@ void bench_flow_chain(bench::Session& session) {
 int main(int argc, char** argv) {
   bench::Session session(argc, argv, "net");
 
-  // Determinism gate first: the contended config at lanes 1 vs 4 must be
-  // bit-identical before any throughput number counts.
-  const int gate_nodes = 16;
-  const SimTime gate_window = 60 * kSec;
-  const auto lane1 = run_experiment(contended_config(gate_nodes, gate_window, 1));
-  const auto lane4 = run_experiment(contended_config(gate_nodes, gate_window, 4));
-  if (lane1.run_digest != lane4.run_digest) {
-    std::cerr << "bench_net: lanes=4 run digest diverged from lanes=1\n";
-    return 1;
-  }
-  session.record("net_lanes_digest_match",
-                 {{"nodes", gate_nodes}, {"lanes", 4}, {"match", 1}});
-
   bench_fair_share(session);
   bench_flow_chain(session);
 
@@ -184,7 +166,7 @@ int main(int argc, char** argv) {
   const double bare_wall = seconds_since(t_bare);
 
   const auto t_fab = std::chrono::steady_clock::now();
-  const auto fabric = run_experiment(contended_config(nodes, window, 1));
+  const auto fabric = run_experiment(contended_config(nodes, window));
   const double fab_wall = seconds_since(t_fab);
 
   const double flows_per_sec =

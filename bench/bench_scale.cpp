@@ -1,25 +1,17 @@
 // Datacenter-scale throughput curves: nodes × pods × events/sec at
-// 10 → 100 → 1k → 10k nodes, plus a lane-determinism gate (the sharded
-// run must reproduce the single-lane digest bit-for-bit before its
-// numbers count). Committed baseline lives in BENCH_scale.json (the
-// pre-pipeline curve is kept in BENCH_scale_pr6.json for comparison).
+// 10 → 100 → 1k → 10k nodes, plus an inert-fabric digest gate at 1k nodes.
+// Committed baseline lives in BENCH_scale.json.
 //
 //   --fast         10/100/1k-node points (CI smoke; the 1k point gates
 //                  the 1M node-ticks/s floor)
 //   --json         machine-readable BENCH_scale.json schema; includes a
 //                  per-phase tick breakdown (advance / scrape / schedule /
-//                  barrier merge / event dispatch) from an instrumented
+//                  aggregator sort / event dispatch) from an instrumented
 //                  1k-node run
-//   --lanes-sweep  lanes ∈ {1, 2, 4, hw} at 1k nodes with parallel
-//                  efficiency, instead of the node curve (diagnostic mode;
-//                  not part of the committed baseline)
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -50,12 +42,11 @@ struct ScaleResult {
 /// stays at the paper's 10-node density, and telemetry retention shrinks
 /// to a scheduler-sufficient window so a 10k-node cluster does not spend
 /// its time faulting in ring buffers.
-ExperimentConfig scale_config(int nodes, int lanes, SimTime window) {
+ExperimentConfig scale_config(int nodes, SimTime window) {
   ExperimentConfig cfg = ExperimentConfig::Builder{}
                              .mix(1)
                              .scheduler(sched::SchedulerKind::kPeakPrediction)
                              .nodes(nodes)
-                             .lanes(lanes)
                              .duration(window)
                              .seed(42)
                              .load_scale(nodes / 10.0)
@@ -67,9 +58,9 @@ ExperimentConfig scale_config(int nodes, int lanes, SimTime window) {
   return cfg;
 }
 
-ScaleResult run_point(const ScalePoint& pt, int lanes,
+ScaleResult run_point(const ScalePoint& pt,
                       obs::MetricsRegistry* registry = nullptr) {
-  const ExperimentConfig cfg = scale_config(pt.nodes, lanes, pt.window);
+  const ExperimentConfig cfg = scale_config(pt.nodes, pt.window);
   const auto t0 = std::chrono::steady_clock::now();
   ExperimentReport report;
   if (registry != nullptr) {
@@ -99,10 +90,9 @@ double node_ticks_per_sec(const ScaleResult& r) {
 /// envelope, not a disjoint slice.
 void record_phase_breakdown(bench::Session& session, const ScalePoint& pt) {
   obs::MetricsRegistry registry;
-  const ScaleResult r = run_point(pt, /*lanes=*/1, &registry);
+  const ScaleResult r = run_point(pt, &registry);
   const char* const kPhases[] = {
-      "cluster.advance_ns",    "telemetry.scrape_ns",
-      "sched.on_schedule_ns",  "cluster.barrier_merge_ns",
+      "cluster.advance_ns",    "telemetry.scrape_ns", "sched.on_schedule_ns",
       "telemetry.agg_sort_ns", "sim.dispatch_ns",
   };
   std::vector<std::pair<std::string, double>> metrics = {
@@ -110,7 +100,7 @@ void record_phase_breakdown(bench::Session& session, const ScalePoint& pt) {
       {"wall_seconds", r.wall_seconds},
       {"node_ticks_per_sec", node_ticks_per_sec(r)},
   };
-  TablePrinter table("Per-phase tick breakdown (1k nodes, lanes=1)");
+  TablePrinter table("Per-phase tick breakdown (1k nodes)");
   table.columns({"phase", "total s", "% of wall", "samples"});
   for (const char* name : kPhases) {
     const obs::Histogram* h = registry.find_histogram(name);
@@ -130,76 +120,10 @@ void record_phase_breakdown(bench::Session& session, const ScalePoint& pt) {
                  std::move(metrics));
 }
 
-/// Lane sweep at one size: throughput and parallel efficiency
-/// rate(L) / (L × rate(1)) for lanes ∈ {1, 2, 4, hardware}. Digest equality
-/// across every lane count is asserted — a diverging digest voids the row.
-int run_lanes_sweep(bench::Session& session, const ScalePoint& pt) {
-  std::vector<int> lane_counts = {1, 2, 4};
-  const int hw = static_cast<int>(
-      std::max(1u, std::thread::hardware_concurrency()));
-  if (std::find(lane_counts.begin(), lane_counts.end(), hw) ==
-      lane_counts.end()) {
-    lane_counts.push_back(hw);
-  }
-
-  TablePrinter table("Lane sweep (" + std::to_string(pt.nodes) + " nodes)");
-  table.columns({"lanes", "wall s", "node-ticks/s", "efficiency", "digest"});
-  double rate1 = 0;
-  std::uint64_t digest1 = 0;
-  for (const int lanes : lane_counts) {
-    const ScaleResult r = run_point(pt, lanes);
-    const double rate = node_ticks_per_sec(r);
-    if (lanes == 1) {
-      rate1 = rate;
-      digest1 = r.digest;
-    } else if (r.digest != digest1) {
-      std::cerr << "bench_scale: lanes=" << lanes
-                << " digest diverged from lanes=1\n";
-      return 1;
-    }
-    const double efficiency =
-        rate1 > 0 ? rate / (static_cast<double>(lanes) * rate1) : 0.0;
-    table.row({std::to_string(lanes), fmt(r.wall_seconds, 3), fmt(rate, 1),
-               fmt(efficiency, 3), std::to_string(r.digest == digest1)});
-    session.record("lanes_" + std::to_string(lanes) + "_" +
-                       std::to_string(pt.nodes) + "node",
-                   {{"lanes", static_cast<double>(lanes)},
-                    {"nodes", static_cast<double>(pt.nodes)},
-                    {"wall_seconds", r.wall_seconds},
-                    {"node_ticks_per_sec", rate},
-                    {"parallel_efficiency", efficiency},
-                    {"digest_match", 1.0}});
-  }
-  table.print(std::cout);
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Session session(argc, argv, "scale");
-  bool lanes_sweep = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--lanes-sweep") == 0) lanes_sweep = true;
-  }
-
-  // Lane-determinism gate: throughput numbers are meaningless if sharding
-  // changed the simulation, so prove digest equality first.
-  {
-    const ScalePoint gate{100, 30 * kSec};
-    const ScaleResult one = run_point(gate, 1);
-    const ScaleResult four = run_point(gate, 4);
-    if (one.digest != four.digest) {
-      std::cerr << "bench_scale: lanes=4 digest diverged from lanes=1\n";
-      return 1;
-    }
-    session.record("lanes_digest_match",
-                   {{"nodes", 100}, {"lanes", 4}, {"match", 1}});
-  }
-
-  if (lanes_sweep) {
-    return run_lanes_sweep(session, ScalePoint{1000, 10 * kSec});
-  }
 
   std::vector<ScalePoint> points = {
       {10, 300 * kSec}, {100, 60 * kSec}, {1000, 20 * kSec}};
@@ -213,7 +137,7 @@ int main(int argc, char** argv) {
   std::uint64_t digest_1000 = 0;
   SimTime window_1000 = 0;
   for (const ScalePoint& pt : points) {
-    const ScaleResult r = run_point(pt, 1);
+    const ScaleResult r = run_point(pt);
     if (r.nodes == 1000) {
       digest_1000 = r.digest;
       window_1000 = pt.window;
@@ -244,7 +168,7 @@ int main(int argc, char** argv) {
   // must reproduce the fabric-free digest bit-for-bit — the per-node
   // topology bookkeeping may cost a little wall time but never semantics.
   {
-    ExperimentConfig cfg = scale_config(1000, 1, window_1000);
+    ExperimentConfig cfg = scale_config(1000, window_1000);
     cfg.cluster.fabric = net::FabricPlan::zero_latency(1000);
     const auto t0 = std::chrono::steady_clock::now();
     const ExperimentReport r = run_experiment(cfg);

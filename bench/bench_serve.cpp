@@ -4,12 +4,8 @@
 // reads. Committed baseline lives in BENCH_serve.json.
 //
 //   --fast   trims the load sweep to the CI smoke points (the sustained
-//            point and the lane gate always run)
+//            point always runs)
 //   --json   machine-readable BENCH_serve.json schema
-//
-// Like bench_scale, numbers only count after a determinism gate: the
-// lanes=1 and lanes=4 runs of the sustained config must produce the same
-// serve digest, or the bench exits non-zero before any row is read.
 #include <cstdint>
 #include <iostream>
 #include <string>
@@ -30,12 +26,10 @@ using namespace knots;
 constexpr double kSustainedQps = 240.0;
 constexpr SimTime kServeWindow = 30 * kSec;
 
-serve::ServingConfig serve_config(double qps, serve::ArrivalShape shape,
-                                  int lanes = 1) {
+serve::ServingConfig serve_config(double qps, serve::ArrivalShape shape) {
   serve::ServingConfig cfg = serve::default_serving(qps, shape);
   cfg.experiment = ExperimentConfig::Builder{}
                        .scheduler(sched::SchedulerKind::kPeakPrediction)
-                       .lanes(lanes)
                        .build();
   cfg.window = kServeWindow;
   return cfg;
@@ -71,18 +65,8 @@ void record_point(bench::Session& session, serve::ArrivalShape shape,
 int main(int argc, char** argv) {
   bench::Session session(argc, argv, "serve");
 
-  // Determinism gate first: the sustained config at lanes 1 vs 4 must
-  // produce a bit-identical request log.
-  const auto lane1 =
-      serve::run_serving(serve_config(kSustainedQps, serve::ArrivalShape::kPoisson, 1));
-  const auto lane4 =
-      serve::run_serving(serve_config(kSustainedQps, serve::ArrivalShape::kPoisson, 4));
-  if (lane1.serve_digest != lane4.serve_digest) {
-    std::cerr << "bench_serve: lanes=4 serve digest diverged from lanes=1\n";
-    return 1;
-  }
-  session.record("serve_lanes_digest_match",
-                 {{"lanes", 4}, {"match", 1}});
+  const auto sustained = serve::run_serving(
+      serve_config(kSustainedQps, serve::ArrivalShape::kPoisson));
 
   TablePrinter table("Serving load curves (10-node P100, PP scheduler, " +
                      std::to_string(kServeWindow / kSec) + " s window)");
@@ -96,10 +80,10 @@ int main(int argc, char** argv) {
        {serve::ArrivalShape::kPoisson, serve::ArrivalShape::kDiurnal,
         serve::ArrivalShape::kFlashCrowd}) {
     for (const double qps : loads) {
-      // Reuse the gate run for the sustained Poisson point.
+      // Reuse the headline run for the sustained Poisson point.
       const serve::ServingReport r =
           (shape == serve::ArrivalShape::kPoisson && qps == kSustainedQps)
-              ? lane1
+              ? sustained
               : serve::run_serving(serve_config(qps, shape));
       record_point(session, shape, qps, r, table);
     }
@@ -110,12 +94,13 @@ int main(int argc, char** argv) {
   // past capacity. The CI gate compares this point against the committed
   // BENCH_serve.json at 80%.
   std::cout << "\nSustained throughput (Poisson @ " << fmt(kSustainedQps, 0)
-            << " qps offered): " << fmt(lane1.achieved_qps, 1)
-            << " qps served, p99 " << fmt(lane1.latency.p99_ms, 1) << " ms\n";
+            << " qps offered): " << fmt(sustained.achieved_qps, 1)
+            << " qps served, p99 " << fmt(sustained.latency.p99_ms, 1)
+            << " ms\n";
   session.record("sustained_throughput",
                  {{"offered_qps", kSustainedQps},
-                  {"achieved_qps", lane1.achieved_qps},
-                  {"p99_ms", lane1.latency.p99_ms},
-                  {"p999_ms", lane1.latency.p999_ms}});
+                  {"achieved_qps", sustained.achieved_qps},
+                  {"p99_ms", sustained.latency.p99_ms},
+                  {"p999_ms", sustained.latency.p999_ms}});
   return 0;
 }

@@ -21,10 +21,12 @@
 //
 // Unknown or malformed flags exit 2 with a usage message.
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <set>
@@ -50,22 +52,22 @@ using namespace knots;
 constexpr const char* kUsage =
     "usage: knots_ctl <command> [--flag value]...\n"
     "  run    --mix N --scheduler NAME --duration SECS [--nodes N] [--gpus N]\n"
-    "         [--lanes N] [--seed N] [--device-model NAME] [--csv FILE]\n"
+    "         [--seed N] [--device-model NAME] [--csv FILE]\n"
     "         [--crash-node N@T[:D]] [--fabric auto|zero]\n"
     "         [--link-down NAME@T[:D]]\n"
     "         [--trace FILE] [--trace-bin FILE] [--metrics-out FILE]\n"
-    "  sweep  --mix N --duration SECS [--nodes N] [--gpus N] [--lanes N]\n"
+    "  sweep  --mix N --duration SECS [--nodes N] [--gpus N]\n"
     "         [--seed N] [--device-model NAME]\n"
-    "  scenario FILE [--lanes N] [--csv FILE] [--trace FILE]\n"
+    "  scenario FILE [--csv FILE] [--trace FILE]\n"
     "         [--trace-bin FILE] [--metrics-out FILE]\n"
     "  serve  --qps RATE [--diurnal AMP | --flash-crowd MULT] [--slo-ms N]\n"
     "         [--autoscale on|off] [--duration SECS] [--mix N]\n"
-    "         [--scheduler NAME] [--nodes N] [--gpus N] [--lanes N] [--seed N]\n"
+    "         [--scheduler NAME] [--nodes N] [--gpus N] [--seed N]\n"
     "         [--crash-node N@T[:D]] [--trace FILE] [--trace-bin FILE]\n"
     "         [--metrics-out FILE]\n"
     "  dlsim  [--mix N] [--dlt N] [--dli N]           (compare all policies)\n"
     "  dlsim  --dl NAME [--mix N] [--dlt N] [--dli N] [--nodes N] [--gpus N]\n"
-    "         [--lanes N] [--duration SECS] [--seed N] [--device-model NAME]\n"
+    "         [--duration SECS] [--seed N] [--device-model NAME]\n"
     "         [--crash-node N@T[:D]]\n"
     "         [--fabric auto|zero] [--link-down NAME@T[:D]] [--allreduce MB]\n"
     "         [--trace FILE] [--trace-bin FILE] [--metrics-out FILE]\n"
@@ -106,13 +108,29 @@ std::optional<std::map<std::string, std::string>> parse_flags(
   return flags;
 }
 
-/// Full-consumption integer parse; rejects "12x", "", "--nodes --gpus".
+// Bounds for integer flags, checked before any narrowing or unit scaling.
+constexpr long long kIntMin = std::numeric_limits<int>::min();
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+constexpr long long kAnyMin = std::numeric_limits<long long>::min();
+constexpr long long kAnyMax = std::numeric_limits<long long>::max();
+/// Largest whole-second value whose microsecond count fits SimTime.
+constexpr long long kMaxSeconds = kNever / kSec;
+
+/// Full-consumption integer parse; rejects "12x", "", "--nodes --gpus" and
+/// out-of-range input (ERANGE) rather than saturating it.
 std::optional<long long> parse_int(const std::string& s) {
   if (s.empty()) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
+  if (errno == ERANGE || end == nullptr || *end != '\0') return std::nullopt;
   return v;
+}
+
+/// True when the window [at, at + down] (whole seconds, both >= 0) fits the
+/// simulation clock.
+bool fits_clock(long long at, long long down) {
+  return at <= kMaxSeconds && down <= kMaxSeconds - at;
 }
 
 /// Full-consumption floating-point parse; rejects "1.5x" and "".
@@ -138,16 +156,22 @@ std::optional<double> double_flag(
   return v;
 }
 
-/// Validated integer lookup: missing flag → fallback, malformed → nullopt.
+/// Validated integer lookup: missing flag → fallback; malformed, or outside
+/// [lo, hi] (the range the field can hold) → nullopt.
 std::optional<long long> int_flag(
     const std::map<std::string, std::string>& flags, const std::string& key,
-    long long fallback) {
+    long long fallback, long long lo = kAnyMin, long long hi = kAnyMax) {
   const auto it = flags.find(key);
   if (it == flags.end()) return fallback;
   const auto v = parse_int(it->second);
   if (!v.has_value()) {
     std::cerr << "knots_ctl: flag '--" << key << "' expects an integer, got '"
               << it->second << "'\n";
+  } else if (*v < lo || *v > hi) {
+    std::cerr << "knots_ctl: flag '--" << key << "' is out of range ("
+              << (*v < lo ? "min " : "max ") << (*v < lo ? lo : hi)
+              << "), got '" << it->second << "'\n";
+    return std::nullopt;
   }
   return v;
 }
@@ -169,14 +193,15 @@ std::optional<fault::FaultPlan> crash_plan_from_flags(
     const auto at = parse_int(rest.substr(0, colon));
     std::optional<long long> down_for = 0;
     if (colon != std::string::npos) down_for = parse_int(rest.substr(colon + 1));
-    if (node && at && down_for && *node >= 0 && *at >= 0 && *down_for >= 0) {
+    if (node && at && down_for && *node >= 0 && *node <= kIntMax &&
+        *at >= 0 && *down_for >= 0 && fits_clock(*at, *down_for)) {
       plan.node_crash(NodeId{static_cast<std::int32_t>(*node)}, *at * kSec,
                       *down_for * kSec);
       return plan;
     }
   }
-  std::cerr << "knots_ctl: --crash-node expects N@T[:D], got '" << spec
-            << "'\n";
+  std::cerr << "knots_ctl: --crash-node expects N@T[:D] (T + D at most "
+            << kMaxSeconds << " s), got '" << spec << "'\n";
   return std::nullopt;
 }
 
@@ -233,7 +258,8 @@ bool add_link_down(const std::map<std::string, std::string>& flags,
     const auto at = parse_int(rest.substr(0, colon));
     std::optional<long long> down_for = 0;
     if (colon != std::string::npos) down_for = parse_int(rest.substr(colon + 1));
-    if (at && down_for && *at >= 0 && *down_for >= 0) {
+    if (at && down_for && *at >= 0 && *down_for >= 0 &&
+        fits_clock(*at, *down_for)) {
       if (fabric.empty()) {
         std::cerr << "knots_ctl: --link-down requires --fabric\n";
         return false;
@@ -247,35 +273,24 @@ bool add_link_down(const std::map<std::string, std::string>& flags,
       return true;
     }
   }
-  std::cerr << "knots_ctl: --link-down expects NAME@T[:D], got '" << spec
-            << "'\n";
+  std::cerr << "knots_ctl: --link-down expects NAME@T[:D] (T + D at most "
+            << kMaxSeconds << " s), got '" << spec << "'\n";
   return false;
 }
 
 std::optional<ExperimentConfig> config_from_flags(
     const std::map<std::string, std::string>& flags) {
   ExperimentConfig::Builder builder;
-  const auto mix = int_flag(flags, "mix", 1);
-  const auto duration = int_flag(flags, "duration", -1);
-  const auto nodes = int_flag(flags, "nodes", -1);
-  const auto gpus = int_flag(flags, "gpus", -1);
-  const auto lanes = int_flag(flags, "lanes", -1);
+  const auto mix = int_flag(flags, "mix", 1, kIntMin, kIntMax);
+  const auto duration = int_flag(flags, "duration", -1, kAnyMin, kMaxSeconds);
+  const auto nodes = int_flag(flags, "nodes", -1, kAnyMin, kIntMax);
+  const auto gpus = int_flag(flags, "gpus", -1, kAnyMin, kIntMax);
   const auto seed = int_flag(flags, "seed", -1);
-  if (!mix || !duration || !nodes || !gpus || !lanes || !seed) {
-    return std::nullopt;
-  }
+  if (!mix || !duration || !nodes || !gpus || !seed) return std::nullopt;
   builder.mix(static_cast<int>(*mix));
   if (*duration >= 0) builder.duration(*duration * kSec);
   if (*nodes >= 0) builder.nodes(static_cast<int>(*nodes));
   if (*gpus >= 0) builder.gpus_per_node(static_cast<int>(*gpus));
-  if (flags.count("lanes") != 0) {
-    if (*lanes < 1) {
-      std::cerr << "knots_ctl: flag '--lanes' expects an integer >= 1, got '"
-                << flags.at("lanes") << "'\n";
-      return std::nullopt;
-    }
-    builder.lanes(static_cast<int>(*lanes));
-  }
   if (*seed >= 0) builder.seed(static_cast<std::uint64_t>(*seed));
 
   std::string sched_name = "PP";
@@ -425,20 +440,6 @@ int cmd_scenario(const std::string& path,
     std::cerr << "knots_ctl: " << error << "\n" << kUsage;
     return 2;
   }
-  const auto lanes = int_flag(flags, "lanes", -1);
-  if (!lanes) {
-    std::cerr << kUsage;
-    return 2;
-  }
-  if (flags.count("lanes") != 0) {
-    if (*lanes < 1) {
-      std::cerr << "knots_ctl: flag '--lanes' expects an integer >= 1, got '"
-                << flags.at("lanes") << "'\n"
-                << kUsage;
-      return 2;
-    }
-    scenario->config.cluster.lanes = static_cast<int>(*lanes);
-  }
 
   obs::TraceSink trace;
   obs::MetricsRegistry metrics;
@@ -449,8 +450,7 @@ int cmd_scenario(const std::string& path,
   if (flags.count("metrics-out")) observability.metrics = &metrics;
 
   std::cout << "scenario " << scenario->name << " ("
-            << scenario->config.cluster.nodes << " nodes, lanes "
-            << scenario->config.cluster.lanes << ")\n";
+            << scenario->config.cluster.nodes << " nodes)\n";
   const auto report = run_experiment(scenario->config, observability);
   print_report(report);
   if (flags.count("csv")) export_csv(report, flags.at("csv"));
@@ -541,7 +541,7 @@ void print_serving_report(const serve::ServingReport& r,
 int cmd_serve(const std::map<std::string, std::string>& flags) {
   const auto config = config_from_flags(flags);
   const auto qps = double_flag(flags, "qps", 120.0);
-  const auto slo_ms = int_flag(flags, "slo-ms", -1);
+  const auto slo_ms = int_flag(flags, "slo-ms", -1, kAnyMin, kNever / kMsec);
   if (!config || !qps || !slo_ms) {
     std::cerr << kUsage;
     return 2;
@@ -612,7 +612,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     cfg.autoscale = v == "on";
   }
   // --duration is the request window for serving runs.
-  const auto duration = int_flag(flags, "duration", -1);
+  const auto duration = int_flag(flags, "duration", -1, kAnyMin, kMaxSeconds);
   if (duration && *duration >= 0) cfg.window = *duration * kSec;
 
   obs::TraceSink trace;
@@ -672,23 +672,16 @@ void print_dl_run(const dlsim::DlResult& r) {
 int cmd_dlsim(const std::map<std::string, std::string>& flags) {
   dlsim::DlClusterConfig cluster;
   dlsim::DlWorkloadConfig wl;
-  const auto mix = int_flag(flags, "mix", wl.mix_id);
-  const auto dlt = int_flag(flags, "dlt", wl.dlt_jobs);
-  const auto dli = int_flag(flags, "dli", wl.dli_queries);
-  const auto nodes = int_flag(flags, "nodes", cluster.nodes);
-  const auto gpus = int_flag(flags, "gpus", cluster.gpus_per_node);
-  const auto lanes = int_flag(flags, "lanes", cluster.lanes);
-  const auto duration = int_flag(flags, "duration", -1);
+  const auto mix = int_flag(flags, "mix", wl.mix_id, kIntMin, kIntMax);
+  const auto dlt = int_flag(flags, "dlt", wl.dlt_jobs, kIntMin, kIntMax);
+  const auto dli = int_flag(flags, "dli", wl.dli_queries, kIntMin, kIntMax);
+  const auto nodes = int_flag(flags, "nodes", cluster.nodes, kIntMin, kIntMax);
+  const auto gpus =
+      int_flag(flags, "gpus", cluster.gpus_per_node, kIntMin, kIntMax);
+  const auto duration = int_flag(flags, "duration", -1, kAnyMin, kMaxSeconds);
   const auto seed = int_flag(flags, "seed", 42);
-  if (!mix || !dlt || !dli || !nodes || !gpus || !lanes || !duration ||
-      !seed) {
+  if (!mix || !dlt || !dli || !nodes || !gpus || !duration || !seed) {
     std::cerr << kUsage;
-    return 2;
-  }
-  if (*lanes < 1) {
-    std::cerr << "knots_ctl: flag '--lanes' expects an integer >= 1, got '"
-              << flags.at("lanes") << "'\n"
-              << kUsage;
     return 2;
   }
   wl.mix_id = static_cast<int>(*mix);
@@ -697,7 +690,6 @@ int cmd_dlsim(const std::map<std::string, std::string>& flags) {
   if (*duration >= 0) wl.window = *duration * kSec;
   cluster.nodes = static_cast<int>(*nodes);
   cluster.gpus_per_node = static_cast<int>(*gpus);
-  cluster.lanes = static_cast<int>(*lanes);
 
   const auto model = device_model_from_flags(flags);
   if (!model) {
@@ -805,21 +797,21 @@ int main(int argc, char** argv) {
 
   static const std::map<std::string, std::set<std::string>> kAllowedFlags = {
       {"run",
-       {"mix", "scheduler", "duration", "nodes", "gpus", "lanes", "seed",
+       {"mix", "scheduler", "duration", "nodes", "gpus", "seed",
         "device-model", "csv", "crash-node", "fabric", "link-down", "trace",
         "trace-bin", "metrics-out"}},
       {"sweep",
-       {"mix", "scheduler", "duration", "nodes", "gpus", "lanes", "seed",
+       {"mix", "scheduler", "duration", "nodes", "gpus", "seed",
         "device-model"}},
-      {"scenario", {"lanes", "csv", "trace", "trace-bin", "metrics-out"}},
+      {"scenario", {"csv", "trace", "trace-bin", "metrics-out"}},
       {"serve",
-       {"mix", "scheduler", "duration", "nodes", "gpus", "lanes", "seed",
-        "qps", "diurnal", "flash-crowd", "slo-ms", "autoscale", "crash-node",
+       {"mix", "scheduler", "duration", "nodes", "gpus", "seed", "qps",
+        "diurnal", "flash-crowd", "slo-ms", "autoscale", "crash-node",
         "trace", "trace-bin", "metrics-out"}},
       {"dlsim",
-       {"mix", "dlt", "dli", "dl", "nodes", "gpus", "lanes", "duration",
-        "seed", "device-model", "crash-node", "fabric", "link-down",
-        "allreduce", "trace", "trace-bin", "metrics-out"}},
+       {"mix", "dlt", "dli", "dl", "nodes", "gpus", "duration", "seed",
+        "device-model", "crash-node", "fabric", "link-down", "allreduce",
+        "trace", "trace-bin", "metrics-out"}},
       {"list", {}},
   };
   const auto allowed = kAllowedFlags.find(cmd);

@@ -39,8 +39,8 @@ Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
       node_specs.insert(node_specs.end(), static_cast<std::size_t>(cls.count),
                         node_spec);
     }
-    // Keep node_count() (and everything downstream: fault validation, lane
-    // partition, fabric sizing) consistent with the expanded class list.
+    // Keep node_count() (and everything downstream: fault validation,
+    // fabric sizing) consistent with the expanded class list.
     config_.nodes = static_cast<int>(node_specs.size());
   }
 
@@ -86,39 +86,6 @@ Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
   gpu_stale_.assign(gpu_index_.size(), false);
   aggregator_.set_staleness_horizon(
       static_cast<SimTime>(config_.stale_after_heartbeats) * config_.tick);
-
-  // Carve the node set into event lanes. The partition is by node, so pods
-  // sharing a GPU (the only intra-tick coupling) always land in one lane.
-  KNOTS_CHECK_MSG(config_.lanes >= 1, "lanes must be >= 1");
-  const auto lanes = static_cast<std::size_t>(config_.lanes);
-  if (config_.lane_assignment.empty()) {
-    shard_ = sim::ShardPlan::contiguous(nodes_.size(), lanes);
-  } else {
-    KNOTS_CHECK_MSG(config_.lane_assignment.size() == nodes_.size(),
-                    "lane_assignment must map every node");
-    std::vector<std::uint32_t> lane_of;
-    lane_of.reserve(nodes_.size());
-    for (const int lane : config_.lane_assignment) {
-      KNOTS_CHECK_MSG(lane >= 0 && lane < config_.lanes,
-                      "lane_assignment entry out of range");
-      lane_of.push_back(static_cast<std::uint32_t>(lane));
-    }
-    shard_ = sim::ShardPlan::from_assignment(std::move(lane_of), lanes);
-  }
-  if (lanes > 1) lane_exec_ = std::make_unique<sim::LaneExecutor>(lanes);
-  commit_.reset(lanes);
-  lane_members_.resize(lanes);
-  lane_sampled_.assign(lanes, 0);
-
-  // Mirror the node shard into the aggregator so its sorted-by-free-memory
-  // runs partition the same way as telemetry sampling; refresh_lane() can
-  // then piggyback on the lane-parallel scrape phase.
-  std::vector<std::uint32_t> agg_lanes;
-  agg_lanes.reserve(nodes_.size());
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    agg_lanes.push_back(static_cast<std::uint32_t>(shard_.lane_of(n)));
-  }
-  aggregator_.set_lane_partition(std::move(agg_lanes), lanes);
 
   if (!config_.fabric.empty()) {
     fabric_ = std::make_unique<net::Fabric>(config_.fabric, config_.nodes);
@@ -230,14 +197,9 @@ bool Cluster::finish_pod(PodId id) {
   KNOTS_CHECK(id.valid() && static_cast<std::size_t>(id.value) < pods_.size());
   auto& p = *pods_[static_cast<std::size_t>(id.value)];
   if (p.state() != PodState::kRunning) return false;
-  const GpuId g = p.gpu();
-  device(g).detach(id);
-  p.complete(now());
-  note_state(p);
-  note_detach(g);
-  gpu_last_busy_[static_cast<std::size_t>(g.value)] = now();
+  gpu_last_busy_[static_cast<std::size_t>(p.gpu().value)] = now();
   std::erase(active_, id);
-  commit_complete(p);
+  complete_pod(p);
   return true;
 }
 
@@ -432,7 +394,7 @@ void Cluster::set_metrics_registry(obs::MetricsRegistry* registry) {
   registry_ = registry;
   if (registry == nullptr) {
     sched_profile_ = nullptr;
-    advance_profile_ = scrape_profile_ = merge_profile_ = nullptr;
+    advance_profile_ = scrape_profile_ = nullptr;
     aggregator_.set_sort_profile(nullptr);
     sim_.set_dispatch_profile(nullptr);
     ticks_counter_ = placements_counter_ = completions_counter_ = nullptr;
@@ -442,12 +404,11 @@ void Cluster::set_metrics_registry(obs::MetricsRegistry* registry) {
     return;
   }
   sched_profile_ = &registry->histogram("sched.on_schedule_ns");
-  // Per-phase tick breakdown (bench_scale --json reads these): pod advance,
-  // telemetry scrape, barrier merge, plus the existing scheduler round /
-  // aggregator sort / event dispatch timers.
+  // Per-phase tick breakdown (bench_scale --json reads these): pod advance
+  // and telemetry scrape, plus the scheduler round / aggregator sort /
+  // event dispatch timers.
   advance_profile_ = &registry->histogram("cluster.advance_ns");
   scrape_profile_ = &registry->histogram("telemetry.scrape_ns");
-  merge_profile_ = &registry->histogram("cluster.barrier_merge_ns");
   aggregator_.set_sort_profile(&registry->histogram("telemetry.agg_sort_ns"));
   sim_.set_dispatch_profile(&registry->histogram("sim.dispatch_ns"));
   // Resolve every hot-path instrument once; registry handles stay valid for
@@ -691,141 +652,10 @@ void Cluster::advance_running_pods() {
     }
   }
 
-  if (lane_exec_ == nullptr) {
-    advance_fused();
-    return;
-  }
-
-  // Phase B1 — lane-parallel pre-pass. Every lane scans the full active_
-  // list and fills the slots of its own pods (dt, run, needs_stream) plus
-  // its member list; canonical order is preserved because members are
-  // pushed in ascending active_ index. No lane touches RNG state — stream
-  // ranks come from the serial prefix scan below.
-  advance_slots_.resize(active_.size());
-  for (auto& members : lane_members_) members.clear();
-  const auto plan_lane = [&](std::size_t lane) {
-    for (std::size_t i = 0; i < active_.size(); ++i) {
-      const auto& p = *pods_[static_cast<std::size_t>(active_[i].value)];
-      const auto gi = static_cast<std::size_t>(p.gpu().value);
-      if (shard_.lane_of(gpu_index_[gi].first) != lane) continue;
-      auto& slot = advance_slots_[i];
-      slot = AdvanceSlot{};
-      if (p.state() != PodState::kRunning) {
-        slot.keep = p.state() == PodState::kStarting ? 1 : 0;
-        continue;
-      }
-      double factor = slowdown_scratch_[gi];
-      if (p.latency_critical()) {
-        // Non-preemptive blocking behind co-resident batch kernels.
-        factor *= 1.0 + config_.lc_blocking_tax * batch_sm_scratch_[gi];
-      }
-      const auto dt = static_cast<SimTime>(
-          static_cast<double>(config_.tick) / factor);
-      slot.dt = std::max<SimTime>(1, dt);
-      // Device generation: a faster GPU retires proportionally more profile
-      // time per wall tick. Applied after quantization so the homogeneous
-      // P100 path (factor 1.0) is an exact no-op, and power-of-two factors
-      // scale dt exactly (the heterogeneity metamorphic law leans on both).
-      const double cf = compute_factor_[gi];
-      if (cf != 1.0) {
-        slot.dt = std::max<SimTime>(
-            1, static_cast<SimTime>(static_cast<double>(slot.dt) * cf));
-      }
-      slot.run = 1;
-      // A pod that will finish this tick draws no jitter; one that will
-      // crash still draws (jitter is what crashes it).
-      slot.needs_stream = p.would_finish(slot.dt) ? 0 : 1;
-      lane_members_[lane].push_back(static_cast<std::uint32_t>(i));
-    }
-  };
-  lane_exec_->for_each_lane(plan_lane);
-
-  // Phase B2 — serial stream-rank prefix scan in canonical active_ order.
-  // fork_at's counter-based derivation makes the rank the only serial part:
-  // the i-th needs_stream pod gets the i-th stream, exactly the sequence
-  // the old full sequential pre-pass produced.
-  for (auto& slot : advance_slots_) {
-    if (slot.needs_stream != 0) {
-      slot.rng_stream = 0x9000 + pod_rng_counter_++;
-    }
-  }
-
-  // Phase C — lane-parallel advance. Everything touched here is lane-local
-  // (a node's pods, devices and gpu_last_busy_ slots belong to one lane) or
-  // a disjoint advance_slots_ write; completions and crashes detach and
-  // edge the pod locally, then defer their global half to the barrier with
-  // seq = canonical active_ index.
-  commit_.reset(shard_.lanes());
-  const SimTime tick_now = now();
-  const auto run_lane = [&](std::size_t lane) {
-    for (const std::uint32_t i : lane_members_[lane]) {
-      const PodId id = active_[i];
-      auto& p = *pods_[static_cast<std::size_t>(id.value)];
-      auto& slot = advance_slots_[i];
-      p.advance(slot.dt);
-      if (p.finished_profile()) {
-        const GpuId g = p.gpu();
-        device(g).detach(id);
-        p.complete(tick_now);
-        note_state(p);
-        commit_.push(lane, tick_now, i, PodEffect{id, /*crashed=*/false, g});
-        continue;
-      }
-      Rng jrng = rng_.fork(slot.rng_stream);
-      gpu::Usage usage = jittered(p.current_usage(), jrng);
-      if (p.spec().tf_greedy) {
-        // TF never allocates past its own earmark, jitter or not.
-        usage.memory_mb =
-            std::min(usage.memory_mb, 0.995 * p.provisioned_mb());
-      }
-      if (!device(p.gpu()).set_usage(id, usage)) {
-        const GpuId g = p.gpu();
-        device(g).detach(id);
-        p.crash(tick_now);
-        note_state(p);
-        commit_.push(lane, tick_now, i, PodEffect{id, /*crashed=*/true, g});
-        continue;
-      }
-      gpu_last_busy_[static_cast<std::size_t>(p.gpu().value)] = tick_now;
-      slot.keep = 1;
-    }
-  };
-  lane_exec_->for_each_lane(run_lane);
-
-  // Phase D — deterministic commit. Draining in (time, seq, partition)
-  // order — seq is the canonical active_ index — replays the global halves
-  // (metrics, profile store, observers, traces, relaunch scheduling) in
-  // exactly the order the single-lane loop interleaved them.
-  {
-    KNOTS_PROF_SCOPE(merge_profile_);
-    commit_.drain([this](SimTime, std::uint64_t, std::size_t, PodEffect& e) {
-      note_detach(e.gpu);  // serial half of the lane's detach
-      auto& p = *pods_[static_cast<std::size_t>(e.id.value)];
-      if (e.crashed) {
-        commit_crash(p);
-      } else {
-        commit_complete(p);
-      }
-    });
-  }
-
-  // Rebuild active_ in canonical order: kept runners plus starting pods.
-  still_active_scratch_.clear();
-  still_active_scratch_.reserve(active_.size());
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    if (advance_slots_[i].keep != 0) still_active_scratch_.push_back(active_[i]);
-  }
-  std::swap(active_, still_active_scratch_);
-}
-
-void Cluster::advance_fused() {
-  // Single-lane fast path: one pass over active_, completions and crashes
-  // committed inline. Equivalent to the phased path run at one lane — the
-  // commit halves fire in the same canonical active_ order (barrier drain
-  // order equals push order at one lane), the stream-rank sequence matches
-  // the prefix scan (same predicate, same order), and pod advancement
-  // never reads another pod's state (factors were snapshotted in Phase A),
-  // so interleaving commits with advances changes no recorded value.
+  // Phase B — one pass over active_ in placement order; completions and
+  // crashes are recorded inline. No pod's advance reads another pod's
+  // state (the factors above were snapshotted), so the order only fixes
+  // the sequence of lifecycle records and jitter streams.
   still_active_scratch_.clear();
   still_active_scratch_.reserve(active_.size());
   const SimTime tick_now = now();
@@ -846,25 +676,22 @@ void Cluster::advance_fused() {
     const auto scaled = static_cast<SimTime>(
         static_cast<double>(config_.tick) / factor);
     SimTime dt = std::max<SimTime>(1, scaled);
-    // Same compute-factor application as the phased path (see plan_lane).
+    // Device generation: a faster GPU retires proportionally more profile
+    // time per wall tick. Applied after quantization so the homogeneous
+    // P100 path (factor 1.0) is an exact no-op, and power-of-two factors
+    // scale dt exactly (the heterogeneity metamorphic law leans on both).
     const double cf = compute_factor_[gi];
     if (cf != 1.0) {
       dt = std::max<SimTime>(
           1, static_cast<SimTime>(static_cast<double>(dt) * cf));
     }
     // A pod that will finish this tick draws no jitter; one that will
-    // crash still draws (jitter is what crashes it). The rank must be
-    // consumed before the outcome is known to match the phased pre-pass.
+    // crash still draws (jitter is what crashes it).
     std::uint64_t stream = 0;
     if (!p.would_finish(dt)) stream = 0x9000 + pod_rng_counter_++;
     p.advance(dt);
     if (p.finished_profile()) {
-      const GpuId g = p.gpu();
-      device(g).detach(id);
-      p.complete(tick_now);
-      note_state(p);
-      note_detach(g);
-      commit_complete(p);
+      complete_pod(p);
       continue;
     }
     Rng jrng = rng_.fork(stream);
@@ -874,12 +701,7 @@ void Cluster::advance_fused() {
       usage.memory_mb = std::min(usage.memory_mb, 0.995 * p.provisioned_mb());
     }
     if (!device(p.gpu()).set_usage(id, usage)) {
-      const GpuId g = p.gpu();
-      device(g).detach(id);
-      p.crash(tick_now);
-      note_state(p);
-      note_detach(g);
-      commit_crash(p);
+      crash_pod(p);
       continue;
     }
     gpu_last_busy_[gi] = tick_now;
@@ -924,7 +746,12 @@ void Cluster::start_ready_pods() {
   }
 }
 
-void Cluster::commit_complete(Pod& p) {
+void Cluster::complete_pod(Pod& p) {
+  const GpuId g = p.gpu();
+  device(g).detach(p.id());
+  p.complete(now());
+  note_state(p);
+  note_detach(g);
   ++completed_;
   ledger_.release(p.id());
 
@@ -964,10 +791,6 @@ void Cluster::crash_pod(Pod& p) {
   p.crash(now());
   note_state(p);
   note_detach(g);
-  commit_crash(p);
-}
-
-void Cluster::commit_crash(Pod& p) {
   ledger_.release(p.id());
   metrics_->record_crash();
   const PodId id = p.id();
@@ -1041,44 +864,28 @@ void Cluster::tick() {
     advance_running_pods();
   }
   start_ready_pods();
-  // Telemetry heartbeats shard cleanly: each sampler owns its node's
-  // time-series store and RNG, and the injector queries are const, so lanes
-  // sample concurrently. Down or heartbeat-muted nodes stop reporting;
+  // Telemetry heartbeats: down or heartbeat-muted nodes stop reporting;
   // their series age toward the staleness horizon while last-known-good
   // values persist.
-  // Advance the aggregator's clock before the scrape so refresh_lane stamps
+  // Advance the aggregator's clock before the scrape so refresh() stamps
   // its freshness under this tick's `now` — the scheduler's first query then
   // skips re-checking every db stamp the scrape just refreshed.
   aggregator_.begin_tick(now());
+  std::size_t nodes_sampled = 0;
   {
     KNOTS_PROF_SCOPE(scrape_profile_);
     const bool muting = injector_->any_effects();
-    const auto sample_lane = [&](std::size_t lane) {
-      std::size_t count = 0;
-      for (const std::size_t n : shard_.members(lane)) {
-        if (muting && injector_->heartbeat_muted(nodes_[n]->id(), now())) {
-          continue;
-        }
-        samplers_[n].sample(now());
-        ++count;
+    for (std::size_t n = 0; n < nodes_.size(); ++n) {
+      if (muting && injector_->heartbeat_muted(nodes_[n]->id(), now())) {
+        continue;
       }
-      lane_sampled_[lane] = count;
-      // Pull the fresh rows into the aggregator's per-lane row cache
-      // and sorted run while we are still lane-parallel; the scheduler's
-      // first query then reduces to a k-way merge. No-op for policies that
-      // never query the aggregator.
-      aggregator_.refresh_lane(lane);
-    };
-    if (lane_exec_ != nullptr) {
-      lane_exec_->for_each_lane(sample_lane);
-    } else {
-      for (std::size_t lane = 0; lane < shard_.lanes(); ++lane) {
-        sample_lane(lane);
-      }
+      samplers_[n].sample(now());
+      ++nodes_sampled;
     }
+    // Pull the fresh rows into the aggregator's row cache. No-op for
+    // policies that never query the aggregator.
+    aggregator_.refresh();
   }
-  std::size_t nodes_sampled = 0;
-  for (const std::size_t count : lane_sampled_) nodes_sampled += count;
   if (trace_ != nullptr) {
     trace_->record(now(), EventKind::kScrape, -1, -1,
                    static_cast<double>(nodes_sampled));

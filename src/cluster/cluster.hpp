@@ -31,7 +31,6 @@
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/sampler.hpp"
@@ -88,17 +87,6 @@ struct ClusterConfig {
   double lc_blocking_tax = 2.5;
   double telemetry_noise = 0.005;     ///< NVML measurement noise (sigma).
   std::uint64_t seed = 42;
-  /// Event-lane shards for the tick hot path. Nodes are partitioned across
-  /// lanes (contiguous blocks unless lane_assignment overrides); pod
-  /// advance and telemetry sampling run lane-parallel, with every global
-  /// effect committed through a deterministic (time, seq, partition)
-  /// barrier merge — any lane count, and any node→lane permutation,
-  /// reproduces the single-lane run bit-for-bit.
-  int lanes = 1;
-  /// Optional explicit node→lane map (size == nodes, each entry < lanes).
-  /// Empty picks contiguous blocks. Pods sharing a GPU always share a lane
-  /// because the partition is by node.
-  std::vector<int> lane_assignment{};
   /// Heartbeat rows retained per GPU (the node-local time-series store's
   /// retention policy). The default preserves the historical capacity;
   /// datacenter-scale runs shrink it to bound memory — results are
@@ -170,10 +158,6 @@ class Cluster : private net::FabricObserver {
   /// numerator).
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
     return sim_.events_processed();
-  }
-  /// Event lanes the tick hot path is sharded into (1 = sequential).
-  [[nodiscard]] std::size_t lane_count() const noexcept {
-    return shard_.lanes();
   }
   [[nodiscard]] const telemetry::UtilizationAggregator& aggregator() const {
     return aggregator_;
@@ -314,13 +298,13 @@ class Cluster : private net::FabricObserver {
   void on_arrival(PodId id);
   void tick();
   void advance_running_pods();
-  void advance_fused();  ///< Single-lane advance: one pass, no barrier.
   void start_ready_pods();
+  /// Detaches a running pod and records its completion (metrics, profile
+  /// store, observers, trace).
+  void complete_pod(Pod& pod);
+  /// Detaches a pod whose usage no longer fits its GPU, records the crash
+  /// and schedules its relaunch.
   void crash_pod(Pod& pod);
-  /// Global bookkeeping halves of complete/crash — run at barrier-commit
-  /// time, after the lane halves (detach + state edge) already ran.
-  void commit_complete(Pod& pod);
-  void commit_crash(Pod& pod);
   void sample_figure_metrics();
   void maybe_park_idle_gpus();
   [[nodiscard]] SchedulingContext make_context();
@@ -334,16 +318,12 @@ class Cluster : private net::FabricObserver {
   void update_tick_metrics(double cluster_watts);
   [[nodiscard]] bool all_terminal() const;
   [[nodiscard]] gpu::Usage jittered(const gpu::Usage& usage, Rng& rng) const;
-  /// Mirrors a pod's state into the packed table. In lane context this
-  /// writes the pod's own byte only — distinct pods are distinct memory
-  /// locations, so concurrent lane calls never race.
+  /// Mirrors a pod's state into the packed table.
   void note_state(const Pod& p) noexcept {
     pod_states_[static_cast<std::size_t>(p.id().value)] =
         static_cast<std::uint8_t>(p.state());
   }
-  // Bitmap/epoch bookkeeping for device mutations. Serial-phase only: lanes
-  // never call these (the lane advance defers its detaches to the barrier
-  // drain, which runs them serially via the PodEffect's captured GpuId).
+  // Bitmap/epoch bookkeeping for device mutations.
   void note_attach(GpuId g) noexcept {
     const auto i = static_cast<std::size_t>(g.value);
     occupied_bits_[i >> 6] |= std::uint64_t{1} << (i & 63);
@@ -426,37 +406,10 @@ class Cluster : private net::FabricObserver {
   std::uint64_t pod_rng_counter_ = 0;
   std::uint64_t ticks_ = 0;
 
-  // ---- Sharded tick machinery ----
-  /// A pod lifecycle edge detected inside a lane, deferred to the barrier.
-  struct PodEffect {
-    PodId id;
-    bool crashed = false;  ///< false → completed
-    /// Device the pod detached from, captured in the lane before the state
-    /// edge (Pod::crash clears gpu_). The serial drain applies the
-    /// bitmap/epoch update the lane could not.
-    GpuId gpu{};
-  };
-  /// Per-active-pod advance plan. Lanes fill their own pods' slots in
-  /// parallel (dt, run, needs_stream); a tiny serial prefix scan then
-  /// assigns rng_stream ranks in canonical active_ order, reproducing the
-  /// exact stream sequence of the old sequential pre-pass.
-  struct AdvanceSlot {
-    SimTime dt = 0;
-    std::uint64_t rng_stream = 0;
-    std::uint8_t run = 0;           ///< Pod was kRunning at tick entry.
-    std::uint8_t keep = 0;          ///< Pod stays in active_ after this tick.
-    std::uint8_t needs_stream = 0;  ///< Running and not finishing: draws jitter.
-  };
-  sim::ShardPlan shard_;  ///< node index → lane
-  std::unique_ptr<sim::LaneExecutor> lane_exec_;  ///< null when lanes == 1
-  sim::BarrierMerge<PodEffect> commit_;
   // Persistent per-tick scratch: the tick hot loop never reallocates.
   std::vector<double> slowdown_scratch_;
   std::vector<double> batch_sm_scratch_;
-  std::vector<AdvanceSlot> advance_slots_;
-  std::vector<std::vector<std::uint32_t>> lane_members_;
   std::vector<PodId> still_active_scratch_;
-  std::vector<std::size_t> lane_sampled_;
 
   // Observability (all optional, never sampled by the simulation itself).
   obs::TraceSink* trace_ = nullptr;
@@ -464,7 +417,6 @@ class Cluster : private net::FabricObserver {
   obs::Histogram* sched_profile_ = nullptr;  ///< sched.on_schedule_ns
   obs::Histogram* advance_profile_ = nullptr;  ///< cluster.advance_ns
   obs::Histogram* scrape_profile_ = nullptr;   ///< telemetry.scrape_ns
-  obs::Histogram* merge_profile_ = nullptr;    ///< cluster.barrier_merge_ns
   // Instrument handles resolved once at attach time — the per-tick and
   // per-lifecycle-edge paths never pay the registry's name lookup.
   obs::Counter* ticks_counter_ = nullptr;

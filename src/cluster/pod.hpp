@@ -65,10 +65,9 @@ class Pod {
   [[nodiscard]] bool finished_profile() const noexcept {
     return app_time_ >= spec_.profile.total_duration();
   }
-  /// Whether advancing by `dt` would finish the profile. The sharded tick's
-  /// sequential pre-pass uses this to assign usage-jitter RNG streams in
-  /// canonical order before the lanes advance in parallel (a completing pod
-  /// draws no jitter, so it consumes no stream).
+  /// Whether advancing by `dt` would finish the profile. The tick uses this
+  /// to decide whether the pod draws a usage-jitter RNG stream before it
+  /// advances (a completing pod draws no jitter, so it consumes no stream).
   [[nodiscard]] bool would_finish(SimTime dt) const noexcept {
     return app_time_ + dt >= spec_.profile.total_duration();
   }

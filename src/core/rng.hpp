@@ -41,10 +41,10 @@ class Rng {
   [[nodiscard]] Rng fork(std::uint64_t stream) const noexcept;
 
   /// Counter-based fork: the `index`-th stream of a `base` family,
-  /// identical to `fork(base + index)`. Because the derivation is a pure
-  /// function of (root seed, stream id) — no shared engine state — lane
-  /// workers can fork out of order and still reproduce the exact child a
-  /// sequential pass would have produced. ForkSequence pins the law.
+  /// identical to `fork(base + index)`. The derivation is a pure function
+  /// of (root seed, stream id) — no shared engine state — so a family's
+  /// streams do not depend on parent draws or on the order they are forked
+  /// in (serve's per-service arrival streams rely on this).
   [[nodiscard]] Rng fork_at(std::uint64_t base,
                             std::uint64_t index) const noexcept {
     return fork(base + index);
@@ -77,27 +77,6 @@ class Rng {
 
   explicit Rng(Xoshiro256 engine, std::uint64_t root) noexcept
       : root_seed_(root), engine_(engine) {}
-};
-
-/// Sequential fork dispenser over a stream family: next() hands out the
-/// fork for index 0, 1, 2, … in order. The determinism law — pinned by
-/// tests/core/test_rng.cpp — is that the i-th next() equals
-/// parent.fork_at(base, i), so a serial dispenser loop and a parallel
-/// fork_at pre-pass are interchangeable.
-class ForkSequence {
- public:
-  ForkSequence(const Rng& parent, std::uint64_t base) noexcept
-      : parent_(parent), base_(base) {}
-
-  [[nodiscard]] Rng next() noexcept {
-    return parent_.fork_at(base_, index_++);
-  }
-  [[nodiscard]] std::uint64_t issued() const noexcept { return index_; }
-
- private:
-  Rng parent_;
-  std::uint64_t base_;
-  std::uint64_t index_ = 0;
 };
 
 }  // namespace knots

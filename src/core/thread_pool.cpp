@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 namespace knots {
 
@@ -42,8 +43,8 @@ void ThreadPool::worker_loop() {
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  const std::size_t lanes = std::min(n, workers_.size());
-  if (lanes <= 1) {
+  const std::size_t pullers = std::min(n, workers_.size());
+  if (pullers <= 1) {
     // Degenerate pool (or a single item): run inline on the caller — no
     // queue round-trip, no future, no fence.
     for (std::size_t i = 0; i < n; ++i) fn(i);
@@ -53,14 +54,13 @@ void ThreadPool::parallel_for(std::size_t n,
   // a shared atomic counter. Uneven item costs (a CBP run takes ~3x a
   // Uniform run) balance dynamically, and the queue sees thread_count()
   // entries instead of n. The chunk grain adapts to the range: ~8 grabs
-  // per lane amortizes the atomic for small ranges (the 10–100-node regime
-  // used to pay one fetch_add per slot) while staying fine-grained enough
-  // to balance.
-  const std::size_t chunk = std::max<std::size_t>(1, n / (lanes * 8));
+  // per puller amortizes the atomic for small ranges while staying
+  // fine-grained enough to balance.
+  const std::size_t chunk = std::max<std::size_t>(1, n / (pullers * 8));
   auto next = std::make_shared<std::atomic<std::size_t>>(0);
   std::vector<std::future<void>> futures;
-  futures.reserve(lanes);
-  for (std::size_t lane = 0; lane < lanes; ++lane) {
+  futures.reserve(pullers);
+  for (std::size_t p = 0; p < pullers; ++p) {
     futures.push_back(submit([next, n, chunk, &fn] {
       for (std::size_t lo = next->fetch_add(chunk, std::memory_order_relaxed);
            lo < n; lo = next->fetch_add(chunk, std::memory_order_relaxed)) {
@@ -69,9 +69,19 @@ void ThreadPool::parallel_for(std::size_t n,
       }
     }));
   }
-  // get() rethrows the first exception of each lane (remaining indices of
-  // a throwing lane are abandoned, as with the previous per-index tasks).
-  for (auto& f : futures) f.get();
+  // Every puller references `fn`, which may not outlive this call, so wait
+  // for all of them before rethrowing the first exception (remaining
+  // indices of a throwing puller are abandoned, as with the previous
+  // per-index tasks).
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
+  }
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace knots

@@ -44,11 +44,13 @@ class ThreadPool {
   }
 
   /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Work is self-scheduled in adaptive chunks (~8 grabs per lane) from a
+  /// Work is self-scheduled in adaptive chunks (~8 grabs per puller) from a
   /// shared atomic counter, so unevenly sized items balance across threads
   /// without paying per-index synchronization on small ranges. Runs inline
   /// on the caller when the pool has a single worker. fn must be safe to
-  /// call concurrently for distinct i.
+  /// call concurrently for distinct i. If fn throws, the call returns only
+  /// after every worker has stopped calling fn, rethrowing the first
+  /// exception.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -31,11 +31,6 @@ DlEngine::DlEngine(const DlClusterConfig& config, DlScheduler& policy,
       policy_rng_(Rng(seed).fork(2)),
       injector_(static_cast<std::size_t>(config.nodes)) {
   KNOTS_CHECK(cfg_.nodes > 0 && cfg_.gpus_per_node > 0 && cfg_.step > 0);
-  KNOTS_CHECK_MSG(cfg_.lanes >= 1, "lanes must be >= 1");
-  if (cfg_.lanes > 1) {
-    lane_exec_ = std::make_unique<sim::LaneExecutor>(
-        static_cast<std::size_t>(cfg_.lanes));
-  }
   gpu::NodeSpec node_spec;
   node_spec.gpus_per_node = cfg_.gpus_per_node;
   node_spec.host_idle_watts = cfg_.host_idle_watts;
@@ -322,8 +317,7 @@ double DlEngine::job_speed(const DltJob& job, SimTime t,
   // at the slowest of its GPUs; paused GPUs deliver nothing; a PCIe stall
   // on the hosting node divides what remains. Multi-GPU gangs on a live
   // fabric additionally pay the per-step all-reduce (comm_factor_, a
-  // read-only snapshot refresh_comm_factors built serially this tick, so
-  // lane-parallel callers never race).
+  // snapshot refresh_comm_factors built before this tick's advance).
   double speed = 1.0;
   for (int g : job.placed_gpus) {
     const auto gi = static_cast<std::size_t>(g);
@@ -383,40 +377,15 @@ void DlEngine::refresh_comm_factors() {
 
 void DlEngine::advance_jobs(SimTime t) {
   const bool fault_effects = injector_.any_effects();
-  // Optimistic lane-parallel pre-pass: per-job deltas are a pure function
-  // of the tick-entry placement snapshot (loads, pauses, stalls), so lanes
-  // compute them concurrently over strided job slices.
-  if (lane_exec_ != nullptr) {
-    const auto lanes = static_cast<std::size_t>(cfg_.lanes);
-    delta_scratch_.assign(jobs_.size(), 0);
-    lane_exec_->for_each_lane([&](std::size_t lane) {
-      for (std::size_t j = lane; j < jobs_.size(); j += lanes) {
-        const DltJob& job = jobs_[j];
-        if (!job.running || job.done()) continue;
-        delta_scratch_[j] = static_cast<SimTime>(
-            static_cast<double>(cfg_.step) * job_speed(job, t, fault_effects));
-      }
-    });
-  }
-  // Sequential apply in job order. The precomputed deltas are valid up to
-  // and including the tick's first completion — completing a job evicts
-  // it, changing the loads later jobs see — so from that point the apply
-  // recomputes speeds live, which is exactly the single-lane behaviour.
-  bool placements_dirty = false;
-  for (std::size_t j = 0; j < jobs_.size(); ++j) {
-    DltJob& job = jobs_[j];
+  // Job order matters: completing a job evicts it, changing the loads the
+  // jobs after it see within this tick.
+  for (DltJob& job : jobs_) {
     if (!job.running || job.done()) continue;
-    const SimTime delta =
-        (lane_exec_ != nullptr && !placements_dirty)
-            ? delta_scratch_[j]
-            : static_cast<SimTime>(static_cast<double>(cfg_.step) *
-                                   job_speed(job, t, fault_effects));
+    const auto delta = static_cast<SimTime>(static_cast<double>(cfg_.step) *
+                                            job_speed(job, t, fault_effects));
     job.progress += delta;
     job.attained += delta;
-    if (job.progress >= job.service) {
-      complete_job(job, t);
-      placements_dirty = true;
-    }
+    if (job.progress >= job.service) complete_job(job, t);
   }
 }
 

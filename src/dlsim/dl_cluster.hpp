@@ -29,7 +29,6 @@
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "sim/shard.hpp"
 #include "sim/simulation.hpp"
 #include "verify/run_digest.hpp"
 
@@ -71,12 +70,6 @@ struct DlClusterConfig {
   double job_memory_mb = 4096.0;
   /// Host CPU floor folded into node power (0 = GPU-only, as measured).
   double host_idle_watts = 0.0;
-  /// Event lanes for the job-advance hot path. Lanes precompute per-job
-  /// progress deltas in parallel from the tick-entry placement snapshot;
-  /// the apply pass stays sequential and falls back to live computation
-  /// after the first completion of the tick (completions evict, changing
-  /// the loads later jobs see). Any lane count is bit-identical to 1.
-  int lanes = 1;
 
   // -- Fabric (knots::net) --
   /// Optional datacenter fabric. Empty = no fabric (communication-free, the
@@ -281,7 +274,7 @@ class DlEngine : private net::FabricObserver {
   bool tick(SimTime t);
   /// Serial pre-advance pass: per-gang all-reduce efficiency factors from
   /// the fabric's max-min stream rates. Empty vector = all 1.0 (no fabric
-  /// or no all-reduce traffic); lanes read it concurrently in job_speed.
+  /// or no all-reduce traffic); job_speed reads it.
   void refresh_comm_factors();
   void apply_fault(const fault::FaultEvent& event);
   void recover_node(NodeId node_id);
@@ -324,9 +317,6 @@ class DlEngine : private net::FabricObserver {
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;
   std::unique_ptr<DlSchedView> view_;
-
-  std::unique_ptr<sim::LaneExecutor> lane_exec_;  ///< null when lanes == 1
-  std::vector<SimTime> delta_scratch_;  ///< per-job precomputed progress
 
   std::unique_ptr<net::Fabric> fabric_;  ///< null when cfg_.fabric empty
   std::vector<double> comm_factor_;      ///< per-job, see refresh_comm_factors

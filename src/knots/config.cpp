@@ -80,7 +80,7 @@ ExperimentConfig::Builder& ExperimentConfig::Builder::power_cap_watts(
 }
 
 ExperimentConfig::Builder& ExperimentConfig::Builder::lanes(int lanes) {
-  cfg_.cluster.lanes = lanes;
+  KNOTS_CHECK_MSG(lanes == 1, "the tick is single-threaded: lanes must be 1");
   return *this;
 }
 

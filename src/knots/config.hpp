@@ -88,8 +88,8 @@ class ExperimentConfig::Builder {
   /// Cluster-wide power-cap assertion checked by the invariant layer
   /// (<= 0 disables; never feeds back into scheduling).
   Builder& power_cap_watts(double watts);
-  /// Event lanes sharding the tick hot path (1 = sequential). Any lane
-  /// count reproduces the single-lane run bit-for-bit.
+  /// Compatibility shim: the tick is single-threaded, so the only accepted
+  /// value is 1, which changes nothing. Any other value aborts.
   Builder& lanes(int lanes);
   /// Arrival-window length of the generated workload.
   Builder& duration(SimTime duration);

@@ -1,7 +1,9 @@
 #include "knots/scenario.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -36,12 +38,26 @@ std::vector<Line> tokenize(std::istream& in) {
   return lines;
 }
 
+/// Full-consumption integer parse; out-of-range input (ERANGE) is rejected
+/// rather than saturated.
 std::optional<long long> to_int(const std::string& s) {
   if (s.empty()) return std::nullopt;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return std::nullopt;
+  if (errno == ERANGE || end == nullptr || *end != '\0') return std::nullopt;
   return v;
+}
+
+/// to_int for fields stored as int: values outside int are rejected before
+/// the cast could wrap them.
+std::optional<int> to_int32(const std::string& s) {
+  const auto v = to_int(s);
+  if (!v.has_value() || *v < std::numeric_limits<int>::min() ||
+      *v > std::numeric_limits<int>::max()) {
+    return std::nullopt;
+  }
+  return static_cast<int>(*v);
 }
 
 std::optional<double> to_double(const std::string& s) {
@@ -52,13 +68,24 @@ std::optional<double> to_double(const std::string& s) {
   return v;
 }
 
-/// Seconds with an optional "s" suffix ("30", "30s") -> SimTime.
+/// Largest whole-second time whose microsecond count fits SimTime.
+constexpr long long kMaxSeconds = kNever / kSec;
+
+/// Seconds with an optional "s" suffix ("30", "30s") -> SimTime; negative
+/// values and values past kMaxSeconds are rejected.
 std::optional<SimTime> to_time(std::string s) {
   if (!s.empty() && s.back() == 's') s.pop_back();
   const auto v = to_int(s);
-  if (!v.has_value() || *v < 0) return std::nullopt;
+  if (!v.has_value() || *v < 0 || *v > kMaxSeconds) return std::nullopt;
   return *v * kSec;
 }
+
+/// Suffix for diagnostics on int-typed fields.
+const std::string kIntBound =
+    " (at most " + std::to_string(std::numeric_limits<int>::max()) + ")";
+/// Suffix for diagnostics on time fields.
+const std::string kTimeBound =
+    " (whole seconds, at most " + std::to_string(kMaxSeconds) + "s)";
 
 /// Splits "key=value"; returns false when `token` has no '='.
 bool split_kv(const std::string& token, std::string& key, std::string& value) {
@@ -102,12 +129,13 @@ bool handle_nodeclass(ScenarioBuilder& b, const Line& line,
                 "unknown device model '" + nc.device_model + "'");
     return false;
   }
-  const auto count = to_int(line.tokens[3]);
+  const auto count = to_int32(line.tokens[3]);
   if (!count.has_value() || *count < 1) {
-    error = err(line.number, "nodeclass count must be a positive integer");
+    error = err(line.number,
+                "nodeclass count must be a positive integer" + kIntBound);
     return false;
   }
-  nc.count = static_cast<int>(*count);
+  nc.count = *count;
   bool preemptible = false;
   SimTime notice = -1;
   for (std::size_t i = 4; i < line.tokens.size(); ++i) {
@@ -122,19 +150,21 @@ bool handle_nodeclass(ScenarioBuilder& b, const Line& line,
       if (key == "notice") {
         const auto t = to_time(value);
         if (!t.has_value()) {
-          error = err(line.number, "bad notice time '" + value + "'");
+          error =
+              err(line.number, "bad notice time '" + value + "'" + kTimeBound);
           return false;
         }
         notice = *t;
         continue;
       }
       if (key == "gpus") {
-        const auto g = to_int(value);
+        const auto g = to_int32(value);
         if (!g.has_value() || *g < 1) {
-          error = err(line.number, "nodeclass gpus must be >= 1");
+          error = err(line.number,
+                      "nodeclass gpus must be a positive integer" + kIntBound);
           return false;
         }
-        nc.gpus_per_node = static_cast<int>(*g);
+        nc.gpus_per_node = *g;
         continue;
       }
     }
@@ -164,13 +194,13 @@ bool handle_tenant(ScenarioBuilder& b, const Line& line, std::string& error) {
                 "tenant expects: tenant <id> [quota_mb=X] [quota_gpu_s=Y]");
     return false;
   }
-  const auto id = to_int(line.tokens[1]);
+  const auto id = to_int32(line.tokens[1]);
   if (!id.has_value() || *id < 1) {
-    error = err(line.number, "tenant id must be a positive integer");
+    error = err(line.number, "tenant id must be a positive integer" + kIntBound);
     return false;
   }
   cluster::TenantQuotaSpec quota;
-  quota.tenant = static_cast<int>(*id);
+  quota.tenant = *id;
   for (const auto& q : b.quotas) {
     if (q.tenant == quota.tenant) {
       error = err(line.number,
@@ -215,7 +245,7 @@ bool handle_fault(ScenarioBuilder& b, const Line& line, std::string& error) {
     error = err(line.number, "unknown fault kind '" + kind + "'");
     return false;
   }
-  long long node = -1;
+  int node = -1;
   SimTime at = -1;
   SimTime duration = 0;
   for (std::size_t i = 2; i < line.tokens.size(); ++i) {
@@ -226,16 +256,17 @@ bool handle_fault(ScenarioBuilder& b, const Line& line, std::string& error) {
       return false;
     }
     if (key == "node") {
-      const auto n = to_int(value);
+      const auto n = to_int32(value);
       if (!n.has_value() || *n < 0) {
-        error = err(line.number, "fault node must be >= 0");
+        error = err(line.number, "fault node must be >= 0" + kIntBound);
         return false;
       }
       node = *n;
     } else if (key == "at" || key == "duration") {
       const auto t = to_time(value);
       if (!t.has_value()) {
-        error = err(line.number, "bad fault time '" + value + "'");
+        error =
+            err(line.number, "bad fault time '" + value + "'" + kTimeBound);
         return false;
       }
       (key == "at" ? at : duration) = *t;
@@ -248,7 +279,11 @@ bool handle_fault(ScenarioBuilder& b, const Line& line, std::string& error) {
     error = err(line.number, "fault needs node= and at=");
     return false;
   }
-  const NodeId target{static_cast<std::int32_t>(node)};
+  if (duration > kNever - at) {
+    error = err(line.number, "fault at= plus duration= overflows the clock");
+    return false;
+  }
+  const NodeId target{node};
   if (kind == "spot_reclaim") {
     b.faults.spot_reclaim(target, at, duration);
   } else {
@@ -266,19 +301,28 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
     error = "scenario declares no node classes (need at least one nodeclass)";
     return false;
   }
-  int total_nodes = 0;
+  long long total_nodes = 0;
   double total_memory_mb = 0;
-  std::vector<bool> preemptible_nodes;
   for (const auto& nc : b.classes) {
     total_nodes += nc.count;
     const auto model = gpu::find_device_model(nc.device_model);
     const int gpus = nc.gpus_per_node > 0 ? nc.gpus_per_node : b.gpus_per_node;
-    total_memory_mb += static_cast<double>(nc.count * gpus) *
+    total_memory_mb += static_cast<double>(nc.count) * gpus *
                        model->gpu.memory_mb;
-    preemptible_nodes.insert(preemptible_nodes.end(),
-                             static_cast<std::size_t>(nc.count),
-                             nc.preemptible);
   }
+  if (total_nodes > std::numeric_limits<int>::max()) {
+    error = "scenario declares " + std::to_string(total_nodes) +
+            " nodes in total" + kIntBound;
+    return false;
+  }
+  // The class hosting node `n`: classes expand in file order.
+  const auto class_of = [&b](int n) -> const cluster::NodeClass& {
+    for (const auto& nc : b.classes) {
+      if (n < nc.count) return nc;
+      n -= nc.count;
+    }
+    return b.classes.back();  // unreachable for n < total_nodes
+  };
   for (const auto& quota : b.quotas) {
     if (quota.provision_cap_mb > total_memory_mb) {
       error = "tenant " + std::to_string(quota.tenant) + " quota_mb " +
@@ -295,10 +339,17 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
               " nodes";
       return false;
     }
-    if (ev.kind == fault::FaultKind::kSpotReclaim &&
-        !preemptible_nodes[static_cast<std::size_t>(ev.node.value)]) {
+    if (ev.kind != fault::FaultKind::kSpotReclaim) continue;
+    const cluster::NodeClass& host = class_of(ev.node.value);
+    if (!host.preemptible) {
       error = "spot_reclaim targets node " + std::to_string(ev.node.value) +
               " which is not in a preemptible node class";
+      return false;
+    }
+    // The reclaim lands one notice after at=, and recovers duration= later.
+    if (host.spot_notice > kNever - ev.at - ev.duration) {
+      error = "spot_reclaim of node " + std::to_string(ev.node.value) +
+              " plus its class notice overflows the clock";
       return false;
     }
   }
@@ -344,19 +395,13 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
     } else if (directive == "duration" && unary) {
       const auto t = to_time(line.tokens[1]);
       if (!t.has_value() || *t <= 0) {
-        error = err(line.number, "duration must be a positive time");
+        error = err(line.number, "duration must be a positive time" +
+                                     kTimeBound);
         return std::nullopt;
       }
       b.builder.duration(*t);
-    } else if (directive == "lanes" && unary) {
-      const auto lanes = to_int(line.tokens[1]);
-      if (!lanes.has_value() || *lanes < 1) {
-        error = err(line.number, "lanes must be >= 1");
-        return std::nullopt;
-      }
-      b.builder.lanes(static_cast<int>(*lanes));
     } else if (directive == "mix" && unary) {
-      const auto mix = to_int(line.tokens[1]);
+      const auto mix = to_int32(line.tokens[1]);
       bool known = false;
       if (mix.has_value()) {
         for (const auto& m : workload::all_app_mixes()) {
@@ -367,7 +412,7 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
         error = err(line.number, "unknown app mix '" + line.tokens[1] + "'");
         return std::nullopt;
       }
-      b.builder.mix(static_cast<int>(*mix));
+      b.builder.mix(*mix);
     } else if (directive == "load_scale" && unary) {
       const auto scale = to_double(line.tokens[1]);
       if (!scale.has_value() || *scale <= 0) {
@@ -376,12 +421,13 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
       }
       b.builder.load_scale(*scale);
     } else if (directive == "gpus_per_node" && unary) {
-      const auto gpus = to_int(line.tokens[1]);
+      const auto gpus = to_int32(line.tokens[1]);
       if (!gpus.has_value() || *gpus < 1) {
-        error = err(line.number, "gpus_per_node must be >= 1");
+        error = err(line.number,
+                    "gpus_per_node must be a positive integer" + kIntBound);
         return std::nullopt;
       }
-      b.gpus_per_node = static_cast<int>(*gpus);
+      b.gpus_per_node = *gpus;
     } else if (directive == "nodeclass") {
       if (!handle_nodeclass(b, line, error)) return std::nullopt;
     } else if (directive == "tenant") {
@@ -392,12 +438,12 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
       workload_tenants.clear();
       bool ok = true;
       while (std::getline(ids, id, ',')) {
-        const auto v = to_int(id);
+        const auto v = to_int32(id);
         if (!v.has_value() || *v < 1) {
           ok = false;
           break;
         }
-        workload_tenants.push_back(static_cast<int>(*v));
+        workload_tenants.push_back(*v);
       }
       if (!ok || workload_tenants.empty()) {
         error = err(line.number,

@@ -9,7 +9,6 @@
 //   scheduler CBP
 //   seed 7
 //   duration 120s
-//   lanes 4
 //   mix 1
 //   nodeclass ondemand p100-16g 6
 //   nodeclass spot v100-32g 4 preemptible notice=10s
@@ -25,8 +24,10 @@
 // spot classes without an eviction notice, or faults aimed at nodes that
 // don't exist (or aren't preemptible, for spot_reclaim) all fail with a
 // one-line "line N: why" diagnostic instead of aborting mid-run — knots_ctl
-// turns that into exit 2. A parsed scenario is an ordinary ExperimentConfig;
-// identical files produce bit-identical runs at any lane count.
+// turns that into exit 2. Numbers that would overflow their field (an int
+// count, or a time past the SimTime clock) are rejected the same way. A
+// parsed scenario is an ordinary ExperimentConfig; identical files produce
+// bit-identical runs.
 #pragma once
 
 #include <iosfwd>

@@ -19,8 +19,8 @@
 // of its path (net::fair_share) and rates are recomputed only on flow
 // arrival, flow completion, and link-state changes, with the single
 // earliest predicted completion scheduled on the bound sim::Simulation.
-// Everything runs from the serial event loop, so fabric behaviour is
-// bit-identical across lane counts by construction.
+// Everything runs from the event loop in (time, insertion-seq) order, so
+// identical runs replay fabric behaviour bit for bit.
 //
 // Inertness law: a fabric whose links are all unlimited (mb_per_s <= 0)
 // with zero latency reports inert(); charge sites (image pulls, gang

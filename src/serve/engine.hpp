@@ -3,7 +3,7 @@
 //
 // One engine drives every configured service: it pre-generates each
 // service's arrival stream (seeded off Rng::fork_at, so streams are
-// independent of each other and of lane count), runs admission control at
+// independent of each other), runs admission control at
 // every arrival, forms dynamic batches (size-or-timeout), dispatches them
 // to warm serving replicas — cluster pods of PodClass::kService placed by
 // the *existing* scheduler into harvested capacity — and applies the
@@ -18,9 +18,9 @@
 // tails exactly the way they hit query pods; a replica that dies mid-batch
 // re-queues its requests at the front.
 //
-// Everything the engine does happens in serial event context — request
-// events never run inside the lane-parallel tick — so serving runs are
-// bit-identical across lane counts. Every request-level event and scale
+// Request events, batches and scale decisions interleave with cluster ticks
+// in the one (time, insertion-seq) event order, so identical (config, seed)
+// serving runs are bit-identical. Every request-level event and scale
 // decision folds into an order-sensitive serve digest.
 #pragma once
 

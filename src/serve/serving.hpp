@@ -10,7 +10,7 @@
 // (p50/p99/p999 over the *full* request population), admission and
 // autoscaler activity, plus the usual cluster-side ExperimentReport and an
 // order-sensitive serve digest — identical (config, seed) runs are
-// bit-identical at any lane count.
+// bit-identical.
 #pragma once
 
 #include <cstdint>
@@ -135,8 +135,8 @@ struct ServingReport {
   std::size_t scale_downs = 0;
 
   /// Order-sensitive FNV-1a digest over every request-level event and
-  /// scale decision. Identical (config, seed) serving runs — at any lane
-  /// count — produce identical values.
+  /// scale decision. Identical (config, seed) serving runs produce
+  /// identical values.
   std::uint64_t serve_digest = 0;
 };
 

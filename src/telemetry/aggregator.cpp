@@ -7,20 +7,6 @@
 
 namespace knots::telemetry {
 
-namespace {
-
-/// Total order for the hierarchical sort: free memory descending, then
-/// registration slot ascending. Because the secondary key is unique, runs
-/// sorted with this comparator merge into exactly the sequence the
-/// historical global stable_sort produced.
-inline bool key_before(double free_a, std::uint32_t slot_a, double free_b,
-                       std::uint32_t slot_b) noexcept {
-  if (free_a != free_b) return free_a > free_b;
-  return slot_a < slot_b;
-}
-
-}  // namespace
-
 void UtilizationAggregator::register_node(const gpu::GpuNode& node,
                                           const TimeSeriesDb& db) {
   const std::size_t entry = nodes_.size();
@@ -39,42 +25,12 @@ void UtilizationAggregator::register_node(const gpu::GpuNode& node,
   // ~0 can never equal a real row count, so the first snapshot always reads
   // through.
   entry_seen_.push_back(~std::uint64_t{0});
-  // Invalidate any existing partition; it no longer covers this entry.
-  lane_entries_.clear();
-  lane_runs_.clear();
-  lane_fresh_.clear();
-  merged_valid_ = false;
+  // The new slots have no sort keys yet, and their rows were never pulled.
+  keys_dirty_ = true;
+  fresh_now_ = -1;
   // The new slots' live bits are sentinels; force the next query to diff
   // even if the registered epoch has not moved.
   live_epoch_seen_ = ~std::uint64_t{0};
-}
-
-void UtilizationAggregator::set_lane_partition(
-    std::vector<std::uint32_t> entry_lanes, std::size_t lanes) {
-  KNOTS_CHECK(entry_lanes.size() == nodes_.size());
-  KNOTS_CHECK(lanes > 0);
-  entry_lane_ = std::move(entry_lanes);
-  lane_entries_.assign(lanes, {});
-  for (std::size_t e = 0; e < entry_lane_.size(); ++e) {
-    KNOTS_CHECK(entry_lane_[e] < lanes);
-    lane_entries_[entry_lane_[e]].push_back(static_cast<std::uint32_t>(e));
-  }
-  lane_runs_.assign(lanes, {});
-  lane_fresh_.assign(lanes, SimTime{-1});
-  merged_valid_ = false;
-}
-
-void UtilizationAggregator::ensure_partition() const {
-  if (!lane_runs_.empty()) return;
-  // No explicit partition: one implicit lane owning every entry. The merge
-  // then degenerates to serving that lane's run directly.
-  entry_lane_.assign(nodes_.size(), 0);
-  lane_entries_.assign(1, {});
-  for (std::size_t e = 0; e < nodes_.size(); ++e) {
-    lane_entries_[0].push_back(static_cast<std::uint32_t>(e));
-  }
-  lane_runs_.assign(1, {});
-  lane_fresh_.assign(1, SimTime{-1});
 }
 
 bool UtilizationAggregator::refresh_entry(std::size_t entry_idx) const {
@@ -93,56 +49,49 @@ bool UtilizationAggregator::refresh_entry(std::size_t entry_idx) const {
   return true;
 }
 
-void UtilizationAggregator::refresh_lane(std::size_t lane) const {
-  // Until a query creates demand there is nothing worth prefetching, and
-  // before ensure_partition()/set_lane_partition() there are no runs.
-  if (!refresh_demand_ || lane >= lane_runs_.size()) return;
+bool UtilizationAggregator::refresh_entries() const {
   bool changed = false;
-  for (const std::uint32_t e : lane_entries_[lane]) {
-    changed |= refresh_entry(e);
-  }
-  lane_fresh_[lane] = now_;
-  if (!changed) return;
-  LaneRun& run = lane_runs_[lane];
-  // With one lane there is no parallelism to exploit, so defer the sort to
-  // the query: ticks whose scheduler round has no pending pods then never
-  // pay it. Multiple lanes sort here, inside the lane-parallel phase.
-  if (sort_demand_ && lane_runs_.size() > 1) {
-    rebuild_lane_keys(lane);  // bumps run.version, clears run.dirty
-  } else {
-    run.dirty = true;
-  }
+  for (std::size_t e = 0; e < nodes_.size(); ++e) changed |= refresh_entry(e);
+  return changed;
 }
 
-void UtilizationAggregator::rebuild_lane_keys(std::size_t lane) const {
-  LaneRun& run = lane_runs_[lane];
-  run.keys.clear();
-  for (const std::uint32_t e : lane_entries_[lane]) {
-    const Entry& entry = nodes_[e];
-    for (std::size_t i = 0; i < entry.node->gpu_count(); ++i) {
-      // Parked GPUs (as of the last live-bits diff — a flip dirties this
-      // lane, forcing a rebuild with fresh bits) never appear in the active
-      // list, so excluding them here keeps the sort proportional to the
-      // active population. Filtering before the merge emits the same
-      // sequence as merging everything and filtering after.
-      const std::size_t slot = entry.first_slot + i;
-      const LiveBits& bits = live_bits_[slot];
-      if (bits.parked) continue;
-      // NVML reports used/physical; free is bounded by *usable* capacity
-      // (physical minus ECC-retired pages). Usable capacity comes from the
-      // live-bits diff (an ECC move dirties this lane, so any run the merge
-      // consumes was rebuilt after a diff) — no device deref on this path.
-      const double free_mb =
-          bits.effective_mb - latest_[slot].mem * slot_static_[slot].cap;
-      run.keys.push_back(SortKey{free_mb, static_cast<std::uint32_t>(slot)});
-    }
+void UtilizationAggregator::refresh() const {
+  // Until a query creates demand there is nothing worth prefetching. The
+  // sort itself waits for the query: ticks whose scheduler round has no
+  // pending pods then never pay it.
+  if (!refresh_demand_) return;
+  if (refresh_entries()) keys_dirty_ = true;
+  fresh_now_ = now_;
+}
+
+void UtilizationAggregator::rebuild_keys() const {
+  keys_.clear();
+  for (std::size_t slot = 0; slot < live_bits_.size(); ++slot) {
+    // Parked GPUs (as of the last live-bits diff — a flip dirties the keys,
+    // forcing a rebuild with fresh bits) never appear in the active list,
+    // so excluding them here keeps the sort proportional to the active
+    // population.
+    const LiveBits& bits = live_bits_[slot];
+    if (bits.parked) continue;
+    // NVML reports used/physical; free is bounded by *usable* capacity
+    // (physical minus ECC-retired pages). Usable capacity comes from the
+    // live-bits diff (an ECC move dirties the keys, so any keys the list is
+    // built from were rebuilt after a diff) — no device deref on this path.
+    const double free_mb =
+        bits.effective_mb - latest_[slot].mem * slot_static_[slot].cap;
+    keys_.push_back(SortKey{free_mb, static_cast<std::uint32_t>(slot)});
   }
-  std::sort(run.keys.begin(), run.keys.end(),
+  // Free memory descending, then registration slot ascending. The slot is
+  // unique, so std::sort yields exactly the sequence the historical
+  // stable_sort over the unsorted snapshot produced.
+  std::sort(keys_.begin(), keys_.end(),
             [](const SortKey& a, const SortKey& b) {
-              return key_before(a.free_mem_mb, a.slot, b.free_mem_mb, b.slot);
+              if (a.free_mem_mb != b.free_mem_mb) {
+                return a.free_mem_mb > b.free_mem_mb;
+              }
+              return a.slot < b.slot;
             });
-  run.dirty = false;
-  ++run.version;
+  keys_dirty_ = false;
 }
 
 GpuView UtilizationAggregator::make_view(std::size_t entry_idx,
@@ -168,10 +117,10 @@ GpuView UtilizationAggregator::make_view(std::size_t entry_idx,
 }
 
 GpuView UtilizationAggregator::make_view_cached(std::uint32_t slot) const {
-  // The merge visits slots in free-sorted (effectively random) order, so a
-  // per-view device deref is a scattered cache miss ×5 — at 10k nodes that
-  // is the dominant query cost. Everything a view needs is already resident
-  // in three dense, slot-indexed arrays: registration-time facts
+  // The sorted list visits slots in free-sorted (effectively random) order,
+  // so a per-view device deref is a scattered cache miss ×5 — at 10k nodes
+  // that is the dominant query cost. Everything a view needs is already
+  // resident in three dense, slot-indexed arrays: registration-time facts
   // (slot_static_), the newest rows, and the live-bits diff. The diff ran
   // under this query's epoch check, so the bits equal the live device.
   const SlotStatic& st = slot_static_[slot];
@@ -199,10 +148,8 @@ void UtilizationAggregator::snapshot_into(std::vector<GpuView>& out) const {
   for (std::size_t e = 0; e < nodes_.size(); ++e) {
     // Telemetry values change only when rows land; everything else (parked,
     // residents, ECC-retired capacity) is read live from the device. Rows
-    // consumed here must still re-sort the entry's lane.
-    if (refresh_entry(e) && !lane_runs_.empty()) {
-      lane_runs_[entry_lane_[e]].dirty = true;
-    }
+    // consumed here must still re-sort the keys.
+    if (refresh_entry(e)) keys_dirty_ = true;
     const Entry& entry = nodes_[e];
     for (std::size_t i = 0; i < entry.node->gpu_count(); ++i) {
       out.push_back(make_view(e, i));
@@ -216,122 +163,62 @@ std::vector<GpuView> UtilizationAggregator::snapshot() const {
   return out;
 }
 
-bool UtilizationAggregator::live_bits_moved() const {
-  bool moved = false;
+void UtilizationAggregator::diff_live_bits() const {
   for (std::size_t slot = 0; slot < live_bits_.size(); ++slot) {
-    const std::size_t e = slot_entry_[slot];
-    const Entry& entry = nodes_[e];
+    const Entry& entry = nodes_[slot_entry_[slot]];
     const auto& dev = entry.node->gpu(slot - entry.first_slot);
     LiveBits& bits = live_bits_[slot];
     const double effective = dev.effective_memory_mb();
     const std::int32_t residents = dev.totals().residents;
     const bool parked = dev.parked();
-    if (effective != bits.effective_mb) {
-      // Usable capacity feeds the sort key, so the owning lane's run is
-      // stale, not just the merged output.
-      lane_runs_[entry_lane_[e]].dirty = true;
+    if (effective != bits.effective_mb || parked != bits.parked) {
+      // Usable capacity feeds the sort key and the parked bit decides
+      // membership, so the keys are stale, not just the views.
       bits.effective_mb = effective;
-      moved = true;
-    }
-    if (parked != bits.parked) {
-      // Key membership depends on the parked bit, so the owning lane's run
-      // must be rebuilt, not just the merged output.
-      lane_runs_[entry_lane_[e]].dirty = true;
       bits.parked = parked;
-      moved = true;
+      keys_dirty_ = true;
     }
     if (residents != bits.residents) {
       // Resident counts key neither the sort nor membership: patch the
-      // listed view instead of re-merging (a placement moves one GPU).
+      // listed view instead of rebuilding (a placement moves one GPU).
       bits.residents = residents;
-      if (merged_valid_ && sorted_pos_[slot] != kUnlisted) {
+      if (sorted_pos_[slot] != kUnlisted) {
         active_sorted_[sorted_pos_[slot]].residents = residents;
       }
     }
   }
-  return moved;
 }
 
 const std::vector<GpuView>&
 UtilizationAggregator::active_sorted_by_free_memory() const {
   KNOTS_PROF_SCOPE(sort_profile_);
   refresh_demand_ = true;
-  sort_demand_ = true;
-  ensure_partition();
-  // Lanes the cluster's telemetry phase refreshed at this tick are known
-  // fresh (rows land only in that phase); anything else re-checks its
-  // entries' db stamps.
-  for (std::size_t lane = 0; lane < lane_runs_.size(); ++lane) {
-    // Only refresh_lane sets the stamp: a standalone caller that writes
-    // between two same-tick queries without a telemetry phase must still
-    // see its rows, so queries themselves never claim freshness.
-    if (lane_fresh_[lane] == now_) continue;
-    bool changed = false;
-    for (const std::uint32_t e : lane_entries_[lane]) {
-      changed |= refresh_entry(e);
-    }
-    if (changed) lane_runs_[lane].dirty = true;
-  }
+  // After this tick's refresh() the rows are known fresh (they land only in
+  // the cluster's telemetry phase); otherwise re-check every db stamp. Only
+  // refresh() sets the stamp: a standalone caller that writes between two
+  // same-tick queries without a telemetry phase must still see its rows,
+  // so queries themselves never claim freshness.
+  if (fresh_now_ != now_ && refresh_entries()) keys_dirty_ = true;
   // Capacity moves (ECC retirement) and park/unpark flips surface here and
-  // dirty their lane. With a registered epoch the O(slots) diff runs only
+  // dirty the keys. With a registered epoch the O(slots) diff runs only
   // when a device actually mutated since the last query.
-  bool live_moved = false;
   if (live_epoch_ == nullptr || *live_epoch_ != live_epoch_seen_) {
-    live_moved = live_bits_moved();
+    diff_live_bits();
     if (live_epoch_ != nullptr) live_epoch_seen_ = *live_epoch_;
   }
-  for (std::size_t lane = 0; lane < lane_runs_.size(); ++lane) {
-    if (lane_runs_[lane].dirty) rebuild_lane_keys(lane);
+  if (keys_dirty_) {
+    rebuild_keys();
+  } else if (sorted_now_ == now_) {
+    return active_sorted_;  // same keys, same staleness flags
   }
-  std::uint64_t version_sum = 0;
-  for (const LaneRun& run : lane_runs_) version_sum += run.version;
-  if (merged_valid_ && !live_moved && version_sum == merged_version_sum_ &&
-      merged_now_ == now_) {
-    return active_sorted_;
-  }
-  merge_runs();
-  merged_version_sum_ = version_sum;
-  merged_now_ = now_;
-  merged_valid_ = true;
-  return active_sorted_;
-}
-
-void UtilizationAggregator::emit(std::uint32_t slot) const {
-  if (live_bits_[slot].parked) return;
-  sorted_pos_[slot] = static_cast<std::uint32_t>(active_sorted_.size());
-  active_sorted_.push_back(make_view_cached(slot));
-}
-
-void UtilizationAggregator::merge_runs() const {
   active_sorted_.clear();
   std::fill(sorted_pos_.begin(), sorted_pos_.end(), kUnlisted);
-  const std::size_t lanes = lane_runs_.size();
-  if (lanes == 1) {
-    // Degenerate merge: emit the single run in order.
-    for (const SortKey& key : lane_runs_[0].keys) emit(key.slot);
-    return;
+  for (const SortKey& key : keys_) {
+    sorted_pos_[key.slot] = static_cast<std::uint32_t>(active_sorted_.size());
+    active_sorted_.push_back(make_view_cached(key.slot));
   }
-  // K-way merge by linear scan of the lane heads; lane counts are small
-  // (hardware threads), so a heap would cost more than it saves.
-  merge_heads_.assign(lanes, 0);
-  for (;;) {
-    std::size_t best = lanes;
-    for (std::size_t lane = 0; lane < lanes; ++lane) {
-      const LaneRun& run = lane_runs_[lane];
-      if (merge_heads_[lane] >= run.keys.size()) continue;
-      if (best == lanes) {
-        best = lane;
-        continue;
-      }
-      const SortKey& a = run.keys[merge_heads_[lane]];
-      const SortKey& b = lane_runs_[best].keys[merge_heads_[best]];
-      if (key_before(a.free_mem_mb, a.slot, b.free_mem_mb, b.slot)) {
-        best = lane;
-      }
-    }
-    if (best == lanes) break;
-    emit(lane_runs_[best].keys[merge_heads_[best]++].slot);
-  }
+  sorted_now_ = now_;
+  return active_sorted_;
 }
 
 std::vector<double> UtilizationAggregator::window(GpuId gpu, Metric metric,

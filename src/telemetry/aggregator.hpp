@@ -7,20 +7,15 @@
 //
 // The read API is tick-loop friendly: GPU lookup is O(1) via an index built
 // at registration, windows are filled into caller-owned scratch buffers, and
-// the sorted-by-free-memory list is hierarchical — entries are partitioned
-// into lanes (the cluster's node shards), each lane maintains its own
-// sorted run of {free-memory, slot} keys, and a query k-way merges the runs
-// instead of re-sorting the whole cluster. Runs are
-// dirty-tracked: a lane re-sorts only when its databases actually appended
-// rows or a device's usable capacity moved (ECC retirement). The cluster
-// refreshes each lane's run from its lane-parallel telemetry phase
-// (refresh_lane), so by the time a scheduler asks, the merge is all that is
-// left. Both the row refresh and the run maintenance are demand-driven:
-// policies that never query (Res-Ag, Uniform) never pay for either.
+// the sorted-by-free-memory list is served from one cached sorted run of
+// {free-memory, slot} keys. The run is dirty-tracked: it re-sorts only when
+// a database actually appended rows, a device's usable capacity moved (ECC
+// retirement) or a parked bit flipped. The cluster pulls each tick's fresh
+// rows in during its telemetry scrape (refresh). Both the row refresh and
+// the sort are demand-driven: policies that never query (Res-Ag, Uniform)
+// never pay for either.
 //
-// Query methods are not thread-safe; refresh_lane is safe to call from
-// concurrent lanes because every mutable structure it touches is partitioned
-// by lane. Each simulated cluster owns one aggregator.
+// Not thread-safe. Each simulated cluster owns one aggregator.
 #pragma once
 
 #include <cstdint>
@@ -66,19 +61,11 @@ class UtilizationAggregator {
     return nodes_.size();
   }
 
-  /// Partitions registered entries into `lanes` shards for the hierarchical
-  /// sort; `entry_lanes[e]` is the lane owning entry (node) `e`. Values must
-  /// be < `lanes`. Without a partition every entry lives in one implicit
-  /// lane, which degenerates to the classic full sort.
-  void set_lane_partition(std::vector<std::uint32_t> entry_lanes,
-                          std::size_t lanes);
-
-  /// Refreshes one lane's newest-row cache and (when a sorted query has ever
-  /// been made) rebuilds its sorted run if anything changed. Intended to be
-  /// called from the cluster's lane-parallel telemetry phase: all state it
-  /// writes is owned by `lane`, so concurrent calls for distinct lanes are
-  /// race-free. No-op until the first query creates demand.
-  void refresh_lane(std::size_t lane) const;
+  /// Copies every GPU's newest row into the row cache and marks the sorted
+  /// run stale if any landed; the next sorted query at the same tick then
+  /// skips re-checking the databases. Called from the cluster's telemetry
+  /// scrape. No-op until the first query creates demand.
+  void refresh() const;
 
   // -- Staleness rule (DESIGN.md §7) --
   /// A GPU is stale when now − last_heartbeat > horizon. Horizon 0
@@ -101,11 +88,12 @@ class UtilizationAggregator {
 
   /// Snapshot of *active* (non-parked) GPUs sorted by free memory
   /// (descending) — Algorithm 1's node list. The returned reference stays
-  /// valid until the next call. Served from cache unless a lane run, a
-  /// parked bit or a usable capacity moved since the last merge; a moved
-  /// resident count (every placement and completion) is patched into the
-  /// cached view in place, since it keys neither order nor membership. Ties
-  /// resolve by registration slot, exactly like the historical stable_sort.
+  /// valid until the next call. Served from cache unless rows landed, a
+  /// parked bit or a usable capacity moved, or the tick advanced since the
+  /// last build; a moved resident count (every placement and completion) is
+  /// patched into the cached view in place, since it keys neither order nor
+  /// membership. Ties resolve by registration slot, exactly like the
+  /// historical stable_sort.
   [[nodiscard]] const std::vector<GpuView>& active_sorted_by_free_memory()
       const;
 
@@ -142,35 +130,23 @@ class UtilizationAggregator {
     std::size_t first_slot;  ///< Index of this node's first GPU slot.
   };
   /// Sort key for Algorithm 1. Keyed (free_mem desc, slot asc): slot order
-  /// is registration order, so merged output ties resolve exactly like the
-  /// historical stable_sort over the unsorted snapshot did.
+  /// is registration order, so ties resolve exactly like the historical
+  /// stable_sort over the unsorted snapshot did.
   struct SortKey {
     double free_mem_mb;
     std::uint32_t slot;
   };
-  /// One lane's sorted run over its *unparked* GPU slots (as of the last
-  /// live-bits diff — a park/unpark flip dirties the owning lane, so at
-  /// datacenter scale the per-tick sort covers only the active population,
-  /// not the parked long tail).
-  struct LaneRun {
-    std::vector<SortKey> keys;
-    /// Keys are out of date (registration, capacity change, or rows
-    /// landed while sort demand was off).
-    bool dirty = true;
-    /// Bumped on every key rebuild; the merge caches the sum across lanes
-    /// to detect staleness without a flag lanes would race on.
-    std::uint64_t version = 0;
-  };
   /// Live per-slot device fields the views depend on but no database stamp
-  /// tracks. A cheap pre-merge scan diffs them against the device.
+  /// tracks. A cheap pre-sort scan diffs them against the device.
   struct LiveBits {
     double effective_mb = -1.0;
     std::int32_t residents = -1;
     bool parked = false;
   };
 
-  /// Immutable per-slot facts captured at registration, so the merge's
-  /// random-order (free-sorted) emission never chases node/device pointers.
+  /// Immutable per-slot facts captured at registration, so the sorted
+  /// list's random-order (free-sorted) emission never chases node/device
+  /// pointers.
   struct SlotStatic {
     GpuId gpu;
     NodeId node;
@@ -182,22 +158,19 @@ class UtilizationAggregator {
   /// Copies each GPU's newest row into latest_ when the node's db wrote rows
   /// since the last refresh; true if it did.
   bool refresh_entry(std::size_t entry_idx) const;
-  void ensure_partition() const;
-  void rebuild_lane_keys(std::size_t lane) const;
+  /// refresh_entry over every node; true if any wrote rows.
+  bool refresh_entries() const;
+  void rebuild_keys() const;
   [[nodiscard]] GpuView make_view(std::size_t entry_idx,
                                   std::size_t gpu_idx) const;
   /// make_view served entirely from slot_static_/latest_/live_bits_.
-  /// Valid only after the live-bits diff of the current query (the merge
+  /// Valid only after the live-bits diff of the current query (the sorted
   /// path) — snapshot paths, which never diff, keep reading devices live.
   [[nodiscard]] GpuView make_view_cached(std::uint32_t slot) const;
-  /// Diffs parked/residents/capacity against the last merge; marks lanes
-  /// whose sort keys or membership went stale dirty and patches moved
-  /// resident counts into the merged list. Returns true if a parked bit or
-  /// a capacity moved (the merged list must be rebuilt).
-  bool live_bits_moved() const;
-  /// Appends the view of `slot` to the merged list unless it is parked.
-  void emit(std::uint32_t slot) const;
-  void merge_runs() const;
+  /// Diffs parked/residents/capacity against the last sorted query; marks
+  /// the keys dirty when a sort key or membership went stale and patches
+  /// moved resident counts into the sorted list.
+  void diff_live_bits() const;
 
   std::vector<Entry> nodes_;
   std::unordered_map<std::int32_t, std::size_t> gpu_to_entry_;
@@ -210,38 +183,36 @@ class UtilizationAggregator {
   mutable std::vector<std::uint64_t> entry_seen_;  ///< db stamp per entry
   /// Newest row per GPU slot (time -1 = never reported), refreshed only when
   /// the node's db wrote rows. Schedulers snapshot once per pending pod but
-  /// telemetry lands once per tick, and the merge reads slots in random
-  /// order: a dense copy beats chasing each node's db.
+  /// telemetry lands once per tick, and the sorted list reads slots in
+  /// random order: a dense copy beats chasing each node's db.
   mutable std::vector<Row> latest_;
 
-  // -- Hierarchical sort state --
-  // The partition is mutable because ensure_partition() lazily builds the
-  // implicit single-lane layout on first query when no explicit partition
-  // was configured.
-  mutable std::vector<std::uint32_t> entry_lane_;   ///< lane per entry
-  mutable std::vector<std::vector<std::uint32_t>> lane_entries_;
-  mutable std::vector<LaneRun> lane_runs_;
-  /// Tick at which refresh_lane last refreshed each lane's entries. Rows
-  /// land only in the cluster's telemetry phase, so a query at the same
-  /// tick can skip re-checking every entry's db stamp.
-  mutable std::vector<SimTime> lane_fresh_;
+  // -- Sort state --
+  /// Sorted run over the *unparked* GPU slots (as of the last live-bits
+  /// diff — a park/unpark flip dirties it, so at datacenter scale the
+  /// per-tick sort covers only the active population, not the parked long
+  /// tail).
+  mutable std::vector<SortKey> keys_;
+  /// Keys are out of date (registration, capacity or parked move, or rows
+  /// landed since the last sort).
+  mutable bool keys_dirty_ = true;
+  /// Tick at which refresh() last pulled every db's rows. Rows land only in
+  /// the cluster's telemetry phase, so a query at the same tick can skip
+  /// re-checking every entry's db stamp.
+  mutable SimTime fresh_now_ = -1;
   mutable std::vector<LiveBits> live_bits_;         ///< per GPU slot
-  /// Sticky demand flags: set by the first query of each kind, read by
-  /// refresh_lane so non-querying policies never pay refresh/sort costs.
+  /// Sticky demand flag: set by the first query, read by refresh() so
+  /// non-querying policies never pay refresh/sort costs.
   mutable bool refresh_demand_ = false;
-  mutable bool sort_demand_ = false;
-  // Merged-result cache: valid while lane-run versions, parked bits, usable
-  // capacities and the tick's `now` (staleness flags) are all unchanged;
+  // Sorted-list cache: the views built from the current keys, valid while
+  // the keys are clean and the tick's `now` (staleness flags) is unchanged;
   // resident counts are patched in place.
   mutable std::vector<GpuView> active_sorted_;
   /// Index of each slot's view in active_sorted_ (kUnlisted when parked),
-  /// so a resident-count move patches one view instead of re-merging.
+  /// so a resident-count move patches one view instead of rebuilding.
   static constexpr std::uint32_t kUnlisted = ~std::uint32_t{0};
   mutable std::vector<std::uint32_t> sorted_pos_;
-  mutable std::uint64_t merged_version_sum_ = ~std::uint64_t{0};
-  mutable SimTime merged_now_ = -1;
-  mutable bool merged_valid_ = false;
-  mutable std::vector<std::size_t> merge_heads_;    ///< scratch
+  mutable SimTime sorted_now_ = -1;
   /// Device-mutation epoch (see set_live_epoch); null = diff every query.
   const std::uint64_t* live_epoch_ = nullptr;
   mutable std::uint64_t live_epoch_seen_ = ~std::uint64_t{0};

@@ -3,9 +3,9 @@
 // An ArrivalProcess turns (window, Rng) into a sorted list of arrival
 // times. Generators are pure: the same (process, duration, rng) triple
 // always yields the same stream, so serving runs and workload generation
-// stay bit-identical across lane counts and thread schedules. Seed child
-// streams off `Rng::fork_at` when a scenario needs several independent
-// processes from one seed.
+// stay bit-identical from run to run and across the threads of a sweep.
+// Seed child streams off `Rng::fork_at` when a scenario needs several
+// independent processes from one seed.
 //
 // Shapes (ROADMAP item 3): Poisson baseline, diurnal sinusoid (daily
 // peaks), flash crowd (a breaking-news rate spike on top of a Poisson

@@ -188,9 +188,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, RngSeedSweep,
                                            0xdeadbeefu));
 
 // -- Counter-based fork laws ------------------------------------------------
-// The parallel tick pipeline depends on fork_at being a pure function of
-// (root seed, stream id): lane workers fork streams out of order, yet every
-// child must match the one a sequential dispenser would have produced.
+// fork_at must be a pure function of (root seed, stream id): streams forked
+// out of order, or after parent draws, match the ones forked in sequence.
 
 TEST(RngForkAt, EqualsSequentialForks) {
   const Rng parent(987654321);
@@ -216,19 +215,6 @@ TEST(RngForkAt, IndependentOfParentDrawsAndOrder) {
     Rng b = dirty.fork_at(0x9000, i);
     for (int d = 0; d < 4; ++d) EXPECT_EQ(a.uniform(), b.uniform());
   }
-}
-
-TEST(RngForkAt, ForkSequenceDispensesTheSameStreams) {
-  const Rng parent(7);
-  ForkSequence seq(parent, 0x9000);
-  for (std::uint64_t i = 0; i < 24; ++i) {
-    Rng from_seq = seq.next();
-    Rng direct = parent.fork_at(0x9000, i);
-    for (int d = 0; d < 4; ++d) {
-      EXPECT_EQ(from_seq.normal(0.0, 1.0), direct.normal(0.0, 1.0));
-    }
-  }
-  EXPECT_EQ(seq.issued(), 24u);
 }
 
 }  // namespace

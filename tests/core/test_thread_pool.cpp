@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace knots {
@@ -76,20 +78,19 @@ TEST(ThreadPool, ParallelForMoreItemsThanThreadsSelfSchedules) {
 }
 
 TEST(ThreadPool, ParallelForOversubscriptionStress) {
-  // Sharded-tick shape: the cluster may be carved into far more event lanes
-  // than worker threads (10k nodes in 64 lanes on a 2-core runner), and
-  // ticks re-enter parallel_for thousands of times. Every lane must run
-  // exactly once per barrier, every barrier, with all writes visible to the
+  // Far more items than worker threads (a seeds × schedulers sweep on a
+  // 2-core runner), with the pool re-entered many times. Every item must
+  // run exactly once per call, every call, with all writes visible to the
   // caller afterwards.
   ThreadPool pool(2);
-  constexpr std::size_t kLanes = 256;
-  constexpr int kBarriers = 200;
-  std::vector<std::uint64_t> lane_sum(kLanes, 0);
-  for (int barrier = 0; barrier < kBarriers; ++barrier) {
-    pool.parallel_for(kLanes, [&](std::size_t lane) { ++lane_sum[lane]; });
+  constexpr std::size_t kItems = 256;
+  constexpr int kCalls = 200;
+  std::vector<std::uint64_t> item_sum(kItems, 0);
+  for (int call = 0; call < kCalls; ++call) {
+    pool.parallel_for(kItems, [&](std::size_t item) { ++item_sum[item]; });
   }
-  for (const auto sum : lane_sum) {
-    EXPECT_EQ(sum, static_cast<std::uint64_t>(kBarriers));
+  for (const auto sum : item_sum) {
+    EXPECT_EQ(sum, static_cast<std::uint64_t>(kCalls));
   }
 }
 
@@ -104,8 +105,26 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                std::runtime_error);
 }
 
+TEST(ThreadPool, ParallelForThrowsOnlyAfterEveryPullerStops) {
+  // The pullers call `fn`, which may be a temporary that dies when
+  // parallel_for returns: a throwing item must not let the call return
+  // while another puller is still inside fn.
+  ThreadPool pool(4);
+  std::atomic<int> in_flight{0};
+  EXPECT_THROW(pool.parallel_for(64,
+                                 [&](std::size_t i) {
+                                   if (i == 0) throw std::runtime_error("0");
+                                   in_flight.fetch_add(1);
+                                   std::this_thread::sleep_for(
+                                       std::chrono::milliseconds(2));
+                                   in_flight.fetch_sub(1);
+                                 }),
+               std::runtime_error);
+  EXPECT_EQ(in_flight.load(), 0);
+}
+
 TEST(ThreadPool, ParallelForAdaptiveChunkingCoversEveryIndexOnce) {
-  // The chunked work-stealing path (chunk = n / (lanes * 8)) must still
+  // The chunked work-stealing path (chunk = n / (pullers * 8)) must still
   // visit every index exactly once, for sizes around chunk boundaries,
   // worker-count boundaries, and the serial n<=1 fast path.
   ThreadPool pool(4);

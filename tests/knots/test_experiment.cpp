@@ -29,6 +29,24 @@ TEST(Config, DefaultsMatchPaperTestbed) {
   EXPECT_EQ(sw.tensorflow, "1.8");
 }
 
+// Builder::lanes(int) is a shim for older callers: the tick is
+// single-threaded, lanes(1) changes nothing and any other count aborts.
+TEST(Config, LanesShimOfOneChangesNothing) {
+  const auto build = [](bool shim) {
+    ExperimentConfig::Builder b;
+    b.nodes(4).duration(30 * kSec);
+    if (shim) b.lanes(1);
+    return b.build();
+  };
+  EXPECT_EQ(run_experiment(build(true)).run_digest,
+            run_experiment(build(false)).run_digest);
+}
+
+TEST(ConfigDeathTest, LanesShimRejectsAnyOtherCount) {
+  EXPECT_DEATH(ExperimentConfig::Builder{}.lanes(2), "lanes must be 1");
+  EXPECT_DEATH(ExperimentConfig::Builder{}.lanes(0), "lanes must be 1");
+}
+
 TEST(Experiment, ReportFieldsConsistent) {
   const auto report =
       run_experiment(tiny(1, sched::SchedulerKind::kPeakPrediction));

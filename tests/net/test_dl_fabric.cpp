@@ -1,6 +1,6 @@
 // dlsim on the fabric: per-policy inertness, gang all-reduce contention,
-// the pack-vs-spread JCT ordering that motivates cbp-local, migration
-// checkpoint charges, and lane determinism with a live fabric.
+// the pack-vs-spread JCT ordering that motivates cbp-local, and migration
+// checkpoint charges.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -13,11 +13,10 @@
 namespace knots::dlsim {
 namespace {
 
-DlClusterConfig tiny_cluster(int lanes = 1) {
+DlClusterConfig tiny_cluster() {
   DlClusterConfig cfg;
   cfg.nodes = 4;
   cfg.gpus_per_node = 4;
-  cfg.lanes = lanes;
   return cfg;
 }
 
@@ -72,17 +71,6 @@ TEST(DlFabric, ZeroLatencyFabricIsInertForEveryPolicy) {
     EXPECT_EQ(bare.run_digest, inert.run_digest) << "policy " << policy;
     EXPECT_EQ(bare.dlt_completed, inert.dlt_completed);
   }
-}
-
-TEST(DlFabric, LaneCountIsInvisibleWithALiveFabric) {
-  DlClusterConfig base = tiny_cluster(1);
-  base.fabric = net::FabricPlan::auto_derive(4);
-  base.allreduce_mb_per_step = 256.0;
-  DlClusterConfig wide = base;
-  wide.lanes = 4;
-  const auto one = run_dl_simulation("cbp-pp", base, tiny_workload(), 7);
-  const auto four = run_dl_simulation("cbp-pp", wide, tiny_workload(), 7);
-  EXPECT_EQ(one.run_digest, four.run_digest);
 }
 
 TEST(DlFabric, SpreadGangsPayTheAllReduce) {

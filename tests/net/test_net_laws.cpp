@@ -1,7 +1,7 @@
 // The knots::net determinism and metamorphic law suite at cluster level:
 // inertness per scheduler, plan-permutation invariance, unused-spine
-// inertness, lane determinism under contention, a pinned golden contended
-// digest, fault-plan link validation, and flow observability.
+// inertness, a pinned golden contended digest, fault-plan link validation,
+// and flow observability.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,7 @@ ExperimentConfig::Builder tiny(sched::SchedulerKind kind) {
 
 /// The pinned contended configuration behind the golden digest: four nodes
 /// on two ToRs, real image pulls, and a mid-run ToR uplink outage.
-ExperimentConfig contended_config(int lanes = 1) {
+ExperimentConfig contended_config() {
   net::AutoFabricOptions opts;
   opts.nodes_per_tor = 2;
   fault::FaultPlan faults;
@@ -33,8 +33,7 @@ ExperimentConfig contended_config(int lanes = 1) {
   auto b = tiny(sched::SchedulerKind::kPeakPrediction);
   b.fabric(net::FabricPlan::auto_derive(4, opts))
       .image_mb(2048.0)
-      .faults(std::move(faults))
-      .lanes(lanes);
+      .faults(std::move(faults));
   return b.build();
 }
 
@@ -87,20 +86,12 @@ TEST(NetLaws, UnusedSpineLinkIsInert) {
   EXPECT_EQ(a.run_digest, b.run_digest);
 }
 
-TEST(NetLaws, LaneCountIsInvisibleUnderContention) {
-  const auto one = run_experiment(contended_config(1));
-  const auto two = run_experiment(contended_config(2));
-  const auto four = run_experiment(contended_config(4));
-  EXPECT_GT(one.flows_started, 0u);
-  EXPECT_EQ(one.run_digest, two.run_digest);
-  EXPECT_EQ(one.run_digest, four.run_digest);
-}
-
 TEST(NetLaws, GoldenContendedDigestIsPinned) {
   // Bit-exact anchor for the contended fabric pipeline. A change here is a
   // semantic change to flow/contention/fault ordering and must be
   // deliberate: re-pin only with a PR note explaining why.
   const auto report = run_experiment(contended_config());
+  EXPECT_GT(report.flows_started, 0u);  // the pin covers real contention
   EXPECT_EQ(report.run_digest, 0x6eceb54ddf1f8a4aULL);
 }
 

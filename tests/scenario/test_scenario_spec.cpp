@@ -31,7 +31,6 @@ name mixed-fleet
 scheduler CBP
 seed 7
 duration 120s
-lanes 4
 mix 1
 nodeclass ondemand p100-16g 6
 nodeclass spot v100-32g 4 preemptible notice=10s
@@ -53,7 +52,6 @@ TEST(ScenarioSpec, ParsesTheDocumentedExample) {
   EXPECT_EQ(cfg.scheduler, sched::SchedulerKind::kCbp);
   EXPECT_EQ(cfg.seed, 7u);
   EXPECT_EQ(cfg.workload.duration, 120 * kSec);
-  EXPECT_EQ(cfg.cluster.lanes, 4);
   EXPECT_EQ(cfg.mix_id, 1);
 
   // Node classes expand in file order; total node count is their sum.
@@ -176,7 +174,8 @@ TEST(ScenarioSpec, RejectionMatrix) {
       {"unknown scheduler", "scheduler FIFO\nnodeclass a p100-16g 2\n",
        "unknown scheduler"},
       {"unknown mix", "mix 99\nnodeclass a p100-16g 2\n", "unknown app mix"},
-      {"zero lanes", "lanes 0\nnodeclass a p100-16g 2\n", "lanes"},
+      {"lanes directive is gone", "lanes 4\nnodeclass a p100-16g 2\n",
+       "line 1: unknown or malformed directive 'lanes'"},
       {"zero duration", "duration 0s\nnodeclass a p100-16g 2\n", "duration"},
       {"bad workload tenants",
        "nodeclass a p100-16g 2\nworkload_tenants 1,x\n", "tenant ids"},
@@ -184,6 +183,36 @@ TEST(ScenarioSpec, RejectionMatrix) {
       {"bad seed", "seed -3\nnodeclass a p100-16g 2\n", "seed"},
       {"zero power cap", "power_cap_watts 0\nnodeclass a p100-16g 2\n",
        "positive"},
+      // Numbers past what their field can hold: rejected, never wrapped,
+      // saturated or scaled into an overflow.
+      {"node count past int", "nodeclass a p100-16g 99999999999\n",
+       "line 1: nodeclass count"},
+      {"duration past the clock",
+       "duration 99999999999999s\nnodeclass a p100-16g 2\n",
+       "line 1: duration"},
+      {"integer past long long",
+       "seed 99999999999999999999\nnodeclass a p100-16g 2\n", "line 1: seed"},
+      {"gpus= past int", "nodeclass a p100-16g 2 gpus=4294967297\n",
+       "line 1: nodeclass gpus"},
+      {"gpus_per_node past int",
+       "gpus_per_node 4294967297\nnodeclass a p100-16g 2\n",
+       "line 1: gpus_per_node"},
+      {"mix past int", "mix 4294967297\nnodeclass a p100-16g 2\n",
+       "line 1: unknown app mix"},
+      {"fault node past int",
+       "nodeclass a p100-16g 2\nfault node_crash node=4294967296 at=5s\n",
+       "line 2: fault node"},
+      {"fault window past the clock",
+       "nodeclass a p100-16g 2\n"
+       "fault node_crash node=0 at=9000000000000s duration=9000000000000s\n",
+       "line 2: fault at= plus duration="},
+      {"spot notice past the clock",
+       "nodeclass a p100-16g 2 preemptible notice=9000000000000s\n"
+       "fault spot_reclaim node=0 at=9000000000000s\n",
+       "overflows the clock"},
+      {"node total past int",
+       "nodeclass a p100-16g 2000000000\nnodeclass b p100-16g 2000000000\n",
+       "nodes in total"},
   };
   for (const Rejection& c : cases) {
     SCOPED_TRACE(c.label);
@@ -203,12 +232,12 @@ TEST(ScenarioSpec, UnreadableFileIsAnError) {
 }
 
 // The flagship integration law: a heterogeneous + spot + multi-tenant +
-// faulted scenario parsed from text is lane-deterministic — lanes only
-// change how the tick hot path is sharded, never what happens. (The same
-// law is CI-gated for the committed examples/scenarios file.)
-TEST(ScenarioSpec, MixedFleetScenarioIsLaneDeterministic) {
+// faulted scenario parsed from text replays bit for bit, with both tenants
+// accounted and a clean invariant audit. (The committed examples/scenarios
+// file is CI-gated against its golden digest.)
+TEST(ScenarioSpec, MixedFleetScenarioReplays) {
   constexpr const char* kSmallFleet = R"(
-name lane-law
+name replay-law
 scheduler CBP
 seed 11
 duration 30s
@@ -223,19 +252,16 @@ fault spot_reclaim node=3 at=12s duration=10s
   const auto spec = parse(kSmallFleet, error);
   ASSERT_TRUE(spec.has_value()) << error;
 
-  ExperimentConfig cfg = spec->config;
-  cfg.cluster.lanes = 1;
-  const auto lane1 = run_experiment(cfg);
-  cfg.cluster.lanes = 4;
-  const auto lane4 = run_experiment(cfg);
+  const auto first = run_experiment(spec->config);
+  const auto second = run_experiment(spec->config);
 
-  EXPECT_EQ(lane1.run_digest, lane4.run_digest);
-  EXPECT_EQ(lane1.pods_completed, lane4.pods_completed);
-  EXPECT_EQ(lane1.energy_joules, lane4.energy_joules);
-  ASSERT_EQ(lane1.tenants.size(), 2u);
-  EXPECT_EQ(lane1.tenants, lane4.tenants);
-  EXPECT_EQ(lane1.invariant_violations, 0u);
-  EXPECT_EQ(lane4.invariant_violations, 0u);
+  EXPECT_EQ(first.run_digest, second.run_digest);
+  EXPECT_EQ(first.pods_completed, second.pods_completed);
+  EXPECT_EQ(first.energy_joules, second.energy_joules);
+  ASSERT_EQ(first.tenants.size(), 2u);
+  EXPECT_EQ(first.tenants, second.tenants);
+  EXPECT_EQ(first.invariant_violations, 0u);
+  EXPECT_EQ(second.invariant_violations, 0u);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // knots::serve end-to-end laws: identical (config, seed) serving runs are
-// bit-identical at any lane count, a zero-QPS deployment is invisible to
+// bit-identical, a zero-QPS deployment is invisible to
 // the cluster underneath, and the crash-storm serving digest is pinned
 // golden so the fault path cannot drift silently.
 #include <gtest/gtest.h>
@@ -12,12 +12,11 @@
 namespace knots::serve {
 namespace {
 
-ServingConfig small_serving(ArrivalShape shape, int lanes = 1) {
+ServingConfig small_serving(ArrivalShape shape) {
   ServingConfig cfg = default_serving(60.0, shape);
   cfg.experiment = ExperimentConfig::Builder{}
                        .scheduler(sched::SchedulerKind::kPeakPrediction)
                        .nodes(4)
-                       .lanes(lanes)
                        .build();
   cfg.window = 10 * kSec;
   return cfg;
@@ -31,28 +30,25 @@ fault::FaultPlan storm_plan() {
       .pcie_stall(NodeId{3}, 5 * kSec, 2 * kSec, 4.0);
 }
 
-TEST(Serving, DeterminismLawAcrossLanes) {
+TEST(Serving, DeterminismLaw) {
   // The serving determinism law: identical config + seed produce a
-  // bit-identical request log (digest) — including at lane counts > 1,
-  // because every serving event runs in serial event context.
+  // bit-identical request log (digest) and cluster run.
   for (const ArrivalShape shape :
        {ArrivalShape::kPoisson, ArrivalShape::kDiurnal,
         ArrivalShape::kFlashCrowd}) {
     SCOPED_TRACE(to_string(shape));
-    const auto lane1a = run_serving(small_serving(shape, 1));
-    const auto lane1b = run_serving(small_serving(shape, 1));
-    const auto lane4 = run_serving(small_serving(shape, 4));
+    const auto a = run_serving(small_serving(shape));
+    const auto b = run_serving(small_serving(shape));
 
-    EXPECT_EQ(lane1a.serve_digest, lane1b.serve_digest);
-    EXPECT_EQ(lane1a.serve_digest, lane4.serve_digest);
-    EXPECT_EQ(lane1a.experiment.run_digest, lane4.experiment.run_digest);
-    EXPECT_EQ(lane1a.offered, lane4.offered);
-    EXPECT_EQ(lane1a.completed, lane4.completed);
-    EXPECT_EQ(lane1a.shed, lane4.shed);
-    EXPECT_EQ(lane1a.scale_ups, lane4.scale_ups);
-    EXPECT_GT(lane1a.offered, 0u);
-    EXPECT_GT(lane1a.completed, 0u);
-    EXPECT_EQ(lane1a.experiment.invariant_violations, 0u);
+    EXPECT_EQ(a.serve_digest, b.serve_digest);
+    EXPECT_EQ(a.experiment.run_digest, b.experiment.run_digest);
+    EXPECT_EQ(a.offered, b.offered);
+    EXPECT_EQ(a.completed, b.completed);
+    EXPECT_EQ(a.shed, b.shed);
+    EXPECT_EQ(a.scale_ups, b.scale_ups);
+    EXPECT_GT(a.offered, 0u);
+    EXPECT_GT(a.completed, 0u);
+    EXPECT_EQ(a.experiment.invariant_violations, 0u);
   }
 }
 

@@ -160,102 +160,113 @@ TEST_F(AggregatorTest, ActiveSortedCacheReactsToParkFlip) {
   EXPECT_EQ(agg_.active_sorted_by_free_memory().size(), 3u);
 }
 
-// Algorithm 1's cached, lane-merged list against its definition: a stable
-// sort by free memory (descending) of snapshot()'s unparked views. Seeded
-// random heartbeats (some nodes silent, so staleness flips), attach/detach,
+TEST_F(AggregatorTest, NodeRegisteredAfterRefreshIsReadBySameTickQuery) {
+  (void)agg_.active_sorted_by_free_memory();  // create refresh demand
+  agg_.begin_tick(4);
+  sample_all(4);
+  agg_.refresh();  // rows of the three registered nodes are now fresh
+  // A node that joins after this tick's refresh brings rows the refresh
+  // never pulled; the same-tick query must still read them.
+  gpu::NodeSpec spec;
+  spec.gpus_per_node = 1;
+  auto& late = *nodes_.emplace_back(
+      std::make_unique<gpu::GpuNode>(NodeId{3}, spec, 3));
+  auto& late_db =
+      *dbs_.emplace_back(std::make_unique<TimeSeriesDb>(GpuId{3}, 1));
+  ASSERT_TRUE(late.gpu(0).attach(PodId{9}, 100));
+  ASSERT_TRUE(late.gpu(0).set_usage(PodId{9}, {0.1, 12000, 0, 0}));
+  HeartbeatSampler(late, late_db, Rng(9), 0.0).sample(4);
+  agg_.register_node(late, late_db);
+  const auto& sorted = agg_.active_sorted_by_free_memory();
+  ASSERT_EQ(sorted.size(), 4u);
+  EXPECT_EQ(sorted.back().gpu.value, 3);  // least free memory
+  EXPECT_EQ(sorted.back().last_heartbeat, 4);
+}
+
+// Algorithm 1's cached list against its definition: a stable sort by free
+// memory (descending) of snapshot()'s unparked views. Seeded random
+// heartbeats (some nodes silent, so staleness flips), attach/detach,
 // park/unpark and ECC retirement under the cluster's device-epoch
-// discipline, with and without the per-tick lane refresh; the two must agree
-// in every GpuView field.
+// discipline, with and without the per-tick refresh; the two must agree in
+// every GpuView field.
 TEST(AggregatorProperty, ActiveSortedIsStableSortOfSnapshot) {
   constexpr int kNodes = 12;
-  for (const std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
-    Rng rng(77 + lanes);
-    gpu::NodeSpec spec;
-    spec.gpus_per_node = 2;
-    std::vector<std::unique_ptr<gpu::GpuNode>> nodes;
-    std::vector<std::unique_ptr<TimeSeriesDb>> dbs;
-    std::vector<HeartbeatSampler> samplers;
-    UtilizationAggregator agg;
-    for (int n = 0; n < kNodes; ++n) {
-      nodes.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, spec, 2 * n));
-      dbs.push_back(std::make_unique<TimeSeriesDb>(GpuId{2 * n}, 2));
-      agg.register_node(*nodes.back(), *dbs.back());
-    }
-    for (int n = 0; n < kNodes; ++n) {
-      const auto i = static_cast<std::size_t>(n);
-      samplers.emplace_back(*nodes[i], *dbs[i], Rng(100 + i), 0.02);
-    }
-    std::uint64_t epoch = 0;
-    agg.set_live_epoch(&epoch);
-    agg.set_staleness_horizon(3);
-    std::vector<std::uint32_t> lane_of;
-    for (int n = 0; n < kNodes; ++n) {
-      lane_of.push_back(static_cast<std::uint32_t>(n) %
-                        static_cast<std::uint32_t>(lanes));
-    }
-    agg.set_lane_partition(lane_of, lanes);
+  Rng rng(78);
+  gpu::NodeSpec spec;
+  spec.gpus_per_node = 2;
+  std::vector<std::unique_ptr<gpu::GpuNode>> nodes;
+  std::vector<std::unique_ptr<TimeSeriesDb>> dbs;
+  std::vector<HeartbeatSampler> samplers;
+  UtilizationAggregator agg;
+  for (int n = 0; n < kNodes; ++n) {
+    nodes.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, spec, 2 * n));
+    dbs.push_back(std::make_unique<TimeSeriesDb>(GpuId{2 * n}, 2));
+    agg.register_node(*nodes.back(), *dbs.back());
+  }
+  for (int n = 0; n < kNodes; ++n) {
+    const auto i = static_cast<std::size_t>(n);
+    samplers.emplace_back(*nodes[i], *dbs[i], Rng(100 + i), 0.02);
+  }
+  std::uint64_t epoch = 0;
+  agg.set_live_epoch(&epoch);
+  agg.set_staleness_horizon(3);
 
-    std::vector<std::vector<PodId>> residents(2 * kNodes);
-    std::int32_t next_pod = 1;
-    SimTime now = 0;
-    for (int op = 0; op < 1500; ++op) {
-      const auto g =
-          static_cast<std::size_t>(rng.uniform_int(0, 2 * kNodes - 1));
-      gpu::GpuDevice& dev = nodes[g / 2]->gpu(g % 2);
-      const double dice = rng.uniform();
-      if (dice < 0.2) {
-        // A tick's telemetry phase, as the cluster runs it.
-        ++now;
-        agg.begin_tick(now);
-        for (auto& sampler : samplers) {
-          if (rng.chance(0.8)) sampler.sample(now);
-        }
-        // Standalone writers may skip the refresh; queries must still see
-        // their rows.
-        if (rng.chance(0.8)) {
-          for (std::size_t lane = 0; lane < lanes; ++lane) {
-            agg.refresh_lane(lane);
-          }
-        }
-      } else if (dice < 0.45) {
-        const PodId pod{next_pod++};
-        if (dev.attach(pod, rng.uniform(0, 4000))) {
-          (void)dev.set_usage(pod, {rng.uniform(0, 0.4), rng.uniform(0, 6000),
-                                    0, 0});
-          residents[g].push_back(pod);
-          ++epoch;
-        }
-      } else if (dice < 0.65) {
-        if (!residents[g].empty()) {
-          const auto k = static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(residents[g].size()) - 1));
-          dev.detach(residents[g][k]);
-          residents[g].erase(residents[g].begin() +
-                             static_cast<std::ptrdiff_t>(k));
-          ++epoch;
-        }
-      } else if (dice < 0.8) {
-        if (dev.parked() || residents[g].empty()) {
-          dev.set_parked(!dev.parked());
-          ++epoch;
-        }
-      } else if (dice < 0.85) {
-        dev.retire_memory_mb(rng.uniform(0, 512));
+  std::vector<std::vector<PodId>> residents(2 * kNodes);
+  std::int32_t next_pod = 1;
+  SimTime now = 0;
+  for (int op = 0; op < 1500; ++op) {
+    const auto g =
+        static_cast<std::size_t>(rng.uniform_int(0, 2 * kNodes - 1));
+    gpu::GpuDevice& dev = nodes[g / 2]->gpu(g % 2);
+    const double dice = rng.uniform();
+    if (dice < 0.2) {
+      // A tick's telemetry phase, as the cluster runs it.
+      ++now;
+      agg.begin_tick(now);
+      for (auto& sampler : samplers) {
+        if (rng.chance(0.8)) sampler.sample(now);
+      }
+      // Standalone writers may skip the refresh; queries must still see
+      // their rows.
+      if (rng.chance(0.8)) agg.refresh();
+    } else if (dice < 0.45) {
+      const PodId pod{next_pod++};
+      if (dev.attach(pod, rng.uniform(0, 4000))) {
+        (void)dev.set_usage(pod, {rng.uniform(0, 0.4), rng.uniform(0, 6000),
+                                  0, 0});
+        residents[g].push_back(pod);
         ++epoch;
       }
-      // Several mutations may land between queries, and a snapshot may be
-      // taken first: callers may mix both reads.
-      if (rng.chance(0.4)) continue;
-      if (rng.chance(0.3)) (void)agg.snapshot();
-      const std::vector<GpuView> got = agg.active_sorted_by_free_memory();
-      std::vector<GpuView> want = agg.snapshot();
-      std::erase_if(want, [](const GpuView& v) { return v.parked; });
-      std::stable_sort(want.begin(), want.end(),
-                       [](const GpuView& a, const GpuView& b) {
-                         return a.free_mem_mb > b.free_mem_mb;
-                       });
-      ASSERT_EQ(got, want) << "lanes " << lanes << " op " << op;
+    } else if (dice < 0.65) {
+      if (!residents[g].empty()) {
+        const auto k = static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(residents[g].size()) - 1));
+        dev.detach(residents[g][k]);
+        residents[g].erase(residents[g].begin() +
+                           static_cast<std::ptrdiff_t>(k));
+        ++epoch;
+      }
+    } else if (dice < 0.8) {
+      if (dev.parked() || residents[g].empty()) {
+        dev.set_parked(!dev.parked());
+        ++epoch;
+      }
+    } else if (dice < 0.85) {
+      dev.retire_memory_mb(rng.uniform(0, 512));
+      ++epoch;
     }
+    // Several mutations may land between queries, and a snapshot may be
+    // taken first: callers may mix both reads.
+    if (rng.chance(0.4)) continue;
+    if (rng.chance(0.3)) (void)agg.snapshot();
+    const std::vector<GpuView> got = agg.active_sorted_by_free_memory();
+    std::vector<GpuView> want = agg.snapshot();
+    std::erase_if(want, [](const GpuView& v) { return v.parked; });
+    std::stable_sort(want.begin(), want.end(),
+                     [](const GpuView& a, const GpuView& b) {
+                       return a.free_mem_mb > b.free_mem_mb;
+                     });
+    ASSERT_EQ(got, want) << "op " << op;
   }
 }
 
