@@ -1,12 +1,12 @@
 // Telemetry hot-path microbenchmarks + end-to-end sweep throughput.
 //
 // Times the per-tick telemetry layer the way the simulator drives it — the
-// whole scrape of a 1,000-node cluster (heartbeat rows + the aggregator's
-// row refresh) and PP's 500-sample window read — plus the window-percentile
-// primitives both the naive way (vector materialization, copy + full sort
-// per percentile) and the incremental way (RollingQuantile). Heap
-// allocations are counted via a replaced operator new, and the run finishes
-// with the 10-node four-scheduler sweep measured in ticks/sec.
+// scrape of a 1,000-node cluster (one heartbeat row per GPU), the
+// aggregator's free-memory-sorted query after it, and PP's 500-sample
+// window read — plus window materialization and single-percentile
+// selection. Heap allocations are counted via a replaced operator new, and
+// the run finishes with the 10-node four-scheduler sweep measured in
+// ticks/sec.
 //
 //   bench_micro_telemetry --json BENCH_perf.json   # machine-readable output
 //   bench_micro_telemetry --fast                   # CI smoke sizing
@@ -22,7 +22,6 @@
 #include "core/page_arena.hpp"
 #include "core/percentile.hpp"
 #include "core/rng.hpp"
-#include "stats/rolling.hpp"
 #include "telemetry/aggregator.hpp"
 #include "telemetry/sampler.hpp"
 #include "telemetry/timeseries_db.hpp"
@@ -97,24 +96,9 @@ telemetry::TimeSeriesDb prefilled_db(std::size_t rows) {
   return db;
 }
 
-/// The pre-PR2 query shape: materialize the window into a fresh vector,
-/// then one copy + full sort per percentile.
-double naive_window_percentiles(const telemetry::TimeSeriesDb& db,
-                                SimTime since) {
-  const auto window =
-      db.query_window(GpuId{0}, telemetry::Metric::kMemUtil, since);
-  auto copy_a = window;
-  std::sort(copy_a.begin(), copy_a.end());
-  const double p50 = percentile_sorted(copy_a, 50.0);
-  auto copy_b = window;
-  std::sort(copy_b.begin(), copy_b.end());
-  const double p99 = percentile_sorted(copy_b, 99.0);
-  return p50 + p99;
-}
-
 /// A pods-1k-shaped telemetry tier: 1,000 single-P100 nodes on one shared
 /// arena with 1024-row retention, three in four GPUs running a pod, the
-/// cluster's noise level, and an aggregator with query demand (PP's).
+/// cluster's noise level, and the head node's aggregator.
 class ScrapeFixture {
  public:
   static constexpr int kNodes = 1000;
@@ -138,7 +122,6 @@ class ScrapeFixture {
     for (std::size_t n = 0; n < nodes_.size(); ++n) {
       samplers_.emplace_back(*nodes_[n], *dbs_[n], Rng(1000 + n), 0.005);
     }
-    (void)agg_.active_sorted_by_free_memory();  // PP's demand, as in a run
     // Fill every ring once so the timed ticks write into wrapped rings.
     for (std::size_t t = 0; t < kRetention; ++t) scrape();
   }
@@ -148,7 +131,6 @@ class ScrapeFixture {
     ++now_;
     agg_.begin_tick(now_);
     for (auto& sampler : samplers_) sampler.sample(now_);
-    agg_.refresh();
   }
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
@@ -175,7 +157,7 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
     session.record("tsdb_ingest", as_metrics(m));
   }
 
-  // -- The scrape: heartbeat rows + row refresh for 1,000 nodes --
+  // -- The scrape: one heartbeat row per GPU for 1,000 nodes --
   {
     ScrapeFixture fx;
     const std::size_t ticks = std::max<std::size_t>(iters / 10, 100);
@@ -186,6 +168,35 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
                     {"allocs_per_tick", m.allocs_per_op}});
     std::cout << "scrape (1,000 nodes, 3/4 busy): " << fmt(per_node, 0)
               << " ns per node-tick\n";
+
+    // -- Algorithm 1's list: one sorted query after each scrape, which
+    // reads every GPU's newest row and device --
+    {
+      using Clock = std::chrono::steady_clock;
+      fx.scrape();  // warm the list's buffers
+      std::size_t listed =
+          fx.aggregator().active_sorted_by_free_memory().size();
+      Clock::duration spent{};
+      std::uint64_t allocs = 0;
+      for (std::size_t t = 0; t < ticks; ++t) {
+        fx.scrape();
+        const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+        const auto t0 = Clock::now();
+        listed += fx.aggregator().active_sorted_by_free_memory().size();
+        spent += Clock::now() - t0;
+        allocs += g_allocs.load(std::memory_order_relaxed) - a0;
+      }
+      if (listed == 0) std::cout << listed;  // defeat dead-code elimination
+      const double query_ns =
+          std::chrono::duration<double, std::nano>(spent).count() /
+          static_cast<double>(ticks * ScrapeFixture::kNodes);
+      session.record("sorted_query_1000node",
+                     {{"ns_per_node_tick", query_ns},
+                      {"allocs_per_tick", static_cast<double>(allocs) /
+                                              static_cast<double>(ticks)}});
+      std::cout << "sorted query (1,000 nodes, after each scrape): "
+                << fmt(query_ns, 0) << " ns per node-tick\n";
+    }
 
     // -- PP's window read: 500 rows of one GPU's memory column --
     std::vector<double> scratch;
@@ -213,45 +224,6 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
     if (sink < 0) std::cout << sink;
     session.record("window_query_vector", as_metrics(vec));
   }
-
-  // -- The headline: per-tick window percentiles, naive vs incremental --
-  // Op = ingest one sample, then read the window's p50 and p99 (what a
-  // utilization-aware scheduler does per GPU per tick).
-  double naive_ns = 0, fast_ns = 0;
-  {
-    telemetry::TimeSeriesDb db = prefilled_db(kWindow);
-    SimTime t = kWindow;
-    double sink = 0;
-    const auto m = measure(iters, [&](std::size_t) {
-      db.write(GpuId{0},
-               row_of(t, 0.25 + 0.5 * static_cast<double>(t % 7) / 7.0));
-      sink += naive_window_percentiles(db, t - static_cast<SimTime>(kWindow));
-      ++t;
-    });
-    if (sink < 0) std::cout << sink;
-    naive_ns = m.ns_per_op;
-    session.record("window_percentile_naive", as_metrics(m));
-  }
-  {
-    stats::RollingQuantile q(kWindow);
-    Rng rng(7);
-    for (std::size_t i = 0; i < kWindow; ++i) q.push(rng.uniform());
-    SimTime t = kWindow;
-    double sink = 0;
-    const auto m = measure(iters, [&](std::size_t) {
-      q.push(0.25 + 0.5 * static_cast<double>(t % 7) / 7.0);
-      sink += q.quantile(50.0) + q.quantile(99.0);
-      ++t;
-    });
-    if (sink < 0) std::cout << sink;
-    fast_ns = m.ns_per_op;
-    session.record("window_percentile_incremental", as_metrics(m));
-  }
-  const double speedup = fast_ns > 0 ? naive_ns / fast_ns : 0.0;
-  session.record("window_percentile_speedup", {{"x", speedup}});
-  std::cout << "window percentile (W=" << kWindow << "): naive "
-            << fmt(naive_ns, 0) << " ns/op, incremental " << fmt(fast_ns, 0)
-            << " ns/op -> " << fmt(speedup, 1) << "x\n";
 
   // -- Single-percentile selection vs full sort --
   {

@@ -21,8 +21,6 @@
 //
 // Unknown or malformed flags exit 2 with a usage message.
 #include <algorithm>
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -34,6 +32,7 @@
 #include <string>
 
 #include "core/csv.hpp"
+#include "core/parse.hpp"
 #include "core/table.hpp"
 #include "dlsim/dl_report.hpp"
 #include "gpu/device_model.hpp"
@@ -109,23 +108,11 @@ std::optional<std::map<std::string, std::string>> parse_flags(
 }
 
 // Bounds for integer flags, checked before any narrowing or unit scaling.
-constexpr long long kIntMin = std::numeric_limits<int>::min();
 constexpr long long kIntMax = std::numeric_limits<int>::max();
 constexpr long long kAnyMin = std::numeric_limits<long long>::min();
 constexpr long long kAnyMax = std::numeric_limits<long long>::max();
 /// Largest whole-second value whose microsecond count fits SimTime.
 constexpr long long kMaxSeconds = kNever / kSec;
-
-/// Full-consumption integer parse; rejects "12x", "", "--nodes --gpus" and
-/// out-of-range input (ERANGE) rather than saturating it.
-std::optional<long long> parse_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return std::nullopt;
-  return v;
-}
 
 /// True when the window [at, at + down] (whole seconds, both >= 0) fits the
 /// simulation clock.
@@ -133,16 +120,8 @@ bool fits_clock(long long at, long long down) {
   return at <= kMaxSeconds && down <= kMaxSeconds - at;
 }
 
-/// Full-consumption floating-point parse; rejects "1.5x" and "".
-std::optional<double> parse_double(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return v;
-}
-
-/// Validated double lookup: missing flag → fallback, malformed → nullopt.
+/// Validated double lookup: missing flag → fallback; malformed or
+/// non-finite → nullopt.
 std::optional<double> double_flag(
     const std::map<std::string, std::string>& flags, const std::string& key,
     double fallback) {
@@ -150,8 +129,8 @@ std::optional<double> double_flag(
   if (it == flags.end()) return fallback;
   const auto v = parse_double(it->second);
   if (!v.has_value()) {
-    std::cerr << "knots_ctl: flag '--" << key << "' expects a number, got '"
-              << it->second << "'\n";
+    std::cerr << "knots_ctl: flag '--" << key
+              << "' expects a finite number, got '" << it->second << "'\n";
   }
   return v;
 }
@@ -174,6 +153,22 @@ std::optional<long long> int_flag(
     return std::nullopt;
   }
   return v;
+}
+
+/// Validated `--mix`: missing flag → fallback; not a Table I app mix →
+/// nullopt after a message.
+std::optional<int> mix_flag(const std::map<std::string, std::string>& flags,
+                            int fallback) {
+  const auto mix = int_flag(flags, "mix", fallback);
+  if (!mix) return std::nullopt;
+  const auto& mixes = workload::all_app_mixes();
+  for (const auto& m : mixes) {
+    if (m.id == *mix) return m.id;
+  }
+  std::cerr << "knots_ctl: flag '--mix' expects an app mix (one of:";
+  for (const auto& m : mixes) std::cerr << " " << m.id;
+  std::cerr << "), got '" << flags.at("mix") << "'\n";
+  return std::nullopt;
 }
 
 /// Parses `--crash-node N@T[:D]` (node N dies at T seconds, down D seconds;
@@ -281,17 +276,24 @@ bool add_link_down(const std::map<std::string, std::string>& flags,
 std::optional<ExperimentConfig> config_from_flags(
     const std::map<std::string, std::string>& flags) {
   ExperimentConfig::Builder builder;
-  const auto mix = int_flag(flags, "mix", 1, kIntMin, kIntMax);
-  const auto duration = int_flag(flags, "duration", -1, kAnyMin, kMaxSeconds);
-  const auto nodes = int_flag(flags, "nodes", -1, kAnyMin, kIntMax);
-  const auto gpus = int_flag(flags, "gpus", -1, kAnyMin, kIntMax);
-  const auto seed = int_flag(flags, "seed", -1);
+  // Absent flags keep the defaults the builder starts from.
+  const ExperimentConfig defaults = builder.build();
+  const auto mix = mix_flag(flags, defaults.mix_id);
+  const auto duration = int_flag(flags, "duration",
+                                 defaults.workload.duration / kSec, 1,
+                                 kMaxSeconds);
+  const auto nodes =
+      int_flag(flags, "nodes", defaults.cluster.nodes, 1, kIntMax);
+  const auto gpus =
+      int_flag(flags, "gpus", defaults.cluster.gpus_per_node, 1, kIntMax);
+  const auto seed =
+      int_flag(flags, "seed", static_cast<long long>(defaults.seed), 0);
   if (!mix || !duration || !nodes || !gpus || !seed) return std::nullopt;
-  builder.mix(static_cast<int>(*mix));
-  if (*duration >= 0) builder.duration(*duration * kSec);
-  if (*nodes >= 0) builder.nodes(static_cast<int>(*nodes));
-  if (*gpus >= 0) builder.gpus_per_node(static_cast<int>(*gpus));
-  if (*seed >= 0) builder.seed(static_cast<std::uint64_t>(*seed));
+  builder.mix(*mix)
+      .duration(*duration * kSec)
+      .nodes(static_cast<int>(*nodes))
+      .gpus_per_node(static_cast<int>(*gpus))
+      .seed(static_cast<std::uint64_t>(*seed));
 
   std::string sched_name = "PP";
   if (flags.count("scheduler")) sched_name = flags.at("scheduler");
@@ -309,9 +311,8 @@ std::optional<ExperimentConfig> config_from_flags(
   if (!model) return std::nullopt;
   if (flags.count("device-model") != 0) builder.device_model(model->name);
 
-  const int effective_nodes = *nodes >= 0 ? static_cast<int>(*nodes) : 10;
-  const auto fabric =
-      fabric_plan_from_flags(flags, effective_nodes, model->gpu.nvlink_mbps);
+  const auto fabric = fabric_plan_from_flags(flags, static_cast<int>(*nodes),
+                                             model->gpu.nvlink_mbps);
   if (!fabric) return std::nullopt;
   if (!fabric->empty()) builder.fabric(*fabric);
 
@@ -541,7 +542,7 @@ void print_serving_report(const serve::ServingReport& r,
 int cmd_serve(const std::map<std::string, std::string>& flags) {
   const auto config = config_from_flags(flags);
   const auto qps = double_flag(flags, "qps", 120.0);
-  const auto slo_ms = int_flag(flags, "slo-ms", -1, kAnyMin, kNever / kMsec);
+  const auto slo_ms = int_flag(flags, "slo-ms", 1, 1, kNever / kMsec);
   if (!config || !qps || !slo_ms) {
     std::cerr << kUsage;
     return 2;
@@ -592,13 +593,6 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     cfg.arrivals.spike_multiplier = *flash;
   }
   if (flags.count("slo-ms") != 0) {
-    if (*slo_ms < 1) {
-      std::cerr << "knots_ctl: flag '--slo-ms' expects an integer >= 1, "
-                   "got '"
-                << flags.at("slo-ms") << "'\n"
-                << kUsage;
-      return 2;
-    }
     for (auto& svc : cfg.services) svc.slo = *slo_ms * kMsec;
   }
   if (flags.count("autoscale") != 0) {
@@ -612,8 +606,7 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     cfg.autoscale = v == "on";
   }
   // --duration is the request window for serving runs.
-  const auto duration = int_flag(flags, "duration", -1, kAnyMin, kMaxSeconds);
-  if (duration && *duration >= 0) cfg.window = *duration * kSec;
+  if (flags.count("duration") != 0) cfg.window = config->workload.duration;
 
   obs::TraceSink trace;
   obs::MetricsRegistry metrics;
@@ -672,22 +665,22 @@ void print_dl_run(const dlsim::DlResult& r) {
 int cmd_dlsim(const std::map<std::string, std::string>& flags) {
   dlsim::DlClusterConfig cluster;
   dlsim::DlWorkloadConfig wl;
-  const auto mix = int_flag(flags, "mix", wl.mix_id, kIntMin, kIntMax);
-  const auto dlt = int_flag(flags, "dlt", wl.dlt_jobs, kIntMin, kIntMax);
-  const auto dli = int_flag(flags, "dli", wl.dli_queries, kIntMin, kIntMax);
-  const auto nodes = int_flag(flags, "nodes", cluster.nodes, kIntMin, kIntMax);
-  const auto gpus =
-      int_flag(flags, "gpus", cluster.gpus_per_node, kIntMin, kIntMax);
-  const auto duration = int_flag(flags, "duration", -1, kAnyMin, kMaxSeconds);
-  const auto seed = int_flag(flags, "seed", 42);
+  const auto mix = mix_flag(flags, wl.mix_id);
+  const auto dlt = int_flag(flags, "dlt", wl.dlt_jobs, 1, kIntMax);
+  const auto dli = int_flag(flags, "dli", wl.dli_queries, 1, kIntMax);
+  const auto nodes = int_flag(flags, "nodes", cluster.nodes, 1, kIntMax);
+  const auto gpus = int_flag(flags, "gpus", cluster.gpus_per_node, 1, kIntMax);
+  const auto duration =
+      int_flag(flags, "duration", wl.window / kSec, 1, kMaxSeconds);
+  const auto seed = int_flag(flags, "seed", 42, 0);
   if (!mix || !dlt || !dli || !nodes || !gpus || !duration || !seed) {
     std::cerr << kUsage;
     return 2;
   }
-  wl.mix_id = static_cast<int>(*mix);
+  wl.mix_id = *mix;
   wl.dlt_jobs = static_cast<int>(*dlt);
   wl.dli_queries = static_cast<int>(*dli);
-  if (*duration >= 0) wl.window = *duration * kSec;
+  wl.window = *duration * kSec;
   cluster.nodes = static_cast<int>(*nodes);
   cluster.gpus_per_node = static_cast<int>(*gpus);
 

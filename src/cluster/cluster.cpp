@@ -80,7 +80,6 @@ Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
   metrics_ = std::make_unique<MetricsCollector>(gpu_index_.size());
   occupied_bits_.assign((gpu_index_.size() + 63) / 64, 0);
   parked_bits_.assign((gpu_index_.size() + 63) / 64, 0);
-  aggregator_.set_live_epoch(&device_epoch_);
   gpu_last_busy_.assign(gpu_index_.size(), 0);
   injector_ = std::make_unique<fault::FaultInjector>(nodes_.size());
   gpu_stale_.assign(gpu_index_.size(), false);
@@ -482,7 +481,6 @@ void Cluster::apply_fault(const fault::FaultEvent& event) {
       for (std::size_t g = 0; g < node.gpu_count(); ++g) {
         node.gpu(g).retire_memory_mb(event.severity);
       }
-      ++device_epoch_;  // usable capacity moved → aggregator views stale
       injector_->note_ecc_degrade(event.node);
       fault_feed_.push_back(
           {now(), fault::FaultKind::kGpuEccDegrade, event.node, false});
@@ -867,9 +865,6 @@ void Cluster::tick() {
   // Telemetry heartbeats: down or heartbeat-muted nodes stop reporting;
   // their series age toward the staleness horizon while last-known-good
   // values persist.
-  // Advance the aggregator's clock before the scrape so refresh() stamps
-  // its freshness under this tick's `now` — the scheduler's first query then
-  // skips re-checking every db stamp the scrape just refreshed.
   aggregator_.begin_tick(now());
   std::size_t nodes_sampled = 0;
   {
@@ -882,9 +877,6 @@ void Cluster::tick() {
       samplers_[n].sample(now());
       ++nodes_sampled;
     }
-    // Pull the fresh rows into the aggregator's row cache. No-op for
-    // policies that never query the aggregator.
-    aggregator_.refresh();
   }
   if (trace_ != nullptr) {
     trace_->record(now(), EventKind::kScrape, -1, -1,

@@ -323,24 +323,21 @@ class Cluster : private net::FabricObserver {
     pod_states_[static_cast<std::size_t>(p.id().value)] =
         static_cast<std::uint8_t>(p.state());
   }
-  // Bitmap/epoch bookkeeping for device mutations.
+  // Bitmap bookkeeping for device mutations.
   void note_attach(GpuId g) noexcept {
     const auto i = static_cast<std::size_t>(g.value);
     occupied_bits_[i >> 6] |= std::uint64_t{1} << (i & 63);
     parked_bits_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));  // attach wakes
-    ++device_epoch_;
   }
   void note_detach(GpuId g) noexcept {
     const auto i = static_cast<std::size_t>(g.value);
     if (devices_[i]->totals().residents == 0) {
       occupied_bits_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
     }
-    ++device_epoch_;
   }
   void note_parked(GpuId g) noexcept {
     const auto i = static_cast<std::size_t>(g.value);
     parked_bits_[i >> 6] |= std::uint64_t{1} << (i & 63);
-    ++device_epoch_;
   }
 
   ClusterConfig config_;
@@ -361,11 +358,6 @@ class Cluster : private net::FabricObserver {
   std::vector<std::pair<std::size_t, std::size_t>> gpu_index_;
   // GpuId -> device, flat. Stable: GpuNode owns devices by unique_ptr.
   std::vector<gpu::GpuDevice*> devices_;
-  /// Bumped by note_attach/note_detach/note_parked and ECC retirement —
-  /// every change to the live device fields the aggregator's views depend
-  /// on (parked/residents/usable capacity). The aggregator watches it via
-  /// set_live_epoch to skip its O(slots) live-bits diff on quiet queries.
-  std::uint64_t device_epoch_ = 0;
   std::vector<std::uint64_t> occupied_bits_;  ///< see occupied_gpu_bits()
   std::vector<std::uint64_t> parked_bits_;    ///< see parked_gpu_bits()
 

@@ -33,27 +33,11 @@ const std::vector<double>& MetricsCollector::gpu_util_samples(
   return per_gpu_util_[gpu_index];
 }
 
-double MetricsCollector::gpu_util_percentile(std::size_t gpu_index,
-                                             double p) const {
-  const auto& samples = gpu_util_samples(gpu_index);
-  if (samples.empty()) return 0.0;
-  return percentile(samples, p);
-}
-
 std::vector<double> MetricsCollector::gpu_util_percentiles(
     std::size_t gpu_index, std::span<const double> ps) const {
   const auto& samples = gpu_util_samples(gpu_index);
   if (samples.empty()) return std::vector<double>(ps.size(), 0.0);
   return percentiles(samples, ps);
-}
-
-double MetricsCollector::cluster_util_percentile(double p) const {
-  std::vector<double> pooled;
-  for (const auto& samples : per_gpu_util_) {
-    pooled.insert(pooled.end(), samples.begin(), samples.end());
-  }
-  if (pooled.empty()) return 0.0;
-  return percentile(pooled, p);
 }
 
 std::vector<double> MetricsCollector::cluster_util_percentiles(
@@ -102,14 +86,6 @@ double MetricsCollector::qos_violations_per_kilo() const {
          static_cast<double>(queries_.size());
 }
 
-double MetricsCollector::batch_jct_percentile(double p) const {
-  if (batches_.empty()) return 0.0;
-  std::vector<double> jcts;
-  jcts.reserve(batches_.size());
-  for (const auto& b : batches_) jcts.push_back(to_seconds(b.jct));
-  return percentile(jcts, p);
-}
-
 std::vector<double> MetricsCollector::batch_jct_percentiles(
     std::span<const double> ps) const {
   if (batches_.empty()) return std::vector<double>(ps.size(), 0.0);
@@ -124,15 +100,6 @@ double MetricsCollector::mean_batch_jct_seconds() const {
   double sum = 0;
   for (const auto& b : batches_) sum += to_seconds(b.jct);
   return sum / static_cast<double>(batches_.size());
-}
-
-double MetricsCollector::query_latency_percentile(double p) const {
-  if (queries_.empty()) return 0.0;
-  std::vector<double> lat;
-  lat.reserve(queries_.size());
-  for (const auto& q : queries_)
-    lat.push_back(static_cast<double>(q.latency) / static_cast<double>(kMsec));
-  return percentile(lat, p);
 }
 
 std::vector<double> MetricsCollector::query_latency_percentiles(

@@ -43,19 +43,13 @@ class MetricsCollector {
   [[nodiscard]] const std::vector<double>& gpu_util_samples(
       std::size_t gpu_index) const;
 
-  /// Percentile of one GPU's active utilization, in percent (Fig 6/8 bars).
-  [[nodiscard]] double gpu_util_percentile(std::size_t gpu_index,
-                                           double p) const;
-
-  /// Several percentiles of one GPU's active utilization with one shared
-  /// sort (report building reads four per GPU). Zeros when no samples.
+  /// Percentiles of one GPU's active utilization, in percent (Fig 6/8
+  /// bars), with one shared sort. Zeros when no samples.
   [[nodiscard]] std::vector<double> gpu_util_percentiles(
       std::size_t gpu_index, std::span<const double> ps) const;
 
-  /// Cluster-wide utilization percentile pooling active-GPU samples (Fig 9).
-  [[nodiscard]] double cluster_util_percentile(double p) const;
-
-  /// Batched cluster-wide percentiles: one pooling pass + one sort.
+  /// Cluster-wide utilization percentiles pooling active-GPU samples
+  /// (Fig 9): one pooling pass + one sort.
   [[nodiscard]] std::vector<double> cluster_util_percentiles(
       std::span<const double> ps) const;
 
@@ -83,15 +77,13 @@ class MetricsCollector {
   [[nodiscard]] double energy_joules() const { return energy_joules_; }
   [[nodiscard]] std::size_t crash_count() const { return crashes_; }
 
-  /// Batch JCT percentile in seconds.
-  [[nodiscard]] double batch_jct_percentile(double p) const;
-  /// Batched variant: one materialization + one sort for all `ps`.
+  /// Batch JCT percentiles in seconds: one materialization + one sort for
+  /// all `ps`.
   [[nodiscard]] std::vector<double> batch_jct_percentiles(
       std::span<const double> ps) const;
   [[nodiscard]] double mean_batch_jct_seconds() const;
-  /// LC end-to-end latency percentile in milliseconds.
-  [[nodiscard]] double query_latency_percentile(double p) const;
-  /// Batched variant: one materialization + one sort for all `ps`.
+  /// LC end-to-end latency percentiles in milliseconds: one
+  /// materialization + one sort for all `ps`.
   [[nodiscard]] std::vector<double> query_latency_percentiles(
       std::span<const double> ps) const;
 

@@ -1,12 +1,11 @@
 #include "knots/scenario.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <vector>
 
+#include "core/parse.hpp"
 #include "gpu/device_model.hpp"
 #include "workload/app_mix.hpp"
 
@@ -38,34 +37,15 @@ std::vector<Line> tokenize(std::istream& in) {
   return lines;
 }
 
-/// Full-consumption integer parse; out-of-range input (ERANGE) is rejected
-/// rather than saturated.
-std::optional<long long> to_int(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  errno = 0;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno == ERANGE || end == nullptr || *end != '\0') return std::nullopt;
-  return v;
-}
-
-/// to_int for fields stored as int: values outside int are rejected before
-/// the cast could wrap them.
+/// parse_int for fields stored as int: values outside int are rejected
+/// before the cast could wrap them.
 std::optional<int> to_int32(const std::string& s) {
-  const auto v = to_int(s);
+  const auto v = parse_int(s);
   if (!v.has_value() || *v < std::numeric_limits<int>::min() ||
       *v > std::numeric_limits<int>::max()) {
     return std::nullopt;
   }
   return static_cast<int>(*v);
-}
-
-std::optional<double> to_double(const std::string& s) {
-  if (s.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return v;
 }
 
 /// Largest whole-second time whose microsecond count fits SimTime.
@@ -75,7 +55,7 @@ constexpr long long kMaxSeconds = kNever / kSec;
 /// values and values past kMaxSeconds are rejected.
 std::optional<SimTime> to_time(std::string s) {
   if (!s.empty() && s.back() == 's') s.pop_back();
-  const auto v = to_int(s);
+  const auto v = parse_int(s);
   if (!v.has_value() || *v < 0 || *v > kMaxSeconds) return std::nullopt;
   return *v * kSec;
 }
@@ -213,7 +193,7 @@ bool handle_tenant(ScenarioBuilder& b, const Line& line, std::string& error) {
     std::string key;
     std::string value;
     if (split_kv(line.tokens[i], key, value)) {
-      const auto v = to_double(value);
+      const auto v = parse_double(value);
       if (v.has_value() && *v > 0 && key == "quota_mb") {
         quota.provision_cap_mb = *v;
         continue;
@@ -386,7 +366,7 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
       }
       b.builder.scheduler(sched::scheduler_from_name(line.tokens[1]));
     } else if (directive == "seed" && unary) {
-      const auto seed = to_int(line.tokens[1]);
+      const auto seed = parse_int(line.tokens[1]);
       if (!seed.has_value() || *seed < 0) {
         error = err(line.number, "seed must be a non-negative integer");
         return std::nullopt;
@@ -414,9 +394,9 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
       }
       b.builder.mix(*mix);
     } else if (directive == "load_scale" && unary) {
-      const auto scale = to_double(line.tokens[1]);
+      const auto scale = parse_double(line.tokens[1]);
       if (!scale.has_value() || *scale <= 0) {
-        error = err(line.number, "load_scale must be positive");
+        error = err(line.number, "load_scale must be a positive number");
         return std::nullopt;
       }
       b.builder.load_scale(*scale);
@@ -459,16 +439,16 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
         return std::nullopt;
       }
     } else if (directive == "power_cap_watts" && unary) {
-      const auto watts = to_double(line.tokens[1]);
+      const auto watts = parse_double(line.tokens[1]);
       if (!watts.has_value() || *watts <= 0) {
-        error = err(line.number, "power_cap_watts must be positive");
+        error = err(line.number, "power_cap_watts must be a positive number");
         return std::nullopt;
       }
       b.builder.power_cap_watts(*watts);
     } else if (directive == "image_mb" && unary) {
-      const auto mb = to_double(line.tokens[1]);
+      const auto mb = parse_double(line.tokens[1]);
       if (!mb.has_value() || *mb < 0) {
-        error = err(line.number, "image_mb must be >= 0");
+        error = err(line.number, "image_mb must be a number >= 0");
         return std::nullopt;
       }
       b.builder.image_mb(*mb);

@@ -2,6 +2,8 @@
 
 #include <ostream>
 
+#include "core/percentile.hpp"
+
 namespace knots::obs {
 
 void Histogram::record(double x) {
@@ -15,6 +17,10 @@ void Histogram::record(double x) {
   ++count_;
   sum_ += x;
   recent_.push(x);
+}
+
+double Histogram::quantile(double p) const {
+  return recent_.empty() ? 0.0 : percentile(recent_.last(recent_.size()), p);
 }
 
 Counter& MetricsRegistry::counter(const std::string& name) {

@@ -3,8 +3,10 @@
 // The registry is the run's numeric dashboard: the cluster refreshes its
 // gauges once per tick, counters accumulate decision/lifecycle tallies, and
 // the profiling hooks (obs/profile.hpp) feed wall-clock timings into
-// histograms built on the knots::stats rolling accumulators. Everything is
-// dumpable as deterministic (name-sorted) JSON — knots_ctl --metrics-out.
+// histograms: running count/sum/extrema plus the last `window` raw samples,
+// whose percentiles come from core::percentile, the repo's one percentile
+// path. Everything is dumpable as deterministic (name-sorted) JSON —
+// knots_ctl --metrics-out.
 //
 // Naming convention (DESIGN.md §8): dotted lower-case "<module>.<what>",
 // with the unit as a suffix when it is not obvious — e.g.
@@ -20,7 +22,7 @@
 #include <map>
 #include <string>
 
-#include "stats/rolling.hpp"
+#include "core/ring_buffer.hpp"
 
 namespace knots::obs {
 
@@ -43,7 +45,8 @@ class Gauge {
 };
 
 /// Running count/sum/extrema over all samples plus exact percentiles over
-/// the most recent `window` samples (stats::RollingQuantile shadow).
+/// the most recent `window` samples. Recording is O(1); a quantile selects
+/// over a copy of the window.
 class Histogram {
  public:
   explicit Histogram(std::size_t window = 1024) : recent_(window) {}
@@ -57,14 +60,14 @@ class Histogram {
   }
   [[nodiscard]] double min() const noexcept { return count_ == 0 ? 0 : min_; }
   [[nodiscard]] double max() const noexcept { return count_ == 0 ? 0 : max_; }
-  /// Type-7 percentile of the recent window, p in [0, 100].
-  [[nodiscard]] double quantile(double p) const { return recent_.quantile(p); }
+  /// Type-7 percentile of the recent window, p in [0, 100]; 0 when empty.
+  [[nodiscard]] double quantile(double p) const;
   [[nodiscard]] std::size_t window_count() const noexcept {
-    return recent_.count();
+    return recent_.size();
   }
 
  private:
-  stats::RollingQuantile recent_;
+  RingBuffer<double> recent_;
   std::uint64_t count_ = 0;
   double sum_ = 0.0;
   double min_ = 0.0;

@@ -196,8 +196,8 @@ void CbpScheduler::on_schedule(cluster::SchedulingContext& ctx) {
 
     // Algorithm 1's node list: active GPUs ordered by free memory. We walk
     // it best-fit (least free first) so work consolidates onto already-busy
-    // GPUs and idle ones can deep-sleep. The list is served from the
-    // aggregator's cache (re-sorted only when a view changed); iterate the
+    // GPUs and idle ones can deep-sleep. The aggregator keeps the list
+    // between queries (re-sorted only when its inputs moved); iterate the
     // descending order in reverse instead of copying it. `accept` filters
     // the walk by node class for the spot-preference passes.
     const auto try_views = [&](auto&& accept) -> bool {

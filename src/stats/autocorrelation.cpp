@@ -1,14 +1,14 @@
 #include "stats/autocorrelation.hpp"
 
-#include "stats/descriptive.hpp"
-
 namespace knots::stats {
 
 double autocorrelation(std::span<const double> ys, std::size_t lag) {
   const std::size_t n = ys.size();
   if (lag == 0) return 1.0;
   if (n < 2 || lag >= n) return 0.0;
-  const double ybar = mean(ys);
+  double sum = 0.0;
+  for (double y : ys) sum += y;
+  const double ybar = sum / static_cast<double>(n);
   double denom = 0.0;
   for (double y : ys) denom += (y - ybar) * (y - ybar);
   if (denom == 0.0) return 0.0;

@@ -5,15 +5,13 @@
 // time-series window `d` of §IV-C), and nodes sorted by free memory
 // (Algorithm 1's Sort_by_Free_Memory).
 //
-// The read API is tick-loop friendly: GPU lookup is O(1) via an index built
-// at registration, windows are filled into caller-owned scratch buffers, and
-// the sorted-by-free-memory list is served from one cached sorted run of
-// {free-memory, slot} keys. The run is dirty-tracked: it re-sorts only when
-// a database actually appended rows, a device's usable capacity moved (ECC
-// retirement) or a parked bit flipped. The cluster pulls each tick's fresh
-// rows in during its telemetry scrape (refresh). Both the row refresh and
-// the sort are demand-driven: policies that never query (Res-Ag, Uniform)
-// never pay for either.
+// Every view is read where it lives: the node db's newest row and the live
+// device, through a slot table built at registration (GPU lookup is O(1)).
+// Windows are filled into caller-owned scratch buffers. The sorted-by-free-
+// memory list is kept between queries and rebuilt only when a db appended
+// rows, a device's parked bit or usable capacity moved (ECC retirement), or
+// the tick advanced; a moved resident count is patched in place. Policies
+// that never query (Res-Ag, Uniform) never pay for the sort.
 //
 // Not thread-safe. Each simulated cluster owns one aggregator.
 #pragma once
@@ -58,14 +56,8 @@ class UtilizationAggregator {
   void register_node(const gpu::GpuNode& node, const TimeSeriesDb& db);
 
   [[nodiscard]] std::size_t node_count() const noexcept {
-    return nodes_.size();
+    return dbs_.size();
   }
-
-  /// Copies every GPU's newest row into the row cache and marks the sorted
-  /// run stale if any landed; the next sorted query at the same tick then
-  /// skips re-checking the databases. Called from the cluster's telemetry
-  /// scrape. No-op until the first query creates demand.
-  void refresh() const;
 
   // -- Staleness rule (DESIGN.md §7) --
   /// A GPU is stale when now − last_heartbeat > horizon. Horizon 0
@@ -73,8 +65,7 @@ class UtilizationAggregator {
   /// stale_after_heartbeats × tick.
   void set_staleness_horizon(SimTime horizon) noexcept { horizon_ = horizon; }
   /// Advances the aggregator's notion of "now" (called once per cluster
-  /// tick, after telemetry lands); snapshots compare heartbeat ages
-  /// against it.
+  /// tick); snapshots compare heartbeat ages against it.
   void begin_tick(SimTime now) noexcept { now_ = now; }
   /// Staleness of one GPU under the configured horizon.
   [[nodiscard]] bool stale(GpuId gpu) const;
@@ -88,10 +79,10 @@ class UtilizationAggregator {
 
   /// Snapshot of *active* (non-parked) GPUs sorted by free memory
   /// (descending) — Algorithm 1's node list. The returned reference stays
-  /// valid until the next call. Served from cache unless rows landed, a
-  /// parked bit or a usable capacity moved, or the tick advanced since the
-  /// last build; a moved resident count (every placement and completion) is
-  /// patched into the cached view in place, since it keys neither order nor
+  /// valid until the next call. Rebuilt only when rows landed, a parked bit
+  /// or a usable capacity moved, or the tick advanced since the last build;
+  /// a moved resident count (every placement and completion) is patched
+  /// into the kept view in place, since it keys neither order nor
   /// membership. Ties resolve by registration slot, exactly like the
   /// historical stable_sort.
   [[nodiscard]] const std::vector<GpuView>& active_sorted_by_free_memory()
@@ -113,21 +104,12 @@ class UtilizationAggregator {
     sort_profile_ = hist;
   }
 
-  /// Registers a device-mutation epoch: the owner bumps `*epoch` whenever
-  /// any registered device's parked/residents/usable-capacity state changes
-  /// (placement, completion, park, ECC retirement). While the epoch is
-  /// unchanged, queries skip the O(slots) live-bits diff entirely — at
-  /// datacenter scale that scan dominates the query cost. Without an epoch
-  /// (standalone use) every query diffs, which is always correct.
-  void set_live_epoch(const std::uint64_t* epoch) noexcept {
-    live_epoch_ = epoch;
-  }
-
  private:
-  struct Entry {
+  /// Where one GPU's view lives. Slots number GPUs in registration order.
+  struct Slot {
     const gpu::GpuNode* node;
+    const gpu::GpuDevice* device;
     const TimeSeriesDb* db;
-    std::size_t first_slot;  ///< Index of this node's first GPU slot.
   };
   /// Sort key for Algorithm 1. Keyed (free_mem desc, slot asc): slot order
   /// is registration order, so ties resolve exactly like the historical
@@ -136,86 +118,38 @@ class UtilizationAggregator {
     double free_mem_mb;
     std::uint32_t slot;
   };
-  /// Live per-slot device fields the views depend on but no database stamp
-  /// tracks. A cheap pre-sort scan diffs them against the device.
+  /// The device fields the sorted list depends on, as of the last query.
   struct LiveBits {
-    double effective_mb = -1.0;
+    double effective_mb = -1.0;  ///< -1: registered since, never diffed
     std::int32_t residents = -1;
     bool parked = false;
   };
 
-  /// Immutable per-slot facts captured at registration, so the sorted
-  /// list's random-order (free-sorted) emission never chases node/device
-  /// pointers.
-  struct SlotStatic {
-    GpuId gpu;
-    NodeId node;
-    double cap = 0.0;  ///< physical memory_mb (spec; ECC-independent)
-    bool preemptible = false;  ///< hosting node is spot capacity (spec)
-  };
+  [[nodiscard]] const Slot* find_gpu(GpuId gpu) const;
+  [[nodiscard]] GpuView make_view(std::size_t slot) const;
+  /// Rows written to every registered db; moves whenever any db appends.
+  [[nodiscard]] std::uint64_t total_rows() const;
+  /// Diffs every device against live_bits_ and patches moved resident
+  /// counts into the sorted list; true when a parked bit or a usable
+  /// capacity moved (sort key or membership stale).
+  bool diff_live_bits() const;
 
-  [[nodiscard]] const Entry* find_gpu(GpuId gpu) const;
-  /// Copies each GPU's newest row into latest_ when the node's db wrote rows
-  /// since the last refresh; true if it did.
-  bool refresh_entry(std::size_t entry_idx) const;
-  /// refresh_entry over every node; true if any wrote rows.
-  bool refresh_entries() const;
-  void rebuild_keys() const;
-  [[nodiscard]] GpuView make_view(std::size_t entry_idx,
-                                  std::size_t gpu_idx) const;
-  /// make_view served entirely from slot_static_/latest_/live_bits_.
-  /// Valid only after the live-bits diff of the current query (the sorted
-  /// path) — snapshot paths, which never diff, keep reading devices live.
-  [[nodiscard]] GpuView make_view_cached(std::uint32_t slot) const;
-  /// Diffs parked/residents/capacity against the last sorted query; marks
-  /// the keys dirty when a sort key or membership went stale and patches
-  /// moved resident counts into the sorted list.
-  void diff_live_bits() const;
-
-  std::vector<Entry> nodes_;
-  std::unordered_map<std::int32_t, std::size_t> gpu_to_entry_;
-  /// Owning entry index per GPU slot (inverse of Entry::first_slot spans).
-  std::vector<std::uint32_t> slot_entry_;
-  std::vector<SlotStatic> slot_static_;  ///< per GPU slot
+  std::vector<Slot> slots_;
+  std::vector<const TimeSeriesDb*> dbs_;  ///< one per registered node
+  std::unordered_map<std::int32_t, std::size_t> gpu_to_slot_;
   SimTime horizon_ = 0;
   SimTime now_ = 0;
 
-  mutable std::vector<std::uint64_t> entry_seen_;  ///< db stamp per entry
-  /// Newest row per GPU slot (time -1 = never reported), refreshed only when
-  /// the node's db wrote rows. Schedulers snapshot once per pending pod but
-  /// telemetry lands once per tick, and the sorted list reads slots in
-  /// random order: a dense copy beats chasing each node's db.
-  mutable std::vector<Row> latest_;
-
-  // -- Sort state --
-  /// Sorted run over the *unparked* GPU slots (as of the last live-bits
-  /// diff — a park/unpark flip dirties it, so at datacenter scale the
-  /// per-tick sort covers only the active population, not the parked long
-  /// tail).
-  mutable std::vector<SortKey> keys_;
-  /// Keys are out of date (registration, capacity or parked move, or rows
-  /// landed since the last sort).
-  mutable bool keys_dirty_ = true;
-  /// Tick at which refresh() last pulled every db's rows. Rows land only in
-  /// the cluster's telemetry phase, so a query at the same tick can skip
-  /// re-checking every entry's db stamp.
-  mutable SimTime fresh_now_ = -1;
-  mutable std::vector<LiveBits> live_bits_;         ///< per GPU slot
-  /// Sticky demand flag: set by the first query, read by refresh() so
-  /// non-querying policies never pay refresh/sort costs.
-  mutable bool refresh_demand_ = false;
-  // Sorted-list cache: the views built from the current keys, valid while
-  // the keys are clean and the tick's `now` (staleness flags) is unchanged;
-  // resident counts are patched in place.
+  // -- Sorted list, kept between queries --
   mutable std::vector<GpuView> active_sorted_;
+  mutable std::vector<SortKey> keys_;  ///< sort scratch
+  mutable std::vector<LiveBits> live_bits_;  ///< per slot
   /// Index of each slot's view in active_sorted_ (kUnlisted when parked),
   /// so a resident-count move patches one view instead of rebuilding.
   static constexpr std::uint32_t kUnlisted = ~std::uint32_t{0};
   mutable std::vector<std::uint32_t> sorted_pos_;
-  mutable SimTime sorted_now_ = -1;
-  /// Device-mutation epoch (see set_live_epoch); null = diff every query.
-  const std::uint64_t* live_epoch_ = nullptr;
-  mutable std::uint64_t live_epoch_seen_ = ~std::uint64_t{0};
+  mutable std::uint64_t sorted_rows_ = 0;  ///< total_rows() at the build
+  mutable SimTime sorted_now_ = -1;        ///< now_ at the build
   obs::Histogram* sort_profile_ = nullptr;
 };
 

@@ -58,6 +58,26 @@ expect_reject "dl bad fabric"         -- dlsim --dl gandiva --fabric banana
 expect_reject "dl unknown link"       -- dlsim --dl gandiva --fabric auto --link-down bogus@2
 expect_reject "dl bad allreduce"      -- dlsim --dl gandiva --fabric auto --allreduce banana
 
+# Numbers outside what a run can mean: unknown app mixes, counts below 1,
+# negative seeds and non-finite doubles exit 2 before anything runs,
+# instead of aborting or silently running something else.
+expect_reject "run unknown mix"       -- run --mix 99
+expect_reject "sweep unknown mix"     -- sweep --mix 0
+expect_reject "serve unknown mix"     -- serve --mix 7
+expect_reject "dl unknown mix"        -- dlsim --mix 9
+expect_reject "run zero gpus"         -- run --gpus 0
+expect_reject "run negative nodes"    -- run --nodes -5
+expect_reject "run negative seed"     -- run --seed -7
+expect_reject "run zero duration"     -- run --duration 0
+expect_reject "serve nan qps"         -- serve --qps nan
+expect_reject "serve inf qps"         -- serve --qps inf
+expect_reject "serve nan diurnal"     -- serve --diurnal nan
+expect_reject "serve inf flash"       -- serve --qps 10 --duration 5 --flash-crowd inf
+expect_reject "dl negative dlt"       -- dlsim --dl gandiva --dlt -4
+expect_reject "dl zero dli"           -- dlsim --dl gandiva --dli 0
+expect_reject "dl zero nodes"         -- dlsim --dl gandiva --nodes 0
+expect_reject "dl nan allreduce"      -- dlsim --allreduce nan --fabric auto
+
 # list, by contrast, succeeds bare.
 "$CTL" list >"$WORK/list_out" 2>&1 || fail "list: expected exit 0, got $?"
 grep -qi "cbp" "$WORK/list_out" || fail "list: CBP missing from output"

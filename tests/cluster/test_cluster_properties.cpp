@@ -49,9 +49,9 @@ TEST_P(ClusterProperties, ConservationAndAccounting) {
 
   // Accounting sanity.
   EXPECT_GT(cl.metrics().energy_joules(), 0.0);
+  const std::vector<double> ps = {0.0, 50.0, 99.0, 100.0};
   for (std::size_t g = 0; g < cl.metrics().gpu_count(); ++g) {
-    for (double p : {0.0, 50.0, 99.0, 100.0}) {
-      const double u = cl.metrics().gpu_util_percentile(g, p);
+    for (double u : cl.metrics().gpu_util_percentiles(g, ps)) {
       EXPECT_GE(u, 0.0);
       EXPECT_LE(u, 100.0);
     }
@@ -62,8 +62,9 @@ TEST_P(ClusterProperties, ConservationAndAccounting) {
     EXPECT_GE(q.latency, 0);
   }
   // JCTs are positive and percentile-ordered.
-  EXPECT_LE(cl.metrics().batch_jct_percentile(50),
-            cl.metrics().batch_jct_percentile(99) + 1e-9);
+  const std::vector<double> median_p99 = {50.0, 99.0};
+  const auto jct = cl.metrics().batch_jct_percentiles(median_p99);
+  EXPECT_LE(jct[0], jct[1] + 1e-9);
 }
 
 INSTANTIATE_TEST_SUITE_P(

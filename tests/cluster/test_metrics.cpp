@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace knots::cluster {
 namespace {
 
@@ -12,10 +14,12 @@ TEST(Metrics, GpuUtilPercentilesExcludeInactiveSamples) {
     m.sample_gpu_util(0, 0.0, /*inactive=*/true);  // parked/empty: excluded
   }
   EXPECT_EQ(m.gpu_util_samples(0).size(), 10u);
-  EXPECT_DOUBLE_EQ(m.gpu_util_percentile(0, 50), 50.0);
-  EXPECT_DOUBLE_EQ(m.gpu_util_percentile(0, 100), 50.0);
+  const std::vector<double> ps = {50, 100};
+  const auto busy = m.gpu_util_percentiles(0, ps);
+  EXPECT_DOUBLE_EQ(busy[0], 50.0);
+  EXPECT_DOUBLE_EQ(busy[1], 50.0);
   // GPU 1 never sampled active.
-  EXPECT_DOUBLE_EQ(m.gpu_util_percentile(1, 50), 0.0);
+  EXPECT_EQ(m.gpu_util_percentiles(1, ps), std::vector<double>(2, 0.0));
 }
 
 TEST(Metrics, ClusterPercentilePoolsGpus) {
@@ -24,9 +28,11 @@ TEST(Metrics, ClusterPercentilePoolsGpus) {
     m.sample_gpu_util(0, 0.2, false);
     m.sample_gpu_util(1, 0.8, false);
   }
-  EXPECT_DOUBLE_EQ(m.cluster_util_percentile(100), 80.0);
-  EXPECT_DOUBLE_EQ(m.cluster_util_percentile(0), 20.0);
-  EXPECT_DOUBLE_EQ(m.cluster_util_percentile(50), 50.0);
+  const std::vector<double> ps = {100, 0, 50};
+  const auto pooled = m.cluster_util_percentiles(ps);
+  EXPECT_DOUBLE_EQ(pooled[0], 80.0);
+  EXPECT_DOUBLE_EQ(pooled[1], 20.0);
+  EXPECT_DOUBLE_EQ(pooled[2], 50.0);
 }
 
 TEST(Metrics, GpuCovMatchesDefinition) {
@@ -75,13 +81,16 @@ TEST(Metrics, QosAccounting) {
   EXPECT_EQ(m.query_count(), 4u);
   EXPECT_EQ(m.violation_count(), 2u);
   EXPECT_DOUBLE_EQ(m.qos_violations_per_kilo(), 500.0);
-  EXPECT_DOUBLE_EQ(m.query_latency_percentile(100), 500.0);
+  const std::vector<double> p100 = {100};
+  EXPECT_DOUBLE_EQ(m.query_latency_percentiles(p100)[0], 500.0);
 }
 
 TEST(Metrics, QosEmptyIsZero) {
   MetricsCollector m(1);
   EXPECT_DOUBLE_EQ(m.qos_violations_per_kilo(), 0.0);
-  EXPECT_DOUBLE_EQ(m.batch_jct_percentile(50), 0.0);
+  const std::vector<double> p50 = {50};
+  EXPECT_DOUBLE_EQ(m.batch_jct_percentiles(p50)[0], 0.0);
+  EXPECT_DOUBLE_EQ(m.query_latency_percentiles(p50)[0], 0.0);
   EXPECT_DOUBLE_EQ(m.mean_batch_jct_seconds(), 0.0);
 }
 
@@ -91,8 +100,10 @@ TEST(Metrics, BatchJctStats) {
   m.record_batch({0, 20 * kSec, 1});
   m.record_batch({0, 30 * kSec, 0});
   EXPECT_DOUBLE_EQ(m.mean_batch_jct_seconds(), 20.0);
-  EXPECT_DOUBLE_EQ(m.batch_jct_percentile(50), 20.0);
-  EXPECT_DOUBLE_EQ(m.batch_jct_percentile(100), 30.0);
+  const std::vector<double> ps = {50, 100};
+  const auto jct = m.batch_jct_percentiles(ps);
+  EXPECT_DOUBLE_EQ(jct[0], 20.0);
+  EXPECT_DOUBLE_EQ(jct[1], 30.0);
 }
 
 TEST(Metrics, EnergyAndPowerAccumulate) {

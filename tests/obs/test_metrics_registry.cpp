@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <vector>
 
+#include "core/percentile.hpp"
+#include "core/rng.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profile.hpp"
 
@@ -47,6 +50,30 @@ TEST(Histogram, ExtremaOutliveTheWindow) {
   for (int i = 0; i < 4; ++i) h.record(1.0);
   EXPECT_EQ(h.max(), 1000.0);  // ...but the running max remembers it.
   EXPECT_EQ(h.quantile(100), 1.0);
+}
+
+TEST(Histogram, QuantileIsExactOverTheLastWindow) {
+  // Three window turnovers of coarse random values with many duplicates:
+  // every quantile equals core::percentile of the last `window` samples,
+  // bit for bit.
+  for (const std::size_t window : {1, 2, 5, 64, 311}) {
+    SCOPED_TRACE(window);
+    Histogram h(window);
+    EXPECT_EQ(h.quantile(50), 0.0);  // empty window
+    Rng rng(window);
+    std::vector<double> recorded;
+    for (std::size_t i = 0; i < 3 * window; ++i) {
+      const double x = static_cast<double>(rng.uniform_int(0, 20)) * 0.25;
+      h.record(x);
+      recorded.push_back(x);
+    }
+    const std::vector<double> last(
+        recorded.end() - static_cast<std::ptrdiff_t>(window), recorded.end());
+    EXPECT_EQ(h.window_count(), window);
+    for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
+      EXPECT_EQ(h.quantile(p), percentile(last, p)) << "p" << p;
+    }
+  }
 }
 
 TEST(MetricsRegistry, FindOrCreateAndStableHandles) {

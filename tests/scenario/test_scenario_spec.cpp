@@ -183,6 +183,17 @@ TEST(ScenarioSpec, RejectionMatrix) {
       {"bad seed", "seed -3\nnodeclass a p100-16g 2\n", "seed"},
       {"zero power cap", "power_cap_watts 0\nnodeclass a p100-16g 2\n",
        "positive"},
+      // Non-finite doubles: rejected on every double field.
+      {"nan load scale", "load_scale nan\nnodeclass a p100-16g 2\n",
+       "line 1: load_scale"},
+      {"inf load scale", "load_scale inf\nnodeclass a p100-16g 2\n",
+       "line 1: load_scale"},
+      {"nan image size", "image_mb nan\nnodeclass a p100-16g 2\n",
+       "line 1: image_mb"},
+      {"inf power cap", "power_cap_watts inf\nnodeclass a p100-16g 2\n",
+       "line 1: power_cap_watts"},
+      {"inf quota", "nodeclass a p100-16g 2\ntenant 1 quota_gpu_s=inf\n",
+       "line 2: bad tenant token"},
       // Numbers past what their field can hold: rejected, never wrapped,
       // saturated or scaled into an overflow.
       {"node count past int", "nodeclass a p100-16g 99999999999\n",

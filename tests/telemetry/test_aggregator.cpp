@@ -160,13 +160,29 @@ TEST_F(AggregatorTest, ActiveSortedCacheReactsToParkFlip) {
   EXPECT_EQ(agg_.active_sorted_by_free_memory().size(), 3u);
 }
 
-TEST_F(AggregatorTest, NodeRegisteredAfterRefreshIsReadBySameTickQuery) {
-  (void)agg_.active_sorted_by_free_memory();  // create refresh demand
+TEST_F(AggregatorTest, QuietTickRefreshesStaleFlags) {
+  agg_.set_staleness_horizon(3);
+  agg_.begin_tick(0);
+  sample_all(0);
+  for (const auto& v : agg_.active_sorted_by_free_memory()) {
+    EXPECT_FALSE(v.stale);
+  }
+  // Every node goes dark: no row lands and no device moves, only the tick
+  // advances past the horizon. The list must not keep last tick's flags.
+  agg_.begin_tick(10);
+  const auto& sorted = agg_.active_sorted_by_free_memory();
+  ASSERT_EQ(sorted.size(), 3u);
+  for (const auto& v : sorted) EXPECT_TRUE(v.stale);
+  // Every GPU is idle, so the free-memory ties keep slot order.
+  EXPECT_EQ(sorted, agg_.snapshot());
+}
+
+TEST_F(AggregatorTest, NodeRegisteredMidTickIsReadBySameTickQuery) {
   agg_.begin_tick(4);
   sample_all(4);
-  agg_.refresh();  // rows of the three registered nodes are now fresh
-  // A node that joins after this tick's refresh brings rows the refresh
-  // never pulled; the same-tick query must still read them.
+  ASSERT_EQ(agg_.active_sorted_by_free_memory().size(), 3u);
+  // A node that joins after this tick's first query brings a row and a
+  // device the kept list has never seen; the same-tick query must read both.
   gpu::NodeSpec spec;
   spec.gpus_per_node = 1;
   auto& late = *nodes_.emplace_back(
@@ -181,14 +197,14 @@ TEST_F(AggregatorTest, NodeRegisteredAfterRefreshIsReadBySameTickQuery) {
   ASSERT_EQ(sorted.size(), 4u);
   EXPECT_EQ(sorted.back().gpu.value, 3);  // least free memory
   EXPECT_EQ(sorted.back().last_heartbeat, 4);
+  EXPECT_EQ(sorted.back().residents, 1);
 }
 
-// Algorithm 1's cached list against its definition: a stable sort by free
+// Algorithm 1's kept list against its definition: a stable sort by free
 // memory (descending) of snapshot()'s unparked views. Seeded random
 // heartbeats (some nodes silent, so staleness flips), attach/detach,
-// park/unpark and ECC retirement under the cluster's device-epoch
-// discipline, with and without the per-tick refresh; the two must agree in
-// every GpuView field.
+// park/unpark and ECC retirement, several between queries; the two must
+// agree in every GpuView field.
 TEST(AggregatorProperty, ActiveSortedIsStableSortOfSnapshot) {
   constexpr int kNodes = 12;
   Rng rng(78);
@@ -207,8 +223,6 @@ TEST(AggregatorProperty, ActiveSortedIsStableSortOfSnapshot) {
     const auto i = static_cast<std::size_t>(n);
     samplers.emplace_back(*nodes[i], *dbs[i], Rng(100 + i), 0.02);
   }
-  std::uint64_t epoch = 0;
-  agg.set_live_epoch(&epoch);
   agg.set_staleness_horizon(3);
 
   std::vector<std::vector<PodId>> residents(2 * kNodes);
@@ -226,16 +240,12 @@ TEST(AggregatorProperty, ActiveSortedIsStableSortOfSnapshot) {
       for (auto& sampler : samplers) {
         if (rng.chance(0.8)) sampler.sample(now);
       }
-      // Standalone writers may skip the refresh; queries must still see
-      // their rows.
-      if (rng.chance(0.8)) agg.refresh();
     } else if (dice < 0.45) {
       const PodId pod{next_pod++};
       if (dev.attach(pod, rng.uniform(0, 4000))) {
         (void)dev.set_usage(pod, {rng.uniform(0, 0.4), rng.uniform(0, 6000),
                                   0, 0});
         residents[g].push_back(pod);
-        ++epoch;
       }
     } else if (dice < 0.65) {
       if (!residents[g].empty()) {
@@ -244,16 +254,13 @@ TEST(AggregatorProperty, ActiveSortedIsStableSortOfSnapshot) {
         dev.detach(residents[g][k]);
         residents[g].erase(residents[g].begin() +
                            static_cast<std::ptrdiff_t>(k));
-        ++epoch;
       }
     } else if (dice < 0.8) {
       if (dev.parked() || residents[g].empty()) {
         dev.set_parked(!dev.parked());
-        ++epoch;
       }
     } else if (dice < 0.85) {
       dev.retire_memory_mb(rng.uniform(0, 512));
-      ++epoch;
     }
     // Several mutations may land between queries, and a snapshot may be
     // taken first: callers may mix both reads.
