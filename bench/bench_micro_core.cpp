@@ -1,11 +1,12 @@
 // Google-benchmark microbenchmarks of the hot paths: telemetry ingest and
-// window queries, forecaster fits, correlation, the event queue, and one
-// full scheduler round.
+// window queries, forecaster fits, correlation, the event queue, one full
+// scheduler round, and the per-tick invariant audit.
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
 #include "core/rng.hpp"
 #include "dlsim/dl_cluster.hpp"
+#include "knots/config.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/registry.hpp"
@@ -14,6 +15,8 @@
 #include "stats/correlation.hpp"
 #include "stats/regressors.hpp"
 #include "telemetry/timeseries_db.hpp"
+#include "verify/invariant_checker.hpp"
+#include "workload/app_mix.hpp"
 #include "workload/load_generator.hpp"
 
 namespace {
@@ -167,6 +170,83 @@ void BM_FullClusterRunTraced(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FullClusterRunTraced)->Unit(benchmark::kMillisecond);
+
+/// Stops the engine at every tick end, so a bench can hold a cluster at one
+/// tick's rest state and step it a tick at a time.
+class StopAtTickEnd final : public cluster::ClusterObserver {
+ public:
+  explicit StopAtTickEnd(cluster::Cluster& cluster) : cluster_(cluster) {}
+  void on_tick_end(const cluster::Cluster&) override {
+    cluster_.engine().request_stop();
+  }
+
+ private:
+  cluster::Cluster& cluster_;
+};
+
+void BM_InvariantAudit(benchmark::State& state) {
+  // One InvariantChecker::on_tick_end on a cluster held mid-run, in the two
+  // pod-table shapes of the perfbench workloads. Arg 1000 is pods-1k: 1,000
+  // P100 nodes under PP at the testbed's pod density, held at 28 s with
+  // 21,085 pods and ~770 live (the run's average). Arg 72 is fleet-serve's
+  // table: 72 nodes under CBP, held at 20 s with ~3,000 pods and ~50 live.
+  // Batch pods run ten times shorter and arrive ten times faster, as in
+  // perfbench, so occupancy stays at that density.
+  const int nodes = static_cast<int>(state.range(0));
+  const bool datacenter = nodes >= 1000;
+  const SimTime hold_at = (datacenter ? 28 : 20) * kSec;
+  ExperimentConfig cfg =
+      ExperimentConfig::Builder{}
+          .mix(1)
+          .scheduler(datacenter ? sched::SchedulerKind::kPeakPrediction
+                                : sched::SchedulerKind::kCbp)
+          .nodes(nodes)
+          .duration((datacenter ? 20 : 40) * kSec)
+          .seed(1)
+          .load_scale(nodes / 10.0)
+          .build();
+  cfg.workload.min_time_scale /= 10.0;
+  cfg.workload.max_time_scale /= 10.0;
+  cfg.workload.batch_rate_scale *= 10.0;
+  cfg.cluster.seed = cfg.seed;
+  auto scheduler = sched::make_scheduler(cfg.scheduler);
+  cluster::Cluster cl(cfg.cluster, *scheduler);
+  cl.load(workload::generate_workload(workload::app_mix(cfg.mix_id),
+                                      cfg.workload, Rng(cfg.seed)));
+  // The checker audits every real tick from the first, as in a run, so its
+  // state mirror follows the run's transitions.
+  verify::InvariantChecker checker(verify::InvariantOptions{
+      .provision_ceiling_ratio = 1.0, .fatal = false});
+  StopAtTickEnd stop(cl);
+  cl.add_observer(&checker);
+  cl.add_observer(&stop);
+  cl.run();  // Returns at the end of the first tick.
+  while (cl.now() < hold_at) cl.engine().run_all();
+
+  // Audits must see the clock move, so each timed one runs at the next
+  // microsecond of the same rest state; the next real tick runs (untimed)
+  // just before its event would fire and brings its few state changes.
+  SimTime next_tick = cl.now() + cfg.cluster.tick;
+  for (auto _ : state) {
+    if (cl.now() + 1 >= next_tick) {
+      state.PauseTiming();
+      cl.engine().run_all();
+      next_tick = cl.now() + cfg.cluster.tick;
+      state.ResumeTiming();
+    }
+    cl.engine().run_until(cl.now() + 1);
+    checker.on_tick_end(cl);
+  }
+  if (!checker.ok()) state.SkipWithError("the audit found a violation");
+  std::size_t live = 0;
+  for (std::uint8_t s : cl.pod_state_table()) {
+    live += s == static_cast<std::uint8_t>(cluster::PodState::kStarting) ||
+            s == static_cast<std::uint8_t>(cluster::PodState::kRunning);
+  }
+  state.counters["pods"] = static_cast<double>(cl.pod_count());
+  state.counters["live"] = static_cast<double>(live);
+}
+BENCHMARK(BM_InvariantAudit)->Arg(1000)->Arg(72)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -172,10 +172,12 @@ std::optional<int> mix_flag(const std::map<std::string, std::string>& flags,
 }
 
 /// Parses `--crash-node N@T[:D]` (node N dies at T seconds, down D seconds;
-/// omitted D = forever) into a one-event fault plan. Missing flag → empty
-/// plan; malformed spec → nullopt after a message.
+/// omitted D = forever) into a one-event fault plan. The node must be one of
+/// the run's `nodes` — CLI-side pre-check, because FaultPlan's own
+/// validation aborts rather than exiting 2. Missing flag → empty plan;
+/// malformed spec or a node outside the run → nullopt after a message.
 std::optional<fault::FaultPlan> crash_plan_from_flags(
-    const std::map<std::string, std::string>& flags) {
+    const std::map<std::string, std::string>& flags, int nodes) {
   fault::FaultPlan plan;
   const auto it = flags.find("crash-node");
   if (it == flags.end()) return plan;
@@ -188,8 +190,13 @@ std::optional<fault::FaultPlan> crash_plan_from_flags(
     const auto at = parse_int(rest.substr(0, colon));
     std::optional<long long> down_for = 0;
     if (colon != std::string::npos) down_for = parse_int(rest.substr(colon + 1));
-    if (node && at && down_for && *node >= 0 && *node <= kIntMax &&
-        *at >= 0 && *down_for >= 0 && fits_clock(*at, *down_for)) {
+    if (node && at && down_for && *node >= 0 && *at >= 0 &&
+        *down_for >= 0 && fits_clock(*at, *down_for)) {
+      if (*node >= nodes) {
+        std::cerr << "knots_ctl: --crash-node targets node " << *node
+                  << " but the run has only " << nodes << " nodes\n";
+        return std::nullopt;
+      }
       plan.node_crash(NodeId{static_cast<std::int32_t>(*node)}, *at * kSec,
                       *down_for * kSec);
       return plan;
@@ -316,7 +323,7 @@ std::optional<ExperimentConfig> config_from_flags(
   if (!fabric) return std::nullopt;
   if (!fabric->empty()) builder.fabric(*fabric);
 
-  auto plan = crash_plan_from_flags(flags);
+  auto plan = crash_plan_from_flags(flags, static_cast<int>(*nodes));
   if (!plan) return std::nullopt;
   if (!add_link_down(flags, *fabric, *plan)) return std::nullopt;
   if (!plan->events.empty()) builder.faults(*plan);
@@ -726,7 +733,7 @@ int cmd_dlsim(const std::map<std::string, std::string>& flags) {
   }
 
   dlsim::DlRunOptions options;
-  auto plan = crash_plan_from_flags(flags);
+  auto plan = crash_plan_from_flags(flags, cluster.nodes);
   if (!plan || !add_link_down(flags, *fabric, *plan)) {
     std::cerr << kUsage;
     return 2;

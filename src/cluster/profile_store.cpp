@@ -27,9 +27,11 @@ void ProfileStore::record_run(const std::string& image, double p80_memory_mb,
                               double peak_sm,
                               const std::vector<double>& memory_signature,
                               const std::vector<double>& sm_signature) {
-  ++gen_;
   auto& prof = profiles_[image];
   if (prof.observed_runs == 0) {
+    // Only a new image changes what find() returns: later runs update the
+    // profile in place, behind the same pointer.
+    ++gen_;
     prof.image = image;
     prof.p80_memory_mb = p80_memory_mb;
     prof.peak_memory_mb = peak_memory_mb;

@@ -47,10 +47,12 @@ class ProfileStore {
   }
   [[nodiscard]] std::size_t size() const noexcept { return profiles_.size(); }
 
-  /// Bumped on every record_run(). Schedulers key per-pod profile caches on
-  /// this: while the generation stands still, a cached find() result —
-  /// including a miss — is still current. ImageProfile pointers are stable
-  /// (node-based map), so caching the pointer itself is safe.
+  /// Bumped when record_run() adds an image, the only change to what
+  /// find() returns: later runs update the profile in place, and
+  /// ImageProfile pointers are stable (node-based map). Schedulers key
+  /// per-pod profile caches on this: while the generation stands still, a
+  /// cached find() result — pointer or miss — is still current, and reads
+  /// through a cached pointer see the latest runs.
   [[nodiscard]] std::uint64_t generation() const noexcept { return gen_; }
 
   /// Spearman correlation between two images' memory signatures; nullopt

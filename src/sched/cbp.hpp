@@ -73,10 +73,10 @@ class CbpScheduler : public cluster::Scheduler {
   void harvest(cluster::Cluster& cluster);
 
   /// Memoized ProfileStore::find for a pod's image. A pod's profile key is
-  /// immutable and profiles only change when record_run() bumps the store
-  /// generation, so the (generation, pointer) pair — misses included — stays
-  /// valid until then. Saves a string hash per lookup; CBP asks several
-  /// times per pending pod per tick.
+  /// immutable and find() only changes when record_run() adds an image and
+  /// bumps the store generation, so the (generation, pointer) pair — misses
+  /// included — stays valid until then. Saves a string hash per lookup; CBP
+  /// asks several times per pending and resident pod per tick.
   [[nodiscard]] const cluster::ImageProfile* profile_of(
       const cluster::Cluster& cluster, const cluster::Pod& pod) const;
 

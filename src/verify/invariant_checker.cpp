@@ -1,6 +1,5 @@
 #include "verify/invariant_checker.hpp"
 
-#include <array>
 #include <cmath>
 #include <map>
 #include <string>
@@ -24,32 +23,6 @@ std::string gpu_tag(GpuId gpu) {
 
 std::string pod_tag(PodId pod) {
   return "pod " + std::to_string(pod.value);
-}
-
-/// Transitions observable between two consecutive tick-end audits. These
-/// are the closures of the single-step transitions in pod.hpp over one
-/// tick: e.g. a crashed pod can requeue *and* be re-placed within one tick,
-/// so Crashed → Starting is observable even though the state machine only
-/// allows Crashed → Pending → Starting.
-bool observable_transition(cluster::PodState from,
-                           cluster::PodState to) noexcept {
-  using S = cluster::PodState;
-  if (from == to) return true;
-  switch (from) {
-    case S::kPending:
-      return to == S::kStarting;
-    case S::kStarting:
-      return to == S::kRunning || to == S::kCrashed || to == S::kEvicted;
-    case S::kRunning:
-      return to == S::kCompleted || to == S::kCrashed || to == S::kEvicted;
-    case S::kCrashed:
-      return to == S::kPending || to == S::kStarting;
-    case S::kEvicted:
-      return to == S::kPending || to == S::kStarting;
-    case S::kCompleted:
-      return false;  // Terminal.
-  }
-  return false;
 }
 
 }  // namespace
@@ -83,7 +56,10 @@ void InvariantChecker::check_time(const cluster::Cluster& cluster) {
 
 void InvariantChecker::check_devices(const cluster::Cluster& cluster) {
   const double eps = options_.memory_epsilon_mb;
-  for (GpuId gpu : cluster.all_gpus()) {
+  // Dense GPU ids: walk indices instead of allocating all_gpus() per tick.
+  const std::size_t gpus = cluster.gpu_count();
+  for (std::size_t g = 0; g < gpus; ++g) {
+    const GpuId gpu{static_cast<std::int32_t>(g)};
     const auto& dev = cluster.device(gpu);
     const auto totals = dev.totals();
     const auto& spec = dev.spec();
@@ -234,9 +210,7 @@ void InvariantChecker::check_pods(const cluster::Cluster& cluster) {
   const std::size_t n = cluster.pod_count();
   // Pods are all loaded before run(); the first audit baselines them at
   // their construction state (Pending).
-  if (last_states_.size() < n) {
-    last_states_.resize(n, static_cast<std::uint8_t>(S::kPending));
-  }
+  last_states_.resize(n, static_cast<std::uint8_t>(S::kPending));
 
   auto& in_pending = in_pending_scratch_;
   in_pending.assign(n, false);
@@ -262,12 +236,17 @@ void InvariantChecker::check_pods(const cluster::Cluster& cluster) {
   // decides everything cheap (conservation histogram, transition legality —
   // same state to same state is always legal), and only pods that changed
   // state or sit in a live state (Starting/Running: progress and residency
-  // move without a state edge) pay the full per-pod dereference. The
-  // packed byte is cross-checked against pod.state() for every audited
-  // pod, so a stale table is itself a detected violation. Trade-off versus
-  // the old exhaustive sweep: corruption of a *frozen* pod's fields with
-  // no state change (impossible through the public API) is no longer
-  // caught every tick — only at its next transition.
+  // move without a state edge) pay the full per-pod dereference.
+  // scan_pod_states compares the table with its mirror eight pods at a
+  // time: a word equal to its mirror whose pods are all frozen (Pending,
+  // Completed, Crashed, Evicted) only adds its per-state counts, so a tick
+  // pays about one compare per word of the table and the byte path only
+  // around live or changed pods. The packed byte is cross-checked against
+  // pod.state() for every audited pod, so a stale table is itself a
+  // detected violation. Trade-off versus the old exhaustive sweep:
+  // corruption of a *frozen* pod's fields with no state change (impossible
+  // through the public API) is no longer caught every tick — only at its
+  // next transition.
   const auto& table = cluster.pod_state_table();
   if (table.size() != n) {
     report(cluster, "pod-state-table",
@@ -275,31 +254,24 @@ void InvariantChecker::check_pods(const cluster::Cluster& cluster) {
                " != pod count " + std::to_string(n));
     return;
   }
-  std::array<std::size_t, 6> by_state{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint8_t cur = table[i];
-    if (cur >= by_state.size()) {
+  StateHistogram by_state;
+  scan_pod_states(table, last_states_, by_state, hits_scratch_);
+  for (const PodStateHit& hit : hits_scratch_) {
+    const PodId id{static_cast<std::int32_t>(hit.pod)};
+    if (hit.out_of_range) {
       report(cluster, "pod-state-table",
-             pod_tag(PodId{static_cast<std::int32_t>(i)}) +
-                 " packed state " + std::to_string(cur) + " out of range");
+             pod_tag(id) + " packed state " + std::to_string(hit.cur) +
+                 " out of range");
       continue;
     }
-    by_state[cur] += 1;
-    const std::uint8_t prev = last_states_[i];
-    const bool changed = cur != prev;
-    if (changed && !observable_transition(static_cast<S>(prev),
-                                          static_cast<S>(cur))) {
+    if (hit.illegal) {
       report(cluster, "pod-transition",
-             pod_tag(PodId{static_cast<std::int32_t>(i)}) +
-                 " illegal transition " +
-                 std::string(to_string(static_cast<S>(prev))) + " -> " +
-                 std::string(to_string(static_cast<S>(cur))));
+             pod_tag(id) + " illegal transition " +
+                 std::string(to_string(static_cast<S>(hit.prev))) + " -> " +
+                 std::string(to_string(static_cast<S>(hit.cur))));
     }
-    const bool live = cur == static_cast<std::uint8_t>(S::kStarting) ||
-                      cur == static_cast<std::uint8_t>(S::kRunning);
-    if (changed || live) audit_pod(cluster, i, cur);
+    audit_pod(cluster, hit.pod, hit.cur);
   }
-  last_states_.assign(table.begin(), table.end());
 
   // Conservation: every submitted pod is in exactly one lifecycle state,
   // and the cluster's completion counter matches the terminal population.
@@ -339,8 +311,9 @@ void InvariantChecker::check_tenants(const cluster::Cluster& cluster) {
   // Ground truth: per-tenant provisioned memory recomputed from device
   // residents (ordered map so any reporting below is deterministic).
   std::map<int, double> observed;
-  for (GpuId gpu : cluster.all_gpus()) {
-    const auto& dev = cluster.device(gpu);
+  const std::size_t gpus = cluster.gpu_count();
+  for (std::size_t g = 0; g < gpus; ++g) {
+    const auto& dev = cluster.device(GpuId{static_cast<std::int32_t>(g)});
     for (PodId pod : dev.residents()) {
       observed[cluster.pod(pod).spec().tenant] +=
           dev.provisioned_mb(pod).value_or(0.0);

@@ -37,6 +37,7 @@
 #include "cluster/observer.hpp"
 #include "cluster/pod.hpp"
 #include "core/types.hpp"
+#include "verify/state_scan.hpp"
 
 namespace knots::verify {
 
@@ -104,9 +105,11 @@ class InvariantChecker final : public cluster::ClusterObserver {
   InvariantOptions options_;
   SimTime last_tick_ = -1;
   /// Previous audit's packed states (mirror of Cluster::pod_state_table()).
-  /// Byte-diffing against the cluster's table finds the pods worth a full
-  /// dereference; unchanged frozen-state pods skip the audit entirely.
+  /// Diffing against the cluster's table finds the pods worth a full
+  /// dereference; words of unchanged frozen-state pods skip the audit
+  /// entirely (scan_pod_states).
   std::vector<std::uint8_t> last_states_;
+  std::vector<PodStateHit> hits_scratch_;  ///< Reused across per-tick scans.
   std::vector<bool> in_pending_scratch_;  ///< Reused across per-tick audits.
   std::vector<Violation> violations_;
   std::uint64_t checks_ = 0;

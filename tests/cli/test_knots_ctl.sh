@@ -77,6 +77,11 @@ expect_reject "dl negative dlt"       -- dlsim --dl gandiva --dlt -4
 expect_reject "dl zero dli"           -- dlsim --dl gandiva --dli 0
 expect_reject "dl zero nodes"         -- dlsim --dl gandiva --nodes 0
 expect_reject "dl nan allreduce"      -- dlsim --allreduce nan --fabric auto
+# A crash on a node the run does not have exits 2 instead of aborting in
+# FaultPlan's validation.
+expect_reject "run crash past nodes"  -- run --crash-node 999@5
+expect_reject "dl crash past nodes"   -- dlsim --dl cbp-pp --crash-node 999@5
+expect_reject "serve crash past nodes" -- serve --qps 5 --crash-node 999@5
 
 # list, by contrast, succeeds bare.
 "$CTL" list >"$WORK/list_out" 2>&1 || fail "list: expected exit 0, got $?"

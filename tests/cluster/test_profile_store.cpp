@@ -70,5 +70,23 @@ TEST(ProfileStore, SeparateImagesIndependent) {
   EXPECT_DOUBLE_EQ(store.find("face#64")->p80_memory_mb, 90);
 }
 
+TEST(ProfileStore, GenerationMovesOnlyWhenAnImageIsAdded) {
+  // Caches of find() (CBP's per-pod profile pointers) stay valid across
+  // repeat runs of an image: the pointer is stable and reads see the update.
+  ProfileStore store;
+  const auto empty = store.generation();
+  store.record_run("x", 100, 200, 0.2, 0.5, {10}, {0.1});
+  const auto one_image = store.generation();
+  EXPECT_NE(one_image, empty);
+  const ImageProfile* cached = store.find("x");
+  store.record_run("x", 200, 180, 0.4, 0.6, {20}, {0.2});
+  EXPECT_EQ(store.generation(), one_image);
+  EXPECT_EQ(store.find("x"), cached);
+  EXPECT_EQ(cached->observed_runs, 2);
+  store.record_run("y", 1, 1, 0, 0, {1}, {1});
+  EXPECT_NE(store.generation(), one_image);
+  EXPECT_EQ(store.find("x"), cached);
+}
+
 }  // namespace
 }  // namespace knots::cluster
