@@ -42,6 +42,7 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "serve/serving.hpp"
+#include "telemetry/timeseries_db.hpp"
 #include "workload/app_mix.hpp"
 
 namespace {
@@ -296,6 +297,19 @@ std::optional<ExperimentConfig> config_from_flags(
   const auto seed =
       int_flag(flags, "seed", static_cast<long long>(defaults.seed), 0);
   if (!mix || !duration || !nodes || !gpus || !seed) return std::nullopt;
+  // Every GPU's telemetry ring is allocated whole when the cluster is built,
+  // so a fleet whose rings cannot fit in this host's memory is rejected here
+  // instead of dying in the allocator.
+  const std::string too_big = memory_bound_error(
+      telemetry::TimeSeriesDb::footprint_bytes(
+          static_cast<double>(*nodes), static_cast<double>(*gpus),
+          defaults.cluster.telemetry_retention,
+          defaults.cluster.telemetry_noise),
+      "the --nodes x --gpus telemetry rings");
+  if (!too_big.empty()) {
+    std::cerr << "knots_ctl: " << too_big << "\n";
+    return std::nullopt;
+  }
   builder.mix(*mix)
       .duration(*duration * kSec)
       .nodes(static_cast<int>(*nodes))

@@ -50,9 +50,9 @@ Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
     nodes_.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, node_spec,
                                                     next_gpu));
     dbs_.push_back(std::make_unique<telemetry::TimeSeriesDb>(
-        GpuId{next_gpu},
-        static_cast<std::size_t>(node_spec.gpus_per_node),
-        config_.telemetry_retention, &telemetry_arena_));
+        *nodes_.back(), rng_.fork(1000 + static_cast<std::uint64_t>(n)),
+        config_.telemetry_noise, config_.telemetry_retention,
+        &telemetry_arena_));
     for (int g = 0; g < node_spec.gpus_per_node; ++g) {
       gpu_index_.emplace_back(static_cast<std::size_t>(n),
                               static_cast<std::size_t>(g));
@@ -71,10 +71,7 @@ Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
   for (const TenantQuotaSpec& quota : config_.tenant_quotas) {
     ledger_.set_quota(quota);
   }
-  samplers_.reserve(nodes_.size());
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    samplers_.emplace_back(*nodes_[n], *dbs_[n],
-                           rng_.fork(1000 + n), config_.telemetry_noise);
     aggregator_.register_node(*nodes_[n], *dbs_[n]);
   }
   metrics_ = std::make_unique<MetricsCollector>(gpu_index_.size());
@@ -874,7 +871,7 @@ void Cluster::tick() {
       if (muting && injector_->heartbeat_muted(nodes_[n]->id(), now())) {
         continue;
       }
-      samplers_[n].sample(now());
+      dbs_[n]->sample(now());
       ++nodes_sampled;
     }
   }

@@ -33,7 +33,6 @@
 #include "obs/trace.hpp"
 #include "sim/simulation.hpp"
 #include "telemetry/aggregator.hpp"
-#include "telemetry/sampler.hpp"
 #include "telemetry/timeseries_db.hpp"
 
 namespace knots::cluster {
@@ -346,13 +345,14 @@ class Cluster : private net::FabricObserver {
   Rng rng_;
 
   std::vector<std::unique_ptr<gpu::GpuNode>> nodes_;
-  /// Backs every node db's telemetry rings (declared before dbs_ so it
-  /// outlives them): one shared huge-page arena packs the whole
-  /// datacenter's rings contiguously in node order — per-node arenas would
-  /// never fill a huge page (a small node's rings are ~KBs).
+  /// Backs every node db's telemetry rings and noise checkpoints (declared
+  /// before dbs_ so it outlives them): one shared huge-page arena packs the
+  /// whole datacenter's rings contiguously in node order — per-node arenas
+  /// would never fill a huge page (a small node's rings are ~KBs).
   core::PageArena telemetry_arena_;
+  /// One per node, in node order; each samples its node and owns the
+  /// stream that noises the node's readings.
   std::vector<std::unique_ptr<telemetry::TimeSeriesDb>> dbs_;
-  std::vector<telemetry::HeartbeatSampler> samplers_;
   telemetry::UtilizationAggregator aggregator_;
   // GpuId -> (node index, gpu index within node); ids are dense from 0.
   std::vector<std::pair<std::size_t, std::size_t>> gpu_index_;

@@ -72,16 +72,24 @@ double Rng::exponential(double mean) noexcept {
   return -mean * std::log(u);
 }
 
-double Rng::normal(double mean, double stddev) noexcept {
-  // Box–Muller; we draw two uniforms and discard the second variate to keep
-  // per-call determinism independent of interleaving.
+Rng::NormalUniforms Rng::normal_uniforms() noexcept {
   double u1;
   do {
     u1 = uniform();
   } while (u1 <= 0.0);
-  const double u2 = uniform();
+  return {u1, uniform()};
+}
+
+double Rng::normal(double mean, double stddev) noexcept {
+  // Box–Muller; we draw two uniforms and discard the second variate to keep
+  // per-call determinism independent of interleaving.
+  const auto [u1, u2] = normal_uniforms();
   const double r = std::sqrt(-2.0 * std::log(u1));
   return mean + stddev * r * std::cos(2.0 * std::numbers::pi * u2);
+}
+
+void Rng::skip_normal(std::size_t count) noexcept {
+  for (std::size_t i = 0; i < count; ++i) (void)normal_uniforms();
 }
 
 double Rng::lognormal(double mu, double sigma) noexcept {

@@ -60,6 +60,11 @@ class Rng {
   double exponential(double mean) noexcept;
   /// Normal with mean/stddev (Box–Muller, one value per call).
   double normal(double mean, double stddev) noexcept;
+  /// Advances the stream past `count` normal() calls without evaluating
+  /// them: each consumes exactly the uniforms normal() would, rejection loop
+  /// included, so a stream that skips a draw stays in lockstep with one that
+  /// makes it.
+  void skip_normal(std::size_t count = 1) noexcept;
   /// Log-normal parameterized by the underlying normal's mu/sigma.
   double lognormal(double mu, double sigma) noexcept;
   /// Bounded Pareto with shape alpha on [lo, hi].
@@ -72,6 +77,14 @@ class Rng {
   Xoshiro256& engine() noexcept { return engine_; }
 
  private:
+  /// The uniforms of one Box–Muller draw, u1 in (0, 1) and u2 in [0, 1):
+  /// the one step normal() and skip_normal() share.
+  struct NormalUniforms {
+    double u1;
+    double u2;
+  };
+  NormalUniforms normal_uniforms() noexcept;
+
   std::uint64_t root_seed_;
   Xoshiro256 engine_;
 

@@ -7,6 +7,7 @@
 
 #include "core/parse.hpp"
 #include "gpu/device_model.hpp"
+#include "telemetry/timeseries_db.hpp"
 #include "workload/app_mix.hpp"
 
 namespace knots {
@@ -81,6 +82,7 @@ struct ScenarioBuilder {
   ScenarioSpec spec;
   ExperimentConfig::Builder builder;
   std::vector<cluster::NodeClass> classes;
+  std::vector<int> class_lines;  ///< line number of each class
   std::vector<cluster::TenantQuotaSpec> quotas;
   fault::FaultPlan faults;
   int gpus_per_node = 1;
@@ -164,6 +166,7 @@ bool handle_nodeclass(ScenarioBuilder& b, const Line& line,
   nc.preemptible = preemptible;
   nc.spot_notice = preemptible ? notice : 0;
   b.classes.push_back(std::move(nc));
+  b.class_lines.push_back(line.number);
   return true;
 }
 
@@ -294,6 +297,23 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
     error = "scenario declares " + std::to_string(total_nodes) +
             " nodes in total" + kIntBound;
     return false;
+  }
+  // Every GPU's telemetry ring is allocated whole when the cluster is built:
+  // a fleet whose rings cannot fit in this host's memory is rejected at the
+  // class that tips it over instead of dying in the allocator.
+  const cluster::ClusterConfig base = b.builder.build().cluster;
+  double telemetry_bytes = 0;
+  for (std::size_t i = 0; i < b.classes.size(); ++i) {
+    const auto& nc = b.classes[i];
+    const int gpus = nc.gpus_per_node > 0 ? nc.gpus_per_node : b.gpus_per_node;
+    telemetry_bytes += telemetry::TimeSeriesDb::footprint_bytes(
+        nc.count, gpus, base.telemetry_retention, base.telemetry_noise);
+    const std::string why =
+        memory_bound_error(telemetry_bytes, "the fleet's telemetry rings");
+    if (!why.empty()) {
+      error = err(b.class_lines[i], why);
+      return false;
+    }
   }
   // The class hosting node `n`: classes expand in file order.
   const auto class_of = [&b](int n) -> const cluster::NodeClass& {

@@ -23,25 +23,21 @@ GpuView UtilizationAggregator::make_view(std::size_t slot) const {
   const Slot& s = slots_[slot];
   const gpu::GpuDevice& dev = *s.device;
   // Rows are never dropped, so a GPU without one has never reported: it
-  // reads as all zeros, heard from at time -1.
-  static constexpr Row kNoRow{.time = -1};
-  const Row* row = s.db->latest_row(dev.id());
-  const Row& r = row != nullptr ? *row : kNoRow;
-  const double cap = dev.spec().memory_mb;
+  // reads as no memory used, heard from at time -1.
+  const SimTime heard = s.db->latest_time(dev.id());
+  const double mem = s.db->latest(dev.id(), Metric::kMemUtil);
   GpuView v;
   v.node = s.node->id();
   v.gpu = dev.id();
-  v.sm_util = r.sm;
-  v.mem_util = r.mem;
-  v.mem_used_mb = r.mem * cap;
+  v.mem_util = mem;
+  v.mem_used_mb = mem * dev.spec().memory_mb;
   // NVML reports used/physical; free is bounded by *usable* capacity
   // (physical minus ECC-retired pages).
   v.free_mem_mb = dev.effective_memory_mb() - v.mem_used_mb;
-  v.power_watts = r.power;
   v.parked = dev.parked();
   v.residents = dev.totals().residents;
-  v.last_heartbeat = r.time;
-  v.stale = horizon_ > 0 && now_ - r.time > horizon_;
+  v.last_heartbeat = heard;
+  v.stale = horizon_ > 0 && now_ - heard > horizon_;
   v.preemptible = s.node->spec().preemptible;
   return v;
 }

@@ -5,8 +5,9 @@
 // time-series window `d` of §IV-C), and nodes sorted by free memory
 // (Algorithm 1's Sort_by_Free_Memory).
 //
-// Every view is read where it lives: the node db's newest row and the live
-// device, through a slot table built at registration (GPU lookup is O(1)).
+// Every view is read where it lives: the node db's newest time and memory
+// reading and the live device, through a slot table built at registration
+// (GPU lookup is O(1)). The other four metrics are read as windows only.
 // Windows are filled into caller-owned scratch buffers. The sorted-by-free-
 // memory list is kept between queries and rebuilt only when a db appended
 // rows, a device's parked bit or usable capacity moved (ECC retirement), or
@@ -31,11 +32,9 @@ namespace knots::telemetry {
 struct GpuView {
   NodeId node;
   GpuId gpu;
-  double sm_util = 0.0;        ///< Latest sampled SM utilization [0,1].
   double mem_util = 0.0;       ///< Latest sampled memory utilization [0,1].
   double mem_used_mb = 0.0;
   double free_mem_mb = 0.0;    ///< usable capacity − used (telemetry view).
-  double power_watts = 0.0;
   bool parked = false;
   int residents = 0;
   SimTime last_heartbeat = -1; ///< Time of the newest row; -1 = never.

@@ -38,7 +38,9 @@ struct Sample {
   double value;
 };
 
-/// One heartbeat of one GPU: all five metrics, sampled at `time`.
+/// One heartbeat of one GPU: all five metrics, sampled at `time`. In a
+/// noised db (TimeSeriesDb) `sm`, `power`, `tx` and `rx` hold the device's
+/// raw values, noised when read; `mem` holds the logged reading.
 struct Row {
   SimTime time = 0;
   double sm = 0.0;     ///< Metric::kSmUtil

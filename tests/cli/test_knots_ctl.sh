@@ -82,6 +82,13 @@ expect_reject "dl nan allreduce"      -- dlsim --allreduce nan --fabric auto
 expect_reject "run crash past nodes"  -- run --crash-node 999@5
 expect_reject "dl crash past nodes"   -- dlsim --dl cbp-pp --crash-node 999@5
 expect_reject "serve crash past nodes" -- serve --qps 5 --crash-node 999@5
+# A fleet whose telemetry rings cannot fit in this host's memory exits 2
+# before anything is allocated, instead of dying in the allocator.
+expect_reject "run past host memory"   -- run --nodes 1000000 --gpus 1000
+expect_reject "serve past host memory" -- serve --nodes 1000000 --gpus 1000
+expect_reject "sweep past host memory" -- sweep --nodes 1000000 --gpus 1000
+grep -q "telemetry rings need" "$WORK/err" || \
+  fail "sweep past host memory: no footprint diagnostic"
 
 # list, by contrast, succeeds bare.
 "$CTL" list >"$WORK/list_out" 2>&1 || fail "list: expected exit 0, got $?"
@@ -208,6 +215,10 @@ printf 'duration 99999999999999s\nnodeclass a p100-16g 2\n' >"$WORK/long.cfg"
 expect_reject "scenario duration past clock" -- scenario "$WORK/long.cfg"
 grep -q "line 1: duration" "$WORK/err" || \
   fail "scenario duration past clock: no line-numbered diagnostic"
+printf 'seed 3\nnodeclass a p100-16g 1000000 gpus=1000\n' >"$WORK/huge.cfg"
+expect_reject "scenario past host memory" -- scenario "$WORK/huge.cfg"
+grep -q "line 2: the fleet's telemetry rings need" "$WORK/err" || \
+  fail "scenario past host memory: no line-numbered diagnostic"
 
 "$CTL" scenario "$WORK/does_not_exist.cfg" >"$WORK/out" 2>"$WORK/err"
 rc=$?

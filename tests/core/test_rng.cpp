@@ -106,6 +106,33 @@ TEST(Rng, NormalMomentsApproximatelyCorrect) {
   EXPECT_NEAR(var, 2.25, 0.1);
 }
 
+// A stream that skips a draw must consume exactly what normal() would, so a
+// skipped value can be replayed later: two streams, one evaluating every draw
+// and one skipping some (singly or in runs), agree on every draw both make.
+TEST(Rng, SkipNormalStaysInLockstep) {
+  Rng pattern(29);
+  Rng eager(31);
+  Rng lazy(31);
+  for (int i = 0; i < 5000; ++i) {
+    const auto run = static_cast<std::size_t>(pattern.uniform_int(0, 3));
+    for (std::size_t k = 0; k < run; ++k) (void)eager.normal(0.0, 1.0);
+    if (pattern.chance(0.5)) {
+      lazy.skip_normal(run);
+    } else {
+      for (std::size_t k = 0; k < run; ++k) lazy.skip_normal();
+    }
+    const double mean = pattern.uniform(-5.0, 5.0);
+    const double stddev = pattern.uniform(0.0, 3.0);
+    ASSERT_EQ(eager.normal(mean, stddev), lazy.normal(mean, stddev))
+        << "draw " << i;
+  }
+  // Neither normal() nor skip_normal() leaves anything behind: the raw
+  // engines agree too.
+  EXPECT_EQ(eager.uniform(), lazy.uniform());
+  lazy.skip_normal(0);
+  EXPECT_EQ(eager.uniform(), lazy.uniform());
+}
+
 TEST(Rng, LognormalMatchesClosedFormMean) {
   Rng rng(17);
   double sum = 0;

@@ -224,6 +224,11 @@ TEST(ScenarioSpec, RejectionMatrix) {
       {"node total past int",
        "nodeclass a p100-16g 2000000000\nnodeclass b p100-16g 2000000000\n",
        "nodes in total"},
+      // A fleet whose telemetry rings no host could hold: rejected at the
+      // class that tips it over, before the cluster allocates them.
+      {"telemetry past host memory",
+       "nodeclass a p100-16g 2\nnodeclass b p100-16g 1000000 gpus=1000\n",
+       "line 2: the fleet's telemetry rings need"},
   };
   for (const Rejection& c : cases) {
     SCOPED_TRACE(c.label);

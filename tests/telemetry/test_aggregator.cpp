@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "telemetry/sampler.hpp"
+#include "telemetry/timeseries_db.hpp"
 
 namespace knots::telemetry {
 namespace {
@@ -18,17 +18,15 @@ class AggregatorTest : public ::testing::Test {
     spec.gpus_per_node = 1;
     for (int n = 0; n < 3; ++n) {
       nodes_.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, spec, n));
-      dbs_.push_back(std::make_unique<TimeSeriesDb>(GpuId{n}, 1));
+      dbs_.push_back(
+          std::make_unique<TimeSeriesDb>(*nodes_.back(), Rng(n + 1), 0.0));
       agg_.register_node(*nodes_[static_cast<std::size_t>(n)],
                          *dbs_[static_cast<std::size_t>(n)]);
     }
   }
 
   void sample_all(SimTime now) {
-    for (std::size_t n = 0; n < nodes_.size(); ++n) {
-      HeartbeatSampler s(*nodes_[n], *dbs_[n], Rng(n + 1), 0.0);
-      s.sample(now);
-    }
+    for (auto& db : dbs_) db->sample(now);
   }
 
   std::vector<std::unique_ptr<gpu::GpuNode>> nodes_;
@@ -42,7 +40,7 @@ TEST_F(AggregatorTest, SnapshotCoversAllGpus) {
   ASSERT_EQ(snap.size(), 3u);
   EXPECT_EQ(agg_.node_count(), 3u);
   for (const auto& v : snap) {
-    EXPECT_DOUBLE_EQ(v.sm_util, 0.0);
+    EXPECT_DOUBLE_EQ(v.mem_util, 0.0);
     EXPECT_FALSE(v.parked);
   }
 }
@@ -52,7 +50,8 @@ TEST_F(AggregatorTest, SnapshotReflectsTelemetry) {
   EXPECT_TRUE(nodes_[1]->gpu(0).set_usage(PodId{1}, {0.7, 8192, 0, 0}));
   sample_all(5);
   const auto snap = agg_.snapshot();
-  EXPECT_DOUBLE_EQ(snap[1].sm_util, 0.7);
+  EXPECT_EQ(agg_.window(GpuId{1}, Metric::kSmUtil, /*now=*/5, /*window=*/0),
+            std::vector<double>{0.7});
   EXPECT_NEAR(snap[1].mem_used_mb, 8192, 1e-6);
   EXPECT_NEAR(snap[1].free_mem_mb,
               nodes_[1]->gpu(0).spec().memory_mb - 8192, 1e-6);
@@ -188,10 +187,10 @@ TEST_F(AggregatorTest, NodeRegisteredMidTickIsReadBySameTickQuery) {
   auto& late = *nodes_.emplace_back(
       std::make_unique<gpu::GpuNode>(NodeId{3}, spec, 3));
   auto& late_db =
-      *dbs_.emplace_back(std::make_unique<TimeSeriesDb>(GpuId{3}, 1));
+      *dbs_.emplace_back(std::make_unique<TimeSeriesDb>(late, Rng(9), 0.0));
   ASSERT_TRUE(late.gpu(0).attach(PodId{9}, 100));
   ASSERT_TRUE(late.gpu(0).set_usage(PodId{9}, {0.1, 12000, 0, 0}));
-  HeartbeatSampler(late, late_db, Rng(9), 0.0).sample(4);
+  late_db.sample(4);
   agg_.register_node(late, late_db);
   const auto& sorted = agg_.active_sorted_by_free_memory();
   ASSERT_EQ(sorted.size(), 4u);
@@ -212,16 +211,12 @@ TEST(AggregatorProperty, ActiveSortedIsStableSortOfSnapshot) {
   spec.gpus_per_node = 2;
   std::vector<std::unique_ptr<gpu::GpuNode>> nodes;
   std::vector<std::unique_ptr<TimeSeriesDb>> dbs;
-  std::vector<HeartbeatSampler> samplers;
   UtilizationAggregator agg;
   for (int n = 0; n < kNodes; ++n) {
     nodes.push_back(std::make_unique<gpu::GpuNode>(NodeId{n}, spec, 2 * n));
-    dbs.push_back(std::make_unique<TimeSeriesDb>(GpuId{2 * n}, 2));
+    dbs.push_back(std::make_unique<TimeSeriesDb>(
+        *nodes.back(), Rng(100 + static_cast<std::uint64_t>(n)), 0.02));
     agg.register_node(*nodes.back(), *dbs.back());
-  }
-  for (int n = 0; n < kNodes; ++n) {
-    const auto i = static_cast<std::size_t>(n);
-    samplers.emplace_back(*nodes[i], *dbs[i], Rng(100 + i), 0.02);
   }
   agg.set_staleness_horizon(3);
 
@@ -237,8 +232,8 @@ TEST(AggregatorProperty, ActiveSortedIsStableSortOfSnapshot) {
       // A tick's telemetry phase, as the cluster runs it.
       ++now;
       agg.begin_tick(now);
-      for (auto& sampler : samplers) {
-        if (rng.chance(0.8)) sampler.sample(now);
+      for (auto& db : dbs) {
+        if (rng.chance(0.8)) db->sample(now);
       }
     } else if (dice < 0.45) {
       const PodId pod{next_pod++};

@@ -22,7 +22,6 @@ TEST(TimeSeriesDb, EmptyQueries) {
   EXPECT_TRUE(db.query_all(GpuId{0}, Metric::kSmUtil).empty());
   EXPECT_DOUBLE_EQ(db.latest(GpuId{0}, Metric::kSmUtil, -3.0), -3.0);
   EXPECT_EQ(db.latest_time(GpuId{0}), -1);
-  EXPECT_EQ(db.latest_row(GpuId{0}), nullptr);
   EXPECT_EQ(db.total_rows(), 0u);
 }
 
@@ -197,7 +196,7 @@ TEST(TimeSeriesDbFuzz, MatchesPerSeriesDequeReference) {
          {GpuId{first - 1}, GpuId{first + static_cast<std::int32_t>(gpus)}}) {
       EXPECT_TRUE(db.query_all(outside, Metric::kSmUtil).empty());
       EXPECT_EQ(db.latest_time(outside), -1);
-      EXPECT_EQ(db.latest_row(outside), nullptr);
+      EXPECT_EQ(db.latest(outside, Metric::kSmUtil, -1.0), -1.0);
     }
   }
 }
