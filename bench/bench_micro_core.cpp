@@ -1,12 +1,15 @@
 // Google-benchmark microbenchmarks of the hot paths: telemetry ingest and
-// window queries, forecaster fits, correlation, the event queue, one full
-// scheduler round, and the per-tick invariant audit.
+// window queries, forecaster fits, correlation, the event queue and a
+// periodic tick chain, one full scheduler round, a DL run on a contended
+// fabric, and the per-tick invariant audit.
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
 #include "core/rng.hpp"
 #include "dlsim/dl_cluster.hpp"
+#include "dlsim/dl_policies.hpp"
 #include "knots/config.hpp"
+#include "net/fabric.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "sched/registry.hpp"
@@ -98,6 +101,21 @@ void BM_EventQueue(benchmark::State& state) {
 }
 BENCHMARK(BM_EventQueue);
 
+void BM_PeriodicTick(benchmark::State& state) {
+  // One tick of a schedule_periodic chain alone on the engine, at the
+  // period in the arg (us): 10 ms is the pod cluster's tick, 1 s the DL
+  // engine's, which leaves about 121 empty ~8.2 ms buckets between ticks.
+  const SimTime period = state.range(0);
+  sim::Simulation sim;
+  sim::schedule_periodic(sim, 0, period, [](SimTime) { return true; });
+  sim.run_until(0);
+  for (auto _ : state) {
+    sim.run_until(sim.now() + period);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PeriodicTick)->Arg(10000)->Arg(1000000);
+
 void BM_FullClusterRun(benchmark::State& state) {
   const auto kind = static_cast<sched::SchedulerKind>(state.range(0));
   for (auto _ : state) {
@@ -138,6 +156,47 @@ void BM_DlSimRun(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DlSimRun)->DenseRange(0, 3)->Unit(benchmark::kMillisecond);
+
+void BM_DlFabricRun(benchmark::State& state) {
+  // The perfbench dl-fabric shape — 8x8 GPUs, an auto fabric with NVLink
+  // inside a node, a 256 MB all-reduce per step, cbp-pp — at a quarter of
+  // its 12 h window and jobs (same load per GPU), so one run takes tens of
+  // ms. job_steps_per_s is ROADMAP's dlsim rate: simulated one-second
+  // training steps per wall second.
+  dlsim::DlClusterConfig cluster;
+  cluster.nodes = 8;
+  net::AutoFabricOptions options;
+  options.intra_node_mb_per_s = cluster.gpu.nvlink_mbps;
+  cluster.fabric = net::FabricPlan::auto_derive(cluster.nodes, options);
+  cluster.allreduce_mb_per_step = 256.0;
+  dlsim::DlWorkloadConfig wl;
+  wl.dlt_jobs = 32;
+  wl.dli_queries = 350;
+  wl.window = 3 * kHour;
+  constexpr std::uint64_t kSeed = 1;
+  const auto workload =
+      dlsim::generate_dl_workload(wl, Rng(kSeed).fork(1));
+  dlsim::register_dl_schedulers();
+  double steps = 0;
+  for (auto _ : state) {
+    auto scheduler = sched::make_scheduler("cbp-pp");
+    dlsim::DlEngine engine(cluster,
+                           dynamic_cast<dlsim::DlScheduler&>(*scheduler),
+                           kSeed);
+    engine.load(workload);
+    engine.run();
+    double run_steps = 0;
+    for (const auto& job : engine.jobs()) {
+      run_steps += static_cast<double>(job.progress) /
+                   static_cast<double>(cluster.step);
+    }
+    steps += run_steps;
+    benchmark::DoNotOptimize(engine.digest().value());
+  }
+  state.counters["job_steps_per_s"] =
+      benchmark::Counter(steps, benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_DlFabricRun)->Unit(benchmark::kMillisecond);
 
 void BM_TraceRecord(benchmark::State& state) {
   obs::TraceSink sink;

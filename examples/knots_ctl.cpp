@@ -698,6 +698,30 @@ int cmd_dlsim(const std::map<std::string, std::string>& flags) {
     std::cerr << kUsage;
     return 2;
   }
+  // An engine indexes GPUs by int and allocates every GPU's device state
+  // and the whole workload up front, so a run past either limit is rejected
+  // here instead of overflowing or dying in the allocator. The comparison
+  // runs one engine per policy at once.
+  if (*nodes * *gpus > kIntMax) {
+    std::cerr << "knots_ctl: --nodes x --gpus is " << *nodes * *gpus
+              << " GPUs, more than the " << kIntMax
+              << " GPUs a DL engine indexes\n"
+              << kUsage;
+    return 2;
+  }
+  const bool one_policy = flags.count("dl") != 0;
+  const double engines =
+      one_policy ? 1.0 : static_cast<double>(dlsim::kDlPolicyNames.size());
+  const std::string too_big = memory_bound_error(
+      engines * dlsim::DlEngine::footprint_bytes(
+                    static_cast<double>(*nodes), static_cast<double>(*gpus),
+                    static_cast<double>(*dlt), static_cast<double>(*dli)),
+      one_policy ? "the DL engine's devices and workload"
+                 : "the concurrent DL engines' devices and workloads");
+  if (!too_big.empty()) {
+    std::cerr << "knots_ctl: " << too_big << "\n" << kUsage;
+    return 2;
+  }
   wl.mix_id = *mix;
   wl.dlt_jobs = static_cast<int>(*dlt);
   wl.dli_queries = static_cast<int>(*dli);
@@ -730,7 +754,7 @@ int cmd_dlsim(const std::map<std::string, std::string>& flags) {
   }
   cluster.allreduce_mb_per_step = *allreduce;
 
-  if (flags.count("dl") == 0) {
+  if (!one_policy) {
     // Classic 4-way comparison (Fig 12); observability flags need --dl.
     const auto results = dlsim::run_all_policies(cluster, wl);
     dlsim::print_dl_report(std::cout, results);

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
+#include <limits>
 
 #include "core/check.hpp"
 #include "core/percentile.hpp"
@@ -31,6 +31,9 @@ DlEngine::DlEngine(const DlClusterConfig& config, DlScheduler& policy,
       policy_rng_(Rng(seed).fork(2)),
       injector_(static_cast<std::size_t>(config.nodes)) {
   KNOTS_CHECK(cfg_.nodes > 0 && cfg_.gpus_per_node > 0 && cfg_.step > 0);
+  KNOTS_CHECK_MSG(static_cast<std::int64_t>(cfg_.nodes) * cfg_.gpus_per_node <=
+                      std::numeric_limits<int>::max(),
+                  "nodes x gpus_per_node must fit an int GPU index");
   gpu::NodeSpec node_spec;
   node_spec.gpus_per_node = cfg_.gpus_per_node;
   node_spec.host_idle_watts = cfg_.host_idle_watts;
@@ -45,6 +48,7 @@ DlEngine::DlEngine(const DlClusterConfig& config, DlScheduler& policy,
     }
   }
   residents_.resize(devices_.size());
+  load_count_.assign(1, static_cast<int>(devices_.size()));
   paused_until_.assign(devices_.size(), 0);
   deadline_ = 3 * horizon_;
   view_ = std::make_unique<DlSchedView>(*this);
@@ -56,6 +60,18 @@ DlEngine::DlEngine(const DlClusterConfig& config, DlScheduler& policy,
 }
 
 DlEngine::~DlEngine() = default;
+
+double DlEngine::footprint_bytes(double nodes, double gpus_per_node,
+                                 double jobs, double queries) noexcept {
+  constexpr double kPerGpu =
+      sizeof(gpu::GpuDevice) + sizeof(std::unique_ptr<gpu::GpuDevice>) +
+      sizeof(gpu::GpuDevice*) + sizeof(std::vector<int>) + sizeof(SimTime);
+  constexpr double kPerNode = sizeof(gpu::GpuNode);
+  constexpr double kPerJob = 2.0 * sizeof(DltJob);
+  constexpr double kPerQuery = 2.0 * (sizeof(DliQuery) + sizeof(DliRecord));
+  return nodes * (kPerNode + gpus_per_node * kPerGpu) + jobs * kPerJob +
+         queries * kPerQuery;
+}
 
 void DlEngine::load(const DlWorkload& workload) {
   KNOTS_CHECK_MSG(sim_.now() == 0 && ticks_ == 0,
@@ -73,6 +89,7 @@ void DlEngine::set_fault_plan(const fault::FaultPlan& plan) {
 }
 
 void DlEngine::on_link_state(std::size_t link, bool up, SimTime now) {
+  comm_stale_ = true;  // a link's capacity moved
   digest_.begin_record(up ? Tag::kLinkUp : Tag::kLinkDown, now);
   digest_.mix_u64(static_cast<std::uint64_t>(link));
   if (trace_ != nullptr) {
@@ -86,11 +103,7 @@ void DlEngine::pause_gpu(std::size_t g, SimTime until) {
   paused_until_[g] = std::max(paused_until_[g], until);
 }
 
-int DlEngine::free_gpu_count() const {
-  int n = 0;
-  for (const auto& res : residents_) n += res.empty() ? 1 : 0;
-  return n;
-}
+int DlEngine::free_gpu_count() const { return load_count_.front(); }
 
 bool DlEngine::gpu_serviceable(std::size_t g) const {
   return gpu_online(g) && residents_[g].empty() &&
@@ -106,7 +119,12 @@ std::size_t DlEngine::first_serviceable_gpu() const {
 }
 
 void DlEngine::attach_job(int job_id, std::size_t g) {
+  const std::size_t load_g = residents_[g].size();
+  if (load_count_.size() <= load_g + 1) load_count_.resize(load_g + 2, 0);
+  --load_count_[load_g];
+  ++load_count_[load_g + 1];
   residents_[g].push_back(job_id);
+  comm_stale_ = true;  // a gang gained a GPU
   const PodId pod{job_id};
   KNOTS_CHECK(devices_[g]->attach(pod, cfg_.job_memory_mb));
   // Usage tracks the provisioned working set, so the power model sees a
@@ -118,32 +136,45 @@ void DlEngine::attach_job(int job_id, std::size_t g) {
 }
 
 void DlEngine::detach_job(int job_id, std::size_t g) {
-  std::erase(residents_[g], job_id);
+  const std::size_t load_g = residents_[g].size();
+  if (std::erase(residents_[g], job_id) != 0) {
+    --load_count_[load_g];
+    ++load_count_[residents_[g].size()];
+  }
   devices_[g]->detach(PodId{job_id});
+  comm_stale_ = true;  // a gang lost a GPU
 }
 
 bool DlEngine::place(int job_id, int count, int max_share,
                      const std::function<bool(std::size_t)>& eligible) {
   auto& job = jobs_[static_cast<std::size_t>(job_id)];
   KNOTS_CHECK(!job.running);
+  // Only GPUs below max_share can take the gang: when fewer exist than it
+  // needs, no scan can succeed (and `eligible` is pure, so skipping its
+  // calls changes nothing).
+  int below = 0;
+  for (std::size_t l = 0;
+       l < load_count_.size() && static_cast<int>(l) < max_share; ++l) {
+    below += load_count_[l];
+  }
+  if (below < count) return false;
   // Lowest-load GPUs first (consolidates exclusive placements, spreads
-  // shared ones evenly); the stable sort keeps index order among ties, so
-  // the choice is identical to the pre-substrate simulator whenever every
-  // device is online and has room (always, in a fault-free run).
-  std::vector<std::size_t> order(devices_.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return residents_[a].size() < residents_[b].size();
-                   });
-  std::vector<std::size_t> chosen;
-  for (std::size_t g : order) {
-    if (static_cast<int>(residents_[g].size()) >= max_share) continue;
-    if (!gpu_online(g)) continue;
-    if (!devices_[g]->provision_fits(cfg_.job_memory_mb)) continue;
-    if (eligible && !eligible(g)) continue;
-    chosen.push_back(g);
-    if (static_cast<int>(chosen.size()) == count) break;
+  // shared ones evenly), in index order within a load level: the order a
+  // stable sort by load gives, so the choice is identical to the
+  // pre-substrate simulator whenever every device is online and has room
+  // (always, in a fault-free run).
+  auto& chosen = place_scratch_;
+  chosen.clear();
+  bool full = false;
+  for (int level = 0; level < max_share && !full; ++level) {
+    for (std::size_t g = 0; g < devices_.size() && !full; ++g) {
+      if (load(g) != level) continue;
+      if (!gpu_online(g)) continue;
+      if (!devices_[g]->provision_fits(cfg_.job_memory_mb)) continue;
+      if (eligible && !eligible(g)) continue;
+      chosen.push_back(g);
+      full = static_cast<int>(chosen.size()) == count;
+    }
   }
   if (static_cast<int>(chosen.size()) < count) return false;
   job.placed_gpus.clear();
@@ -316,8 +347,8 @@ double DlEngine::job_speed(const DltJob& job, SimTime t,
   // Progress: time-sliced GPUs deliver 1/k to each resident; a gang runs
   // at the slowest of its GPUs; paused GPUs deliver nothing; a PCIe stall
   // on the hosting node divides what remains. Multi-GPU gangs on a live
-  // fabric additionally pay the per-step all-reduce (comm_factor_, a
-  // snapshot refresh_comm_factors built before this tick's advance).
+  // fabric additionally pay the per-step all-reduce (comm_factor_, which
+  // refresh_comm_factors brought up to date before this tick's advance).
   double speed = 1.0;
   for (int g : job.placed_gpus) {
     const auto gi = static_cast<std::size_t>(g);
@@ -344,25 +375,28 @@ void DlEngine::refresh_comm_factors() {
     comm_factor_.clear();
     return;
   }
+  if (!comm_stale_) return;
+  comm_stale_ = false;
   comm_factor_.assign(jobs_.size(), 1.0);
-  gang_routes_scratch_.clear();
-  gang_jobs_scratch_.clear();
+  std::vector<std::vector<int>> routes;
+  std::vector<std::size_t> gangs;
+  std::vector<int> nodes;
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
     const DltJob& job = jobs_[j];
     if (!job.running || job.done() || job.placed_gpus.size() < 2) continue;
-    gang_nodes_scratch_.clear();
+    nodes.clear();
     for (int g : job.placed_gpus) {
-      gang_nodes_scratch_.push_back(node_of(static_cast<std::size_t>(g)).value);
+      nodes.push_back(node_of(static_cast<std::size_t>(g)).value);
     }
-    gang_routes_scratch_.push_back(fabric_->gang_route(gang_nodes_scratch_));
-    gang_jobs_scratch_.push_back(j);
+    routes.push_back(fabric_->gang_route(nodes));
+    gangs.push_back(j);
   }
-  if (gang_jobs_scratch_.empty()) return;
+  if (gangs.empty()) return;
   // One joint max-min share across every active gang: concurrent gangs on a
   // shared uplink or spine squeeze each other, exactly like flows do.
-  const std::vector<double> rates = fabric_->stream_rates(gang_routes_scratch_);
+  const std::vector<double> rates = fabric_->stream_rates(routes);
   const double step_sec = to_seconds(cfg_.step);
-  for (std::size_t i = 0; i < gang_jobs_scratch_.size(); ++i) {
+  for (std::size_t i = 0; i < gangs.size(); ++i) {
     const double rate = rates[i];
     double factor = 1.0;
     if (rate <= 0.0) {
@@ -371,7 +405,7 @@ void DlEngine::refresh_comm_factors() {
       const double comm_sec = cfg_.allreduce_mb_per_step / rate;
       factor = step_sec / (step_sec + comm_sec);
     }
-    comm_factor_[gang_jobs_scratch_[i]] = factor;
+    comm_factor_[gangs[i]] = factor;
   }
 }
 

@@ -139,6 +139,17 @@ class DlEngine : private net::FabricObserver {
   DlEngine(const DlEngine&) = delete;
   DlEngine& operator=(const DlEngine&) = delete;
 
+  /// Bytes one engine holds for `nodes` nodes of `gpus_per_node` GPUs,
+  /// `jobs` trainers and `queries` inference queries: each node and GPU's
+  /// device, residency and pause state, the generated workload and the
+  /// engine's copy of it, and each query's latency record in the engine and
+  /// in its result. A double, so a run no host could hold reads as huge
+  /// instead of wrapping.
+  [[nodiscard]] static double footprint_bytes(double nodes,
+                                              double gpus_per_node,
+                                              double jobs,
+                                              double queries) noexcept;
+
   /// Installs the workload (jobs/queries sorted by arrival). Arrivals are
   /// queued by the periodic tick, not here.
   void load(const DlWorkload& workload);
@@ -220,6 +231,8 @@ class DlEngine : private net::FabricObserver {
   /// Places a job gang on `count` GPUs, lowest-load first, skipping
   /// offline/full devices and those failing `eligible`. All-or-nothing;
   /// emits kPlace per GPU on success. Does not set job.running.
+  /// `eligible` must be pure: a call that cannot succeed returns before
+  /// asking it about any GPU.
   bool place(int job, int count, int max_share = 1,
              const std::function<bool(std::size_t)>& eligible = nullptr);
   /// Detaches the job from its GPUs (no digest record — policy-internal
@@ -257,8 +270,9 @@ class DlEngine : private net::FabricObserver {
   [[nodiscard]] int tor_of(NodeId node) const {
     return fabric_ ? fabric_->tor_of(node.value) : 0;
   }
-  /// Communication efficiency factor the last tick computed for a job
-  /// (1 = communication-free; tests read this).
+  /// Communication efficiency factor of a job at the last solve, which
+  /// runs on the first tick after a gang gained or lost a GPU or a link
+  /// changed state (1 = communication-free; tests read this).
   [[nodiscard]] double comm_factor(int job) const noexcept {
     const auto j = static_cast<std::size_t>(job);
     return j < comm_factor_.size() ? comm_factor_[j] : 1.0;
@@ -272,9 +286,12 @@ class DlEngine : private net::FabricObserver {
   void on_link_state(std::size_t link, bool up, SimTime now) override;
 
   bool tick(SimTime t);
-  /// Serial pre-advance pass: per-gang all-reduce efficiency factors from
-  /// the fabric's max-min stream rates. Empty vector = all 1.0 (no fabric
-  /// or no all-reduce traffic); job_speed reads it.
+  /// Pre-advance pass: per-gang all-reduce efficiency factors from the
+  /// fabric's max-min stream rates, re-solved only when comm_stale_ says a
+  /// gang or a link changed since the last solve (the factors are a pure
+  /// function of the running gangs' GPUs and the link capacities). Empty
+  /// vector = all 1.0 (no fabric or no all-reduce traffic); job_speed
+  /// reads it.
   void refresh_comm_factors();
   void apply_fault(const fault::FaultEvent& event);
   void recover_node(NodeId node_id);
@@ -298,6 +315,9 @@ class DlEngine : private net::FabricObserver {
   std::vector<gpu::GpuNode> nodes_;
   std::vector<gpu::GpuDevice*> devices_;  ///< Flat GPU index over nodes_.
   std::vector<std::vector<int>> residents_;  ///< Attach-ordered, per GPU.
+  /// GPUs by resident count: load_count_[k] GPUs hold k residents.
+  std::vector<int> load_count_;
+  std::vector<std::size_t> place_scratch_;  ///< place()'s chosen GPUs.
   std::vector<SimTime> paused_until_;
 
   std::vector<DltJob> jobs_;
@@ -320,9 +340,9 @@ class DlEngine : private net::FabricObserver {
 
   std::unique_ptr<net::Fabric> fabric_;  ///< null when cfg_.fabric empty
   std::vector<double> comm_factor_;      ///< per-job, see refresh_comm_factors
-  std::vector<int> gang_nodes_scratch_;
-  std::vector<std::vector<int>> gang_routes_scratch_;
-  std::vector<std::size_t> gang_jobs_scratch_;
+  /// Set by attach_job/detach_job (every place, evict, migrate, crash,
+  /// completion and node eviction goes through them) and on_link_state.
+  bool comm_stale_ = true;
   std::uint64_t flow_seq_ = 0;  ///< Migration-charge flow ids (digest/trace).
 
   std::uint64_t jobs_evicted_ = 0;

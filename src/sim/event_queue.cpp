@@ -1,6 +1,7 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -35,13 +36,14 @@ void EventQueue::cancel(std::uint64_t id) {
 
 bool EventQueue::peek_time(SimTime& t) {
   if (!prepare_next()) return false;
-  t = slot(cur_ab_)[cur_pos_].time;
+  t = buckets_[slot_of(cur_ab_)][cur_pos_].time;
   return true;
 }
 
 bool EventQueue::pop(SimTime& t, Handler& fn) {
   if (!prepare_next()) return false;
-  auto& b = slot(cur_ab_);
+  const std::size_t s = slot_of(cur_ab_);
+  auto& b = buckets_[s];
   Event& ev = b[cur_pos_];
   t = ev.time;
   fn = std::move(ev.fn);
@@ -51,7 +53,7 @@ bool EventQueue::pop(SimTime& t, Handler& fn) {
   // Clear the bucket the moment it drains: a slot must be empty before the
   // sliding horizon maps a later absolute bucket onto it.
   if (cur_pos_ == b.size()) {
-    b.clear();
+    release(s);
     cur_pos_ = 0;
   }
   return true;
@@ -66,7 +68,9 @@ void EventQueue::insert_wheel(Event ev) {
   // bucket keeps pop order exact — the event's (time, seq) sorts before
   // everything the wheel still holds.
   if (ab < cur_ab_) ab = cur_ab_;
-  auto& b = slot(ab);
+  const std::size_t s = slot_of(ab);
+  occupied_[s >> 6] |= bit_of(s);
+  auto& b = buckets_[s];
   if (ab == cur_ab_ && cur_sorted_) {
     // Sorted insert into the draining bucket's pending region. Popped
     // entries in [0, cur_pos_) all precede `ev` (its time is >= now and its
@@ -115,7 +119,17 @@ bool EventQueue::prepare_next() {
     // than every wheel event (their absolute buckets are beyond the
     // horizon), so no mid-scan migration is needed.
     while (wheel_total_ > 0) {
-      auto& b = slot(cur_ab_);
+      std::size_t s = slot_of(cur_ab_);
+      if (!occupied(s)) {
+        // The cursor's bucket drained: jump to the next occupied slot. The
+        // horizon holds each slot's one absolute bucket, so that slot is
+        // the next non-empty bucket and every bucket skipped is empty.
+        cur_ab_ += distance_to_occupied(s);
+        cur_pos_ = 0;
+        cur_sorted_ = false;
+        s = slot_of(cur_ab_);
+      }
+      auto& b = buckets_[s];
       if (!cur_sorted_) {
         std::sort(b.begin(), b.end(), event_before);
         cur_sorted_ = true;
@@ -128,12 +142,30 @@ bool EventQueue::prepare_next() {
         ++cur_pos_;
         --wheel_total_;
       }
-      b.clear();
+      release(s);
       cur_pos_ = 0;
       cur_sorted_ = false;
-      ++cur_ab_;
     }
   }
+}
+
+std::int64_t EventQueue::distance_to_occupied(std::size_t s) const {
+  // Scan the mask from the slot after `s`, ending back in the word that
+  // holds it: the last pass catches slots that wrapped past kBuckets - 1.
+  const std::size_t from = (s + 1) & (kBuckets - 1);
+  std::size_t w = from >> 6;
+  std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (from & 63));
+  for (std::size_t i = 0; i <= kMaskWords; ++i) {
+    if (bits != 0) {
+      const std::size_t next =
+          (w << 6) | static_cast<std::size_t>(std::countr_zero(bits));
+      return static_cast<std::int64_t>((next - s) & (kBuckets - 1));
+    }
+    w = (w + 1) % kMaskWords;
+    bits = occupied_[w];
+  }
+  KNOTS_CHECK_MSG(false, "wheel events in no occupied slot");
+  return 1;
 }
 
 }  // namespace knots::sim

@@ -9,7 +9,12 @@
 //    simulated time. An event at absolute time t lands in absolute bucket
 //    t >> kBucketWidthLog2; buckets are plain vectors, appended unsorted
 //    and sorted once by (time, seq) when the drain cursor enters them.
-//    Near-term inserts and pops are O(1) amortized — no heap percolation;
+//    Near-term inserts and pops are O(1) amortized — no heap percolation.
+//    A kBuckets-bit occupancy mask marks the slots holding events: a
+//    slot's bit is set on insert and cleared when the slot drains, and a
+//    cursor leaving a drained bucket jumps to the next marked slot (with
+//    wrap) instead of stepping through each empty one — a 1 s tick crosses
+//    about 121 empty buckets;
 //  * events past the horizon go to the *overflow* list, kept sorted
 //    descending (lazily — appends mark it dirty, the next migration
 //    re-sorts) so the earliest entry pops off the back in O(1). Before
@@ -29,6 +34,7 @@
 // liveness explicitly).
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -83,9 +89,23 @@ class EventQueue {
   static std::int64_t bucket_of(SimTime t) noexcept {
     return static_cast<std::int64_t>(t >> kBucketWidthLog2);
   }
-  [[nodiscard]] std::vector<Event>& slot(std::int64_t ab) noexcept {
-    return buckets_[static_cast<std::size_t>(ab) & (kBuckets - 1)];
+  static std::size_t slot_of(std::int64_t ab) noexcept {
+    return static_cast<std::size_t>(ab) & (kBuckets - 1);
   }
+  static constexpr std::size_t kMaskWords = kBuckets / 64;
+  static constexpr std::uint64_t bit_of(std::size_t s) noexcept {
+    return std::uint64_t{1} << (s & 63);
+  }
+  [[nodiscard]] bool occupied(std::size_t s) const noexcept {
+    return (occupied_[s >> 6] & bit_of(s)) != 0;
+  }
+  /// Empties a drained slot and clears its occupancy bit.
+  void release(std::size_t s) noexcept {
+    buckets_[s].clear();
+    occupied_[s >> 6] &= ~bit_of(s);
+  }
+  /// Buckets from slot `s` to the next occupied slot after it, with wrap.
+  [[nodiscard]] std::int64_t distance_to_occupied(std::size_t s) const;
   [[nodiscard]] bool in_horizon(std::int64_t ab) const noexcept {
     return ab < cur_ab_ + static_cast<std::int64_t>(kBuckets);
   }
@@ -99,6 +119,7 @@ class EventQueue {
   bool prepare_next();
 
   std::vector<std::vector<Event>> buckets_;
+  std::array<std::uint64_t, kMaskWords> occupied_{};  ///< Bit per slot.
   std::vector<Event> overflow_;       ///< Sorted descending when clean.
   bool overflow_sorted_ = true;
   std::int64_t overflow_min_ab_ = kNoOverflow;  ///< Earliest overflow bucket.

@@ -89,6 +89,16 @@ expect_reject "serve past host memory" -- serve --nodes 1000000 --gpus 1000
 expect_reject "sweep past host memory" -- sweep --nodes 1000000 --gpus 1000
 grep -q "telemetry rings need" "$WORK/err" || \
   fail "sweep past host memory: no footprint diagnostic"
+# The same for dlsim, whose engines allocate every GPU's device state and
+# the whole workload up front (the comparison runs four engines at once),
+# and whose GPU index must fit an int.
+expect_reject "dl past host memory"   -- dlsim --dl cbp-pp --nodes 1000000 --gpus 1000 --dlt 2 --dli 2 --duration 60
+grep -q "DL engine's devices and workload need" "$WORK/err" || \
+  fail "dl past host memory: no footprint diagnostic"
+expect_reject "dl gpus past int"      -- dlsim --nodes 100000 --gpus 100000 --dlt 2 --dli 2 --duration 60
+grep -q "more than the 2147483647 GPUs" "$WORK/err" || \
+  fail "dl gpus past int: no GPU-count diagnostic"
+expect_reject "dl queries past memory" -- dlsim --dl cbp-pp --dli 2000000000 --dlt 4 --duration 60
 
 # list, by contrast, succeeds bare.
 "$CTL" list >"$WORK/list_out" 2>&1 || fail "list: expected exit 0, got $?"

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dlsim/dl_policies.hpp"
 #include "dlsim/dl_report.hpp"
 #include "sched/registry.hpp"
@@ -110,6 +112,45 @@ TEST(DlEngine, PlaceRespectsEccShrunkCapacity) {
   eng.jobs() = {job(0, 1)};
   ASSERT_TRUE(eng.place(0, 1, 1));
   EXPECT_EQ(eng.jobs()[0].placed_gpus, std::vector<int>{1});
+}
+
+TEST(DlEngine, PlaceVisitsGpusByLoadThenIndex) {
+  // place() asks `eligible` about GPUs in (load, index) order — the order a
+  // stable sort by load gives — and takes the first `count` it accepts.
+  NullDlPolicy policy;
+  DlEngine eng(one_node(4), policy, 1);
+  eng.jobs() = {job(0, 1), job(1, 1), job(2, 3), job(3, 4), job(4, 5)};
+  ASSERT_TRUE(eng.place(0, 1, 1));  // GPU 0
+  ASSERT_TRUE(eng.place(1, 1, 1));  // GPU 1
+  eng.evict(0);                     // loads: 0, 1, 0, 0
+  std::vector<std::size_t> asked;
+  const auto accept_all = [&](std::size_t g) {
+    asked.push_back(g);
+    return true;
+  };
+  ASSERT_TRUE(eng.place(2, 3, 2, accept_all));
+  EXPECT_EQ(asked, (std::vector<std::size_t>{0, 2, 3}));
+  EXPECT_EQ(eng.jobs()[2].placed_gpus, (std::vector<int>{0, 2, 3}));
+  eng.evict(2);
+  asked.clear();
+  ASSERT_TRUE(eng.place(3, 4, 2, accept_all));
+  EXPECT_EQ(asked, (std::vector<std::size_t>{0, 2, 3, 1}));
+  // Five GPUs below max_share do not exist: no GPU is even asked about.
+  eng.evict(3);
+  asked.clear();
+  EXPECT_FALSE(eng.place(4, 5, 2, accept_all));
+  EXPECT_TRUE(asked.empty());
+  EXPECT_EQ(eng.free_gpu_count(), 3);
+}
+
+TEST(DlEngineDeath, GpuCountPastIntAborts) {
+  // GPUs are indexed by int; a topology past that aborts before anything
+  // is allocated per GPU.
+  NullDlPolicy policy;
+  EXPECT_DEATH(DlEngine(DlClusterConfig{.nodes = 100000,
+                                        .gpus_per_node = 100000},
+                        policy, 1),
+               "fit an int");
 }
 
 TEST(DlRegistry, DlPoliciesResolveByName) {

@@ -1,13 +1,17 @@
 // dlsim on the fabric: per-policy inertness, gang all-reduce contention,
-// the pack-vs-spread JCT ordering that motivates cbp-local, and migration
-// checkpoint charges.
+// the pack-vs-spread JCT ordering that motivates cbp-local, migration
+// checkpoint charges, and pinned digests of every policy on a contended
+// fabric, calm and under link and node faults.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "dlsim/dl_cluster.hpp"
 #include "dlsim/dl_workload.hpp"
+#include "fault/fault_plan.hpp"
 #include "net/fabric.hpp"
 
 namespace knots::dlsim {
@@ -166,6 +170,115 @@ TEST(DlFabric, LinkFaultsAreDeterministicAndVisible) {
       run_dl_simulation("cbp-pp", cfg, tiny_workload(), 7, faulted);
   EXPECT_NE(calm.run_digest, stormy.run_digest);
   EXPECT_EQ(stormy.run_digest, stormy2.run_digest);
+}
+
+/// Two nodes per ToR, so gangs contend on node uplinks and ToR uplinks as
+/// well as the spine; a short de-slice threshold and a checkpoint charge
+/// make Gandiva's migrations cross the fabric too.
+DlClusterConfig contended_cluster(double allreduce_mb) {
+  net::AutoFabricOptions opts;
+  opts.nodes_per_tor = 2;
+  DlClusterConfig cfg = tiny_cluster();
+  cfg.fabric = net::FabricPlan::auto_derive(4, opts);
+  cfg.allreduce_mb_per_step = allreduce_mb;
+  cfg.checkpoint_mb = 1024.0;
+  cfg.slice_young_threshold = 10 * kMinute;
+  return cfg;
+}
+
+/// A spine outage, a degraded uplink and a node crash: every kind of edge
+/// that moves a gang's all-reduce rate (link down/up, degrade/restore,
+/// eviction and re-placement).
+fault::FaultPlan contended_storm() {
+  return fault::FaultPlan{}
+      .link_down("spine", 10 * kMinute, 20 * kMinute)
+      .link_degrade("n1-up", 40 * kMinute, 15 * kMinute, 4.0)
+      .node_crash(NodeId{2}, 60 * kMinute, 10 * kMinute);
+}
+
+struct FabricGolden {
+  const char* policy;
+  std::uint64_t calm_digest;
+  std::uint64_t calm_events;
+  std::uint64_t storm_digest;
+  std::uint64_t storm_events;
+};
+
+// Pinned on contended_cluster(512) with tiny_workload(), seed 7. These are
+// the only goldens that cover the all-reduce factors: any drift means a
+// gang's speed changed on the fabric.
+constexpr FabricGolden kContended[] = {
+    {"resag", 0x991935341b158dd8ull, 127, 0xc48ab2be674cc7ceull, 126},
+    {"gandiva", 0xc171ebb1bd6e08e0ull, 57, 0x0fefa4e557871c42ull, 59},
+    {"tiresias", 0xc7518088c0896defull, 562, 0xfa56617322110110ull, 565},
+    {"cbp-pp", 0x329cc80d64515758ull, 55, 0x5a5479a5f6790860ull, 71},
+    {"cbp-local", 0x329cc80d64515758ull, 55, 0x5a5479a5f6790860ull, 71},
+};
+
+TEST(DlFabric, ContendedGoldenDigestsArePinned) {
+  ASSERT_EQ(std::size(kContended), dl_policy_names().size());
+  for (const auto& g : kContended) {
+    SCOPED_TRACE(g.policy);
+    DlRunOptions stormy;
+    stormy.faults = contended_storm();
+    const auto calm =
+        run_dl_simulation(g.policy, contended_cluster(512.0), tiny_workload(), 7);
+    const auto storm = run_dl_simulation(g.policy, contended_cluster(512.0),
+                                         tiny_workload(), 7, stormy);
+    EXPECT_EQ(calm.run_digest, g.calm_digest)
+        << "calm digest drifted (actual 0x" << std::hex << calm.run_digest
+        << ")";
+    EXPECT_EQ(calm.digest_events, g.calm_events);
+    EXPECT_EQ(storm.run_digest, g.storm_digest)
+        << "storm digest drifted (actual 0x" << std::hex << storm.run_digest
+        << ")";
+    EXPECT_EQ(storm.digest_events, g.storm_events);
+    EXPECT_EQ(storm.node_crashes, 1u);
+    EXPECT_EQ(storm.invariant_violations, 0u);
+    // The all-reduce is what the goldens pin: without it, every run moves.
+    const auto calm_free =
+        run_dl_simulation(g.policy, contended_cluster(0.0), tiny_workload(), 7);
+    const auto storm_free = run_dl_simulation(g.policy, contended_cluster(0.0),
+                                              tiny_workload(), 7, stormy);
+    EXPECT_NE(calm.run_digest, calm_free.run_digest);
+    EXPECT_NE(storm.run_digest, storm_free.run_digest);
+  }
+}
+
+TEST(DlFabric, GangCompletionReleasesItsShare) {
+  // Four single-GPU nodes, one per ToR: every 2-GPU gang crosses the spine.
+  // Two gangs share it at 500 MB/s each, so a 500 MB step exchange takes
+  // 1 s on top of the 1 s step (factor 1/2); alone, the long gang gets the
+  // whole 1,000 MB/s spine (factor 2/3). The short gang finishes its 1 h of
+  // service at 2 h; the long one has 1 h done by then and needs 3 h more,
+  // so it completes at 5 h — but only if the short gang's completion
+  // releases its share of the spine.
+  net::AutoFabricOptions opts;
+  opts.nodes_per_tor = 1;
+  opts.spine_mb_per_s = 1000.0;
+  DlClusterConfig cfg;
+  cfg.nodes = 4;
+  cfg.gpus_per_node = 1;
+  cfg.fabric = net::FabricPlan::auto_derive(4, opts);
+  cfg.allreduce_mb_per_step = 500.0;
+  DlWorkload wl;
+  for (int id = 0; id < 2; ++id) {
+    DltJob gang;
+    gang.id = id;
+    gang.arrival = 0;
+    gang.gpus = 2;
+    gang.service = (id == 0 ? 1 : 3) * kHour;
+    wl.jobs.push_back(gang);
+  }
+  wl.horizon = 12 * kHour;
+  const auto r = run_dl_simulation("cbp-pp", cfg, wl, 7);
+  ASSERT_EQ(r.dlt_completed, 2u);
+  ASSERT_EQ(r.jct_hours.size(), 2u);
+  // A job completes one step after the tick that finishes its service.
+  const double step_h = 1.0 / 3600.0;
+  EXPECT_NEAR(r.jct_hours[0], 2.0, 1.5 * step_h);
+  EXPECT_NEAR(r.jct_hours[1], 5.0, 1.5 * step_h);
+  EXPECT_NEAR(r.avg_jct_h, 3.500139, 1e-6);
 }
 
 TEST(DlFabricDeath, FaultPlanRejectsUnknownLinkNames) {

@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <queue>
 #include <vector>
 
@@ -171,7 +172,6 @@ TEST(EventQueue, CancelOverflowEvent) {
 struct RefEvent {
   SimTime time;
   std::uint64_t seq;
-  int payload;
 };
 struct RefLater {
   bool operator()(const RefEvent& a, const RefEvent& b) const noexcept {
@@ -180,27 +180,99 @@ struct RefLater {
   }
 };
 
+/// Drives an EventQueue and the reference heap with one operation stream.
+/// Each event's handler records its id, so a pop checks both the time and
+/// the identity of what fired.
+class Differential {
+ public:
+  std::uint64_t schedule(SimTime t) {
+    const std::uint64_t id = q_.schedule(t, [this, n = times_.size()] {
+      fired_.push_back(n);
+    });
+    EXPECT_EQ(id, times_.size());  // ids are insertion sequence numbers
+    times_.push_back(t);
+    canceled_.push_back(false);
+    ref_.push(RefEvent{t, id});
+    live_.push_back(id);
+    return id;
+  }
+
+  /// Cancels the pending event live()[pick] in both models.
+  void cancel(std::size_t pick) {
+    const std::uint64_t id = live_[pick];
+    q_.cancel(id);
+    canceled_[id] = true;
+    live_[pick] = live_.back();
+    live_.pop_back();
+  }
+
+  /// Pops once from both models and fails the test unless they agree.
+  /// Returns the popped id, or nullopt when both are empty.
+  std::optional<std::uint64_t> pop() {
+    SimTime t = 0;
+    EventQueue::Handler fn;
+    const bool have = q_.pop(t, fn);
+    while (!ref_.empty() && canceled_[ref_.top().seq]) ref_.pop();
+    EXPECT_EQ(have, !ref_.empty());
+    if (!have || ref_.empty()) return std::nullopt;
+    const RefEvent want = ref_.top();
+    ref_.pop();
+    EXPECT_EQ(t, want.time);
+    EXPECT_GE(t, last_pop_);
+    fn();
+    EXPECT_EQ(fired_.back(), want.seq);
+    // The fired event is no longer cancelable (pending-only contract).
+    const auto it = std::find(live_.begin(), live_.end(), want.seq);
+    EXPECT_NE(it, live_.end());
+    if (it != live_.end()) {
+      *it = live_.back();
+      live_.pop_back();
+    }
+    last_pop_ = t;
+    return want.seq;
+  }
+
+  /// Index into live() of an event no other live event shares a bucket
+  /// with, or nullopt.
+  [[nodiscard]] std::optional<std::size_t> lone_event() const {
+    for (std::size_t i = 0; i < live_.size(); ++i) {
+      const SimTime bucket = times_[live_[i]] / kBucketWidth;
+      const auto same = std::count_if(
+          live_.begin(), live_.end(), [&](std::uint64_t id) {
+            return times_[id] / kBucketWidth == bucket;
+          });
+      if (same == 1) return i;
+    }
+    return std::nullopt;
+  }
+
+  [[nodiscard]] const std::vector<std::uint64_t>& live() const noexcept {
+    return live_;
+  }
+  [[nodiscard]] SimTime last_pop() const noexcept { return last_pop_; }
+
+ private:
+  EventQueue q_;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> ref_;
+  std::vector<SimTime> times_;    ///< By id.
+  std::vector<bool> canceled_;    ///< By id.
+  std::vector<std::uint64_t> live_;
+  std::vector<std::uint64_t> fired_;
+  SimTime last_pop_ = 0;
+};
+
 /// Differential fuzz: random schedule/pop/cancel interleavings, with times
 /// drawn to stress bucket edges, the horizon boundary, and far overflow.
 TEST(EventQueueFuzz, MatchesPriorityQueueReference) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     Rng rng(seed);
-    EventQueue q;
-    std::priority_queue<RefEvent, std::vector<RefEvent>, RefLater> ref;
-    // id -> payload for live (pending, uncanceled) EventQueue events; the
-    // reference erases lazily via a tombstone set mirror.
-    std::vector<std::uint64_t> live_ids;
-    std::vector<bool> canceled;  // by seq
-    SimTime last_pop = 0;
-    int next_payload = 0;
-    std::vector<int> got;
-    std::vector<int> want;
-
+    Differential d;
     for (int step = 0; step < 4000; ++step) {
       const double roll = rng.uniform();
       if (roll < 0.55) {
-        // Schedule at a time >= last_pop (the engine's contract). Mix
+        // Schedule at a time >= the last pop (the engine's contract). Mix
         // near-term, bucket-edge, horizon-edge, and far-future times.
+        const SimTime last_pop = d.last_pop();
         SimTime t = last_pop;
         const double kind = rng.uniform();
         if (kind < 0.4) {
@@ -215,63 +287,63 @@ TEST(EventQueueFuzz, MatchesPriorityQueueReference) {
         } else {
           t += rng.uniform_int(0, 5 * kHorizon);
         }
-        const int payload = next_payload++;
-        const std::uint64_t id = q.schedule(t, [payload, &got] {
-          got.push_back(payload);
-        });
-        ref.push(RefEvent{t, id, payload});
-        if (canceled.size() <= id) canceled.resize(id + 1, false);
-        live_ids.push_back(id);
-      } else if (roll < 0.65 && !live_ids.empty()) {
+        d.schedule(t);
+      } else if (roll < 0.65 && !d.live().empty()) {
         // Cancel a random pending event in both models.
-        const auto pick = static_cast<std::size_t>(rng.uniform_int(
-            0, static_cast<std::int64_t>(live_ids.size()) - 1));
-        const std::uint64_t id = live_ids[pick];
-        q.cancel(id);
-        canceled[id] = true;
-        live_ids[pick] = live_ids.back();
-        live_ids.pop_back();
+        d.cancel(static_cast<std::size_t>(rng.uniform_int(
+            0, static_cast<std::int64_t>(d.live().size()) - 1)));
       } else {
-        // Pop once; both models must agree on time and payload.
-        SimTime t;
-        EventQueue::Handler fn;
-        const bool have = q.pop(t, fn);
-        // Drain reference tombstones.
-        while (!ref.empty() && canceled[ref.top().seq]) ref.pop();
-        ASSERT_EQ(have, !ref.empty()) << "seed " << seed << " step " << step;
-        if (!have) continue;
-        ASSERT_EQ(t, ref.top().time) << "seed " << seed << " step " << step;
-        const std::uint64_t popped_id = ref.top().seq;
-        want.push_back(ref.top().payload);
-        ref.pop();
-        fn();
-        ASSERT_EQ(got.back(), want.back())
-            << "seed " << seed << " step " << step;
-        // The fired event is no longer cancelable (pending-only contract).
-        const auto it = std::find(live_ids.begin(), live_ids.end(), popped_id);
-        ASSERT_NE(it, live_ids.end());
-        *it = live_ids.back();
-        live_ids.pop_back();
-        last_pop = t;
+        d.pop();
       }
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " step " << step;
     }
     // Full drain: remaining events must replay the reference exactly.
-    SimTime t;
-    EventQueue::Handler fn;
-    while (q.pop(t, fn)) {
-      while (!ref.empty() && canceled[ref.top().seq]) ref.pop();
-      ASSERT_FALSE(ref.empty());
-      ASSERT_EQ(t, ref.top().time);
-      want.push_back(ref.top().payload);
-      ref.pop();
-      fn();
-      ASSERT_EQ(got.back(), want.back());
-      ASSERT_GE(t, last_pop);
-      last_pop = t;
+    while (d.pop()) {
     }
-    while (!ref.empty() && canceled[ref.top().seq]) ref.pop();
-    EXPECT_TRUE(ref.empty()) << "seed " << seed;
-    EXPECT_EQ(got, want) << "seed " << seed;
+    ASSERT_FALSE(HasFailure()) << "seed " << seed << " drain";
+  }
+}
+
+/// The sparse arm: a 1 s tick leaves about 122 empty buckets between two
+/// pops, so the cursor crosses long empty runs and wraps from slot 1023 to
+/// 0. Gaps of 100-1,100 buckets (some past the horizon), 1 s periodic
+/// chains that start and stop, and cancels that leave a bucket holding
+/// nothing but a tombstone.
+TEST(EventQueueFuzz, SparseWheelMatchesPriorityQueueReference) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    Differential d;
+    std::vector<bool> chained;  // by id: reschedules itself 1 s on
+    const auto schedule = [&](SimTime t, bool chain) {
+      const std::uint64_t id = d.schedule(t);
+      chained.resize(id + 1, false);
+      chained[id] = chain;
+    };
+    const auto gap = [&] {
+      return rng.uniform_int(100, 1100) * kBucketWidth +
+             rng.uniform_int(0, kBucketWidth - 1);
+    };
+    schedule(rng.uniform_int(0, kSec), /*chain=*/true);
+    for (int step = 0; step < 3000; ++step) {
+      const double roll = rng.uniform();
+      if (roll < 0.3) {
+        schedule(d.last_pop() + gap(), /*chain=*/false);
+      } else if (roll < 0.35) {
+        schedule(d.last_pop() + gap(), /*chain=*/true);
+      } else if (roll < 0.5) {
+        if (const auto lone = d.lone_event()) d.cancel(*lone);
+      } else {
+        const auto id = d.pop();
+        // A chain ends one tick in ten.
+        if (id && chained[*id] && rng.chance(0.9)) {
+          schedule(d.last_pop() + kSec, /*chain=*/true);
+        }
+      }
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " step " << step;
+    }
+    while (d.pop()) {
+    }
+    ASSERT_FALSE(HasFailure()) << "seed " << seed << " drain";
   }
 }
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <queue>
 #include <vector>
+
+#include "core/rng.hpp"
 
 namespace knots::sim {
 namespace {
@@ -104,6 +108,57 @@ TEST(Periodic, CoexistsWithOtherEvents) {
   sim.run_all();
   EXPECT_EQ(ticks, 4);
   EXPECT_EQ(others, 2);
+}
+
+TEST(Simulation, ScheduleBehindAPeekedFarEventKeepsOrder) {
+  // run_until peeks the next event, which moves the queue's cursor across
+  // the empty buckets up to it, then stops at its bound. Events the caller
+  // schedules between the bound and that far event land behind the cursor
+  // and must still fire in (time, insertion) order — the order the
+  // std::priority_queue reference gives.
+  constexpr SimTime kBucketWidth = SimTime{1}
+                                   << EventQueue::kBucketWidthLog2;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    Simulation sim;
+    struct Ref {
+      SimTime time;
+      int id;
+    };
+    const auto later = [](const Ref& a, const Ref& b) {
+      return a.time != b.time ? a.time > b.time : a.id > b.id;
+    };
+    std::priority_queue<Ref, std::vector<Ref>, decltype(later)> ref(later);
+    std::vector<Ref> fired;
+    int next_id = 0;
+    const auto add = [&](SimTime t) {
+      const int id = next_id++;
+      sim.schedule_at(t, [&fired, &sim, id] {
+        fired.push_back(Ref{sim.now(), id});
+      });
+      ref.push(Ref{t, id});
+    };
+    for (int round = 0; round < 200; ++round) {
+      const SimTime far = sim.now() +
+                          rng.uniform_int(100, 1100) * kBucketWidth +
+                          rng.uniform_int(0, kBucketWidth - 1);
+      add(far);
+      const SimTime bound = rng.uniform_int(sim.now(), far - 1);
+      sim.run_until(bound);
+      ASSERT_EQ(sim.now(), bound);
+      const auto extra = rng.uniform_int(1, 4);
+      for (std::int64_t i = 0; i < extra; ++i) {
+        add(rng.uniform_int(bound, far));
+      }
+    }
+    sim.run_all();
+    ASSERT_EQ(fired.size(), ref.size()) << "seed " << seed;
+    for (const Ref& got : fired) {
+      ASSERT_EQ(got.time, ref.top().time) << "seed " << seed;
+      ASSERT_EQ(got.id, ref.top().id) << "seed " << seed;
+      ref.pop();
+    }
+  }
 }
 
 TEST(Simulation, ManyEventsStressOrdering) {
