@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks of the hot paths: telemetry ingest and
-// window queries, forecaster fits, correlation, the event queue and a
-// periodic tick chain, one full scheduler round, a DL run on a contended
-// fabric, and the per-tick invariant audit.
+// window queries, forecaster fits, correlation, the event queue, a periodic
+// tick chain and far arrivals scheduled up front, one full scheduler round,
+// a DL run on a contended fabric, and the per-tick invariant audit.
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
@@ -115,6 +115,44 @@ void BM_PeriodicTick(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PeriodicTick)->Arg(10000)->Arg(1000000);
+
+void BM_FarArrivals(benchmark::State& state) {
+  // ServingEngine::prime's shape: three services' Poisson arrivals over a
+  // 300 s window, 100k each, scheduled up front one ascending run per
+  // service, so nearly every one waits on the queue's far path. A 10 ms
+  // cluster tick runs alongside and every 30 s schedules one far one-shot
+  // behind the newest arrival; then the engine drains.
+  constexpr SimTime kWindow = 300 * kSec;
+  constexpr int kPerStream = 100000;
+  constexpr SimTime kTick = 10 * kMsec;
+  constexpr std::uint64_t kTicksPerFar = 30 * kSec / kTick;
+  std::vector<std::vector<SimTime>> streams(3);
+  Rng rng(1);
+  for (auto& stream : streams) {
+    double t = 0;
+    for (int i = 0; i < kPerStream; ++i) {
+      t += rng.exponential(static_cast<double>(kWindow) / kPerStream);
+      stream.push_back(static_cast<SimTime>(t));
+    }
+  }
+  std::uint64_t events = 0;
+  for (auto _ : state) {
+    sim::Simulation sim;
+    for (const auto& stream : streams) {
+      for (const SimTime t : stream) sim.schedule_at(t, [] {});
+    }
+    std::uint64_t ticks = 0;
+    sim::schedule_periodic(sim, kTick, kTick, [&](SimTime now) {
+      if (++ticks % kTicksPerFar == 0) sim.schedule_at(now + 30 * kSec, [] {});
+      return now < kWindow;
+    });
+    sim.run_all();
+    benchmark::DoNotOptimize(sim.events_processed());
+    events += sim.events_processed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+}
+BENCHMARK(BM_FarArrivals)->Unit(benchmark::kMillisecond);
 
 void BM_FullClusterRun(benchmark::State& state) {
   const auto kind = static_cast<sched::SchedulerKind>(state.range(0));

@@ -341,7 +341,16 @@ std::optional<ExperimentConfig> config_from_flags(
   if (!plan) return std::nullopt;
   if (!add_link_down(flags, *fabric, *plan)) return std::nullopt;
   if (!plan->events.empty()) builder.faults(*plan);
-  return builder.build();
+  ExperimentConfig config = builder.build();
+  // The whole pod workload is generated before the first tick, so one whose
+  // pods cannot fit in this host's memory is rejected here too.
+  const std::string too_long = memory_bound_error(
+      workload_footprint_bytes(config), "the --duration workload's pods");
+  if (!too_long.empty()) {
+    std::cerr << "knots_ctl: " << too_long << "\n";
+    return std::nullopt;
+  }
+  return config;
 }
 
 void print_report(const ExperimentReport& r) {
@@ -628,6 +637,14 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
   }
   // --duration is the request window for serving runs.
   if (flags.count("duration") != 0) cfg.window = config->workload.duration;
+  // Every request is generated and queued before the first tick.
+  const std::string too_many =
+      memory_bound_error(serve::serving_footprint_bytes(cfg),
+                         "the --qps x --duration requests");
+  if (!too_many.empty()) {
+    std::cerr << "knots_ctl: " << too_many << "\n" << kUsage;
+    return 2;
+  }
 
   obs::TraceSink trace;
   obs::MetricsRegistry metrics;

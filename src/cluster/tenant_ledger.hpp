@@ -85,6 +85,13 @@ class TenantLedger {
   /// All tracked tenants' rows, ascending tenant id (deterministic).
   [[nodiscard]] std::vector<TenantRow> rows() const;
 
+  /// Calls `f(row)` for every tracked tenant's row in rows() order, without
+  /// copying them.
+  template <class F>
+  void for_each_row(F&& f) const {
+    for (const auto& [tenant, r] : tenants_) f(r);
+  }
+
   [[nodiscard]] bool empty() const noexcept { return tenants_.empty(); }
 
  private:

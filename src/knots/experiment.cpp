@@ -2,9 +2,12 @@
 
 #include <memory>
 
+#include "cluster/pod.hpp"
 #include "core/thread_pool.hpp"
 #include "knots/kube_knots.hpp"
+#include "sim/event_queue.hpp"
 #include "workload/app_mix.hpp"
+#include "workload/load_generator.hpp"
 
 namespace knots {
 
@@ -70,6 +73,15 @@ ExperimentReport build_report(const cluster::Cluster& cl,
   r.ticks = cl.tick_count();
   r.events = cl.events_processed();
   return r;
+}
+
+double workload_footprint_bytes(const ExperimentConfig& config) {
+  constexpr double kPodBytes = sizeof(workload::PodSpec) +
+                               sizeof(cluster::Pod) +
+                               sim::EventQueue::event_bytes();
+  return workload::expected_pod_count(workload::app_mix(config.mix_id),
+                                      config.workload) *
+         kPodBytes;
 }
 
 ExperimentReport run_experiment(const ExperimentConfig& config) {

@@ -76,6 +76,12 @@ struct ExperimentReport {
   std::vector<std::string> invariant_messages;
 };
 
+/// Bytes `config`'s pod workload needs at its expected pod count
+/// (workload::expected_pod_count): each pod's spec, its cluster Pod and its
+/// queued arrival event. The whole workload is generated before the run
+/// starts, so inputs compare this with the host's memory first.
+double workload_footprint_bytes(const ExperimentConfig& config);
+
 /// Distils a finished cluster's metrics into a report.
 ExperimentReport build_report(const cluster::Cluster& cl,
                               std::string scheduler_name, int mix_id);

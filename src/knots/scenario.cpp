@@ -86,6 +86,8 @@ struct ScenarioBuilder {
   std::vector<cluster::TenantQuotaSpec> quotas;
   fault::FaultPlan faults;
   int gpus_per_node = 1;
+  /// Line of the last duration, mix or load_scale directive (0 if none).
+  int workload_line = 0;
   bool want_auto_fabric = false;
   bool have_fault = false;
 };
@@ -301,7 +303,8 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
   // Every GPU's telemetry ring is allocated whole when the cluster is built:
   // a fleet whose rings cannot fit in this host's memory is rejected at the
   // class that tips it over instead of dying in the allocator.
-  const cluster::ClusterConfig base = b.builder.build().cluster;
+  const ExperimentConfig built = b.builder.build();
+  const cluster::ClusterConfig& base = built.cluster;
   double telemetry_bytes = 0;
   for (std::size_t i = 0; i < b.classes.size(); ++i) {
     const auto& nc = b.classes[i];
@@ -314,6 +317,15 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
       error = err(b.class_lines[i], why);
       return false;
     }
+  }
+  // The whole pod workload is generated before the first tick: a duration
+  // or load whose pods cannot fit in this host's memory is rejected at the
+  // workload directive that came last.
+  const std::string too_long = memory_bound_error(
+      workload_footprint_bytes(built), "the workload's pods");
+  if (!too_long.empty()) {
+    error = b.workload_line > 0 ? err(b.workload_line, too_long) : too_long;
+    return false;
   }
   // The class hosting node `n`: classes expand in file order.
   const auto class_of = [&b](int n) -> const cluster::NodeClass& {
@@ -400,6 +412,7 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
         return std::nullopt;
       }
       b.builder.duration(*t);
+      b.workload_line = line.number;
     } else if (directive == "mix" && unary) {
       const auto mix = to_int32(line.tokens[1]);
       bool known = false;
@@ -413,6 +426,7 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
         return std::nullopt;
       }
       b.builder.mix(*mix);
+      b.workload_line = line.number;
     } else if (directive == "load_scale" && unary) {
       const auto scale = parse_double(line.tokens[1]);
       if (!scale.has_value() || *scale <= 0) {
@@ -420,6 +434,7 @@ std::optional<ScenarioSpec> parse_scenario(std::istream& in,
         return std::nullopt;
       }
       b.builder.load_scale(*scale);
+      b.workload_line = line.number;
     } else if (directive == "gpus_per_node" && unary) {
       const auto gpus = to_int32(line.tokens[1]);
       if (!gpus.has_value() || *gpus < 1) {

@@ -6,6 +6,7 @@
 
 #include "core/check.hpp"
 #include "serve/engine.hpp"
+#include "sim/event_queue.hpp"
 #include "verify/invariant_checker.hpp"
 #include "verify/run_digest.hpp"
 #include "workload/app_mix.hpp"
@@ -44,6 +45,32 @@ ServingConfig default_serving(double total_qps, ArrivalShape shape,
   key.qps = total_qps * 0.2;
   cfg.services = {imc, face, key};
   return cfg;
+}
+
+double serving_footprint_bytes(const ServingConfig& config) {
+  const auto& a = config.arrivals;
+  double qps = 0.0;
+  for (const auto& svc : config.services) qps += svc.qps;
+  double peak = 1.0;  // The shape's peak rate over its mean rate.
+  if (a.shape == ArrivalShape::kDiurnal) peak += a.diurnal_amplitude;
+  if (a.shape == ArrivalShape::kFlashCrowd) {
+    peak = std::max(1.0, a.spike_multiplier);
+  }
+  const double requests =
+      a.shape == ArrivalShape::kTrace
+          ? static_cast<double>(config.services.size()) *
+                static_cast<double>(a.trace.size())
+          : qps * peak * static_cast<double>(config.window) /
+                static_cast<double>(kSec);
+  constexpr double kRequestBytes =
+      sizeof(Request) + sim::EventQueue::event_bytes();
+  double bytes = requests * kRequestBytes;
+  if (config.background_batch) {
+    ExperimentConfig batch = config.experiment;
+    batch.workload.duration = config.window;
+    bytes += workload_footprint_bytes(batch);
+  }
+  return bytes;
 }
 
 namespace {

@@ -140,6 +140,13 @@ struct ServingReport {
   std::uint64_t serve_digest = 0;
 };
 
+/// Bytes a serving run needs before its first event: every service's
+/// requests at the shape's peak rate (qps × window × peak multiplier; a
+/// trace's length for kTrace), each a Request and its queued arrival
+/// event, plus the background batch workload (workload_footprint_bytes over
+/// the window). Inputs compare this with the host's memory first.
+double serving_footprint_bytes(const ServingConfig& config);
+
 /// Runs the serving scenario to completion (single-threaded,
 /// deterministic).
 ServingReport run_serving(const ServingConfig& config);

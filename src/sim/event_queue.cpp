@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <utility>
 
 #include "core/check.hpp"
@@ -16,13 +15,7 @@ std::uint64_t EventQueue::schedule(SimTime t, Handler fn) {
   if (in_horizon(ab)) {
     insert_wheel(std::move(ev));
   } else {
-    // Appending in already-descending position keeps the list clean (rare);
-    // anything else defers the re-sort to the next migration wave.
-    if (!overflow_.empty() && !event_before(ev, overflow_.back())) {
-      overflow_sorted_ = false;
-    }
-    overflow_min_ab_ = std::min(overflow_min_ab_, ab);
-    overflow_.push_back(std::move(ev));
+    far_[ab >> kBucketsLog2].push_back(std::move(ev));
   }
   ++size_;
   return id;
@@ -85,67 +78,55 @@ void EventQueue::insert_wheel(Event ev) {
   ++wheel_total_;
 }
 
-void EventQueue::migrate_overflow() {
-  if (overflow_.empty() || !in_horizon(overflow_min_ab_)) return;
-  if (!overflow_sorted_) {
-    std::sort(overflow_.begin(), overflow_.end(),
-              [](const Event& a, const Event& b) { return event_before(b, a); });
-    overflow_sorted_ = true;
-  }
-  while (!overflow_.empty() && in_horizon(bucket_of(overflow_.back().time))) {
-    insert_wheel(std::move(overflow_.back()));
-    overflow_.pop_back();
-  }
-  overflow_min_ab_ = overflow_.empty()
-                         ? std::numeric_limits<std::int64_t>::max()
-                         : bucket_of(overflow_.back().time);
+void EventQueue::move_cursor(std::int64_t ab) {
+  cur_ab_ = ab;
+  cur_pos_ = 0;
+  cur_sorted_ = false;
+  if (ab != far_start()) return;
+  // The block's events all lie in [ab, ab + kBuckets), the horizon that
+  // starts here, and the cursor has entered none of their buckets yet.
+  const auto block = far_.begin();
+  for (Event& ev : block->second) insert_wheel(std::move(ev));
+  far_.erase(block);
 }
 
 bool EventQueue::prepare_next() {
   if (size_ == 0) return false;
   while (true) {
-    migrate_overflow();
     if (wheel_total_ == 0) {
-      // Every live event sits past the horizon: jump the cursor to the
-      // overflow's earliest bucket and re-migrate. All wheel slots are
-      // empty, so the jump cannot alias live storage.
-      KNOTS_CHECK_MSG(!overflow_.empty(), "live events lost");
-      cur_ab_ = overflow_min_ab_;
-      cur_pos_ = 0;
-      cur_sorted_ = false;
+      // Every live event waits in a far block: jump the cursor to the
+      // earliest block's first bucket, which cascades it. All wheel slots
+      // are empty, so the jump cannot alias live storage.
+      KNOTS_CHECK_MSG(!far_.empty(), "live events lost");
+      move_cursor(far_start());
       continue;
     }
-    // Advance to the next live event. Overflow events are strictly later
-    // than every wheel event (their absolute buckets are beyond the
-    // horizon), so no mid-scan migration is needed.
-    while (wheel_total_ > 0) {
-      std::size_t s = slot_of(cur_ab_);
-      if (!occupied(s)) {
-        // The cursor's bucket drained: jump to the next occupied slot. The
-        // horizon holds each slot's one absolute bucket, so that slot is
-        // the next non-empty bucket and every bucket skipped is empty.
-        cur_ab_ += distance_to_occupied(s);
-        cur_pos_ = 0;
-        cur_sorted_ = false;
-        s = slot_of(cur_ab_);
-      }
-      auto& b = buckets_[s];
-      if (!cur_sorted_) {
-        std::sort(b.begin(), b.end(), event_before);
-        cur_sorted_ = true;
-        cur_pos_ = 0;
-      }
-      while (cur_pos_ < b.size()) {
-        auto it = canceled_.find(b[cur_pos_].seq);
-        if (it == canceled_.end()) return true;
-        canceled_.erase(it);
-        ++cur_pos_;
-        --wheel_total_;
-      }
-      release(s);
-      cur_pos_ = 0;
-      cur_sorted_ = false;
+    const std::size_t s = slot_of(cur_ab_);
+    if (!occupied(s)) {
+      // The cursor's bucket drained: jump to the next occupied slot, or to
+      // the earliest far block's first bucket when that comes first. The
+      // horizon holds each slot's one absolute bucket, so every bucket
+      // skipped is empty. A cascaded block need not fill its first bucket,
+      // so the landing slot is checked again.
+      move_cursor(std::min(cur_ab_ + distance_to_occupied(s), far_start()));
+      continue;
     }
+    auto& b = buckets_[s];
+    if (!cur_sorted_) {
+      std::sort(b.begin(), b.end(), event_before);
+      cur_sorted_ = true;
+      cur_pos_ = 0;
+    }
+    while (cur_pos_ < b.size()) {
+      auto it = canceled_.find(b[cur_pos_].seq);
+      if (it == canceled_.end()) return true;
+      canceled_.erase(it);
+      ++cur_pos_;
+      --wheel_total_;
+    }
+    release(s);
+    cur_pos_ = 0;
+    cur_sorted_ = false;
   }
 }
 

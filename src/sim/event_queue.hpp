@@ -15,13 +15,18 @@
 //    cursor leaving a drained bucket jumps to the next marked slot (with
 //    wrap) instead of stepping through each empty one — a 1 s tick crosses
 //    about 121 empty buckets;
-//  * events past the horizon go to the *overflow* list, kept sorted
-//    descending (lazily — appends mark it dirty, the next migration
-//    re-sorts) so the earliest entry pops off the back in O(1). Before
-//    every pop/peek, overflow entries whose bucket has slid into the
-//    horizon migrate into the wheel. The horizon slides only as the
-//    cursor advances, so a migrated event always lands in a bucket the
-//    cursor has not entered yet — ordering is preserved by construction.
+//  * events past the horizon wait in *far blocks*, appended unsorted: block
+//    q holds every far event whose absolute bucket ab has
+//    ab >> kBucketsLog2 == q, one horizon's span of time. When the cursor
+//    reaches block q's first bucket, the block cascades into the wheel —
+//    each event to its own bucket, still unsorted — and those buckets sort
+//    when the cursor enters them, like any other. Both cursor jumps (to the
+//    next occupied slot, and across an empty wheel) stop at the earliest
+//    block's first bucket instead of passing it. A block therefore cascades
+//    before the cursor can reach any bucket it holds, and the whole block
+//    fits the horizon that starts at its first bucket, so ordering is
+//    preserved by construction. Scheduling far costs a map lookup and an
+//    append; nothing ever sorts more than one bucket.
 //
 // Ordering contract (identical to the std::priority_queue it replaced):
 // events pop in ascending (time, insertion-sequence) order, so
@@ -38,6 +43,7 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <unordered_set>
 #include <vector>
 
@@ -60,6 +66,8 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  /// Bytes one queued event occupies (inputs bound their event load by it).
+  static constexpr std::size_t event_bytes() noexcept { return sizeof(Event); }
 
   /// Enqueues `fn` at absolute time `t` (must be >= the time of the last
   /// event popped). Returns the event's id (its insertion sequence).
@@ -68,9 +76,9 @@ class EventQueue {
   /// Tombstones the pending event `id` (see header contract).
   void cancel(std::uint64_t id);
 
-  /// Time of the earliest pending event; false when empty. Performs
-  /// overflow migration and bucket sorting as a side effect, so a
-  /// subsequent pop() is O(1).
+  /// Time of the earliest pending event; false when empty. Performs far
+  /// block cascades and bucket sorting as a side effect, so a subsequent
+  /// pop() is O(1).
   [[nodiscard]] bool peek_time(SimTime& t);
 
   /// Extracts the earliest event into `t`/`fn`; false when empty.
@@ -109,25 +117,30 @@ class EventQueue {
   [[nodiscard]] bool in_horizon(std::int64_t ab) const noexcept {
     return ab < cur_ab_ + static_cast<std::int64_t>(kBuckets);
   }
-  static constexpr std::int64_t kNoOverflow =
-      std::numeric_limits<std::int64_t>::max();
+  /// First bucket of the earliest far block; the maximum when none waits.
+  [[nodiscard]] std::int64_t far_start() const noexcept {
+    return far_.empty() ? std::numeric_limits<std::int64_t>::max()
+                        : far_.begin()->first << kBucketsLog2;
+  }
 
   void insert_wheel(Event ev);
-  void migrate_overflow();
+  /// Moves the cursor to absolute bucket `ab` (never past far_start()),
+  /// cascading the earliest far block into the wheel when `ab` is its
+  /// first bucket.
+  void move_cursor(std::int64_t ab);
   /// Positions (cur_ab_, cur_pos_) at the earliest live event. Returns
   /// false when the queue is empty.
   bool prepare_next();
 
   std::vector<std::vector<Event>> buckets_;
   std::array<std::uint64_t, kMaskWords> occupied_{};  ///< Bit per slot.
-  std::vector<Event> overflow_;       ///< Sorted descending when clean.
-  bool overflow_sorted_ = true;
-  std::int64_t overflow_min_ab_ = kNoOverflow;  ///< Earliest overflow bucket.
+  /// Far blocks by index (absolute bucket >> kBucketsLog2), each unsorted.
+  std::map<std::int64_t, std::vector<Event>> far_;
   std::int64_t cur_ab_ = 0;           ///< Cursor's absolute bucket.
   std::size_t cur_pos_ = 0;           ///< Next index in the current bucket.
   bool cur_sorted_ = false;           ///< Current bucket sorted & draining.
   std::size_t wheel_total_ = 0;       ///< Wheel events, tombstoned included.
-  std::size_t size_ = 0;              ///< Live events, wheel + overflow.
+  std::size_t size_ = 0;              ///< Live events, wheel + far blocks.
   std::uint64_t next_seq_ = 0;
   std::unordered_set<std::uint64_t> canceled_;
 };

@@ -1,7 +1,7 @@
 #include "verify/invariant_checker.hpp"
 
+#include <algorithm>
 #include <cmath>
-#include <map>
 #include <string>
 
 #include "cluster/cluster.hpp"
@@ -309,20 +309,33 @@ void InvariantChecker::check_tenants(const cluster::Cluster& cluster) {
   const double eps = options_.memory_epsilon_mb;
 
   // Ground truth: per-tenant provisioned memory recomputed from device
-  // residents (ordered map so any reporting below is deterministic).
-  std::map<int, double> observed;
+  // residents. A run has a handful of tenants, so a linear scan finds each
+  // one's sum; the visiting order fixes every sum's rounding.
+  tenant_sums_.clear();
+  const auto sum_of = [this](int tenant) {
+    return std::find_if(
+        tenant_sums_.begin(), tenant_sums_.end(),
+        [tenant](const TenantSum& t) { return t.tenant == tenant; });
+  };
   const std::size_t gpus = cluster.gpu_count();
   for (std::size_t g = 0; g < gpus; ++g) {
     const auto& dev = cluster.device(GpuId{static_cast<std::int32_t>(g)});
     for (PodId pod : dev.residents()) {
-      observed[cluster.pod(pod).spec().tenant] +=
-          dev.provisioned_mb(pod).value_or(0.0);
+      const int tenant = cluster.pod(pod).spec().tenant;
+      auto it = sum_of(tenant);
+      if (it == tenant_sums_.end()) {
+        it = tenant_sums_.insert(it, TenantSum{.tenant = tenant});
+      }
+      it->mb += dev.provisioned_mb(pod).value_or(0.0);
     }
   }
-  for (const auto& row : ledger.rows()) {
-    const auto it = observed.find(row.tenant);
-    const double truth = it == observed.end() ? 0.0 : it->second;
-    if (it != observed.end()) observed.erase(it);
+  ledger.for_each_row([&](const cluster::TenantRow& row) {
+    const auto it = sum_of(row.tenant);
+    double truth = 0.0;
+    if (it != tenant_sums_.end()) {
+      truth = it->mb;
+      it->has_row = true;
+    }
     if (std::abs(truth - row.provisioned_mb) > eps) {
       report(cluster, "tenant-accounting",
              "tenant " + std::to_string(row.tenant) + " ledger charge " +
@@ -336,15 +349,21 @@ void InvariantChecker::check_tenants(const cluster::Cluster& cluster) {
                  fmt_double(row.provisioned_mb) + " MB exceeds quota " +
                  fmt_double(row.quota.provision_cap_mb) + " MB");
     }
-  }
+  });
   // Residents charged to a tenant the ledger should track but has no row
-  // for mean a charge was dropped.
-  for (const auto& [tenant, mb] : observed) {
-    if (ledger.tracks(tenant) && mb > eps) {
-      report(cluster, "tenant-accounting",
-             "tenant " + std::to_string(tenant) + " holds " + fmt_double(mb) +
-                 " MB of residents but has no ledger row");
-    }
+  // for mean a charge was dropped; reported in ascending tenant order.
+  const auto dropped = std::partition(
+      tenant_sums_.begin(), tenant_sums_.end(), [&](const TenantSum& t) {
+        return t.has_row || !ledger.tracks(t.tenant) || t.mb <= eps;
+      });
+  std::sort(dropped, tenant_sums_.end(),
+            [](const TenantSum& a, const TenantSum& b) {
+              return a.tenant < b.tenant;
+            });
+  for (auto it = dropped; it != tenant_sums_.end(); ++it) {
+    report(cluster, "tenant-accounting",
+           "tenant " + std::to_string(it->tenant) + " holds " +
+               fmt_double(it->mb) + " MB of residents but has no ledger row");
   }
 }
 

@@ -111,6 +111,13 @@ class InvariantChecker final : public cluster::ClusterObserver {
   std::vector<std::uint8_t> last_states_;
   std::vector<PodStateHit> hits_scratch_;  ///< Reused across per-tick scans.
   std::vector<bool> in_pending_scratch_;  ///< Reused across per-tick audits.
+  /// One tenant's resident provision, summed in device then resident order.
+  struct TenantSum {
+    int tenant = 0;
+    double mb = 0.0;
+    bool has_row = false;  ///< Matched by a ledger row this audit.
+  };
+  std::vector<TenantSum> tenant_sums_;  ///< Reused across per-tick audits.
   std::vector<Violation> violations_;
   std::uint64_t checks_ = 0;
   std::uint64_t violation_count_ = 0;

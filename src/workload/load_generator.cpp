@@ -83,6 +83,15 @@ PodSpec make_lc_pod(const AppMix& mix, const LoadGenConfig& cfg,
 
 }  // namespace
 
+double expected_pod_count(const AppMix& mix, const LoadGenConfig& cfg) {
+  const auto window = static_cast<double>(cfg.duration);
+  const double batch_gap =
+      static_cast<double>(batch_interarrival(mix.load)) / cfg.batch_rate_scale;
+  const double lc_gap =
+      static_cast<double>(lc_interarrival(mix.load)) / cfg.lc_rate_scale;
+  return window / batch_gap + window / lc_gap;
+}
+
 std::vector<PodSpec> generate_workload(const AppMix& mix,
                                        const LoadGenConfig& cfg, Rng rng) {
   KNOTS_CHECK(!mix.batch_apps.empty());

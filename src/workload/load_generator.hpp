@@ -78,6 +78,11 @@ SimTime lc_interarrival(LoadLevel level);
 /// Arrival burstiness for a COV level.
 double arrival_burstiness(CovLevel level);
 
+/// Mean number of pods generate_workload draws for `mix` under `config`:
+/// the arrival window over each stream's mean inter-arrival gap. Inputs
+/// size a workload by it before generating anything.
+double expected_pod_count(const AppMix& mix, const LoadGenConfig& config);
+
 /// Generates the pod arrival stream for one app mix, sorted by arrival time.
 std::vector<PodSpec> generate_workload(const AppMix& mix,
                                        const LoadGenConfig& config, Rng rng);

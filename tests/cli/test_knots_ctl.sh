@@ -99,6 +99,16 @@ expect_reject "dl gpus past int"      -- dlsim --nodes 100000 --gpus 100000 --dl
 grep -q "more than the 2147483647 GPUs" "$WORK/err" || \
   fail "dl gpus past int: no GPU-count diagnostic"
 expect_reject "dl queries past memory" -- dlsim --dl cbp-pp --dli 2000000000 --dlt 4 --duration 60
+# So does a workload whose pods (the mix's rates x --duration) or requests
+# (--qps x --duration x the shape's peak) no host could hold: both are
+# generated whole before the first tick.
+expect_reject "run pods past memory"   -- run --mix 1 --scheduler CBP --duration 9000000000000 --nodes 2
+grep -q "the --duration workload's pods need" "$WORK/err" || \
+  fail "run pods past memory: no footprint diagnostic"
+expect_reject "sweep pods past memory" -- sweep --mix 1 --duration 9000000000000 --nodes 2
+expect_reject "serve requests past memory" -- serve --qps 1000000000000 --duration 1000000 --nodes 2
+grep -q "the --qps x --duration requests need" "$WORK/err" || \
+  fail "serve requests past memory: no footprint diagnostic"
 
 # list, by contrast, succeeds bare.
 "$CTL" list >"$WORK/list_out" 2>&1 || fail "list: expected exit 0, got $?"
@@ -229,6 +239,10 @@ printf 'seed 3\nnodeclass a p100-16g 1000000 gpus=1000\n' >"$WORK/huge.cfg"
 expect_reject "scenario past host memory" -- scenario "$WORK/huge.cfg"
 grep -q "line 2: the fleet's telemetry rings need" "$WORK/err" || \
   fail "scenario past host memory: no line-numbered diagnostic"
+printf 'nodeclass a p100-16g 2\nduration 9000000000000s\n' >"$WORK/pods.cfg"
+expect_reject "scenario pods past host memory" -- scenario "$WORK/pods.cfg"
+grep -q "line 2: the workload's pods need" "$WORK/err" || \
+  fail "scenario pods past host memory: no line-numbered diagnostic"
 
 "$CTL" scenario "$WORK/does_not_exist.cfg" >"$WORK/out" 2>"$WORK/err"
 rc=$?

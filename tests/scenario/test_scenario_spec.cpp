@@ -229,6 +229,14 @@ TEST(ScenarioSpec, RejectionMatrix) {
       {"telemetry past host memory",
        "nodeclass a p100-16g 2\nnodeclass b p100-16g 1000000 gpus=1000\n",
        "line 2: the fleet's telemetry rings need"},
+      // A workload whose pods no host could hold: rejected at the workload
+      // directive that came last, before anything is generated.
+      {"workload past host memory",
+       "nodeclass a p100-16g 2\nduration 9000000000000s\n",
+       "line 2: the workload's pods need"},
+      {"load past host memory",
+       "duration 600s\nnodeclass a p100-16g 2\nload_scale 1e15\n",
+       "line 3: the workload's pods need"},
   };
   for (const Rejection& c : cases) {
     SCOPED_TRACE(c.label);

@@ -124,6 +124,27 @@ TEST(Serving, GoldenCrashStormDigest) {
   EXPECT_EQ(report.experiment.invariant_violations, 0u);
 }
 
+// Golden digests over a window of more than ten event-queue horizons
+// (about 8.4 s each). ServingEngine::prime schedules every arrival up
+// front, so all but the first horizon's wait on the queue's far path: this
+// pins the order in which far events reach the engine, which the 10 s
+// goldens above barely reach.
+TEST(Serving, LongWindowGoldenDigestIsPinned) {
+  ServingConfig cfg = small_serving(ArrivalShape::kFlashCrowd);
+  cfg.services = default_serving(600.0, ArrivalShape::kFlashCrowd).services;
+  cfg.window = 90 * kSec;
+  const auto report = run_serving(cfg);
+  EXPECT_EQ(report.experiment.run_digest, 0x8ca929487927a315ull)
+      << "long-window run digest drifted (actual 0x" << std::hex
+      << report.experiment.run_digest << ")";
+  EXPECT_EQ(report.serve_digest, 0x2bef96f81b908ae7ull)
+      << "long-window serve digest drifted (actual 0x" << std::hex
+      << report.serve_digest << ")";
+  EXPECT_EQ(report.experiment.events, 107905u);
+  EXPECT_EQ(report.services.size(), 3u);
+  EXPECT_EQ(report.experiment.invariant_violations, 0u);
+}
+
 TEST(Serving, AdmissionShedKeepsSloMissesLow) {
   // With kShed admission, requests that would blow the deadline are turned
   // away at arrival; the served population's SLO-violation fraction must

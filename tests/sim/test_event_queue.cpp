@@ -3,8 +3,8 @@
 // The queue replaced a std::priority_queue; its one contract is *identical
 // observable order*: events pop in ascending (time, insertion-sequence)
 // order under any interleaving of schedule / cancel / pop, including times
-// that straddle bucket boundaries, the wheel horizon, and the overflow
-// list. The fuzz drives both implementations with the same operation
+// that straddle bucket boundaries, the wheel horizon, and the far blocks
+// past it. The fuzz drives both implementations with the same operation
 // stream and demands identical pop sequences.
 
 #include "sim/event_queue.hpp"
@@ -103,7 +103,7 @@ TEST(EventQueue, BucketBoundaryTimesStayOrdered) {
 }
 
 TEST(EventQueue, FarFutureEventsCrossTheHorizon) {
-  // An event far past the wheel horizon must migrate in and pop in order,
+  // An event far past the wheel horizon must cascade in and pop in order,
   // even when the wheel in between is completely empty (cursor jump).
   EventQueue q;
   std::vector<int> order;
@@ -206,6 +206,18 @@ class Differential {
     live_.pop_back();
   }
 
+  /// Peeks both models and fails the test unless they agree. Returns the
+  /// earliest pending time, or nullopt when both are empty.
+  std::optional<SimTime> peek() {
+    SimTime t = 0;
+    const bool have = q_.peek_time(t);
+    while (!ref_.empty() && canceled_[ref_.top().seq]) ref_.pop();
+    EXPECT_EQ(have, !ref_.empty());
+    if (!have || ref_.empty()) return std::nullopt;
+    EXPECT_EQ(t, ref_.top().time);
+    return t;
+  }
+
   /// Pops once from both models and fails the test unless they agree.
   /// Returns the popped id, or nullopt when both are empty.
   std::optional<std::uint64_t> pop() {
@@ -249,6 +261,7 @@ class Differential {
   [[nodiscard]] const std::vector<std::uint64_t>& live() const noexcept {
     return live_;
   }
+  [[nodiscard]] SimTime time_of(std::uint64_t id) const { return times_[id]; }
   [[nodiscard]] SimTime last_pop() const noexcept { return last_pop_; }
 
  private:
@@ -345,6 +358,112 @@ TEST(EventQueueFuzz, SparseWheelMatchesPriorityQueueReference) {
     }
     ASSERT_FALSE(HasFailure()) << "seed " << seed << " drain";
   }
+}
+
+/// The far arm, shaped like ServingEngine::prime: two to four streams of
+/// far one-shots are scheduled up front, one stream after another, each
+/// ascending over 5-40 horizons. Pops then interleave with far schedules
+/// behind the newest far event, near ones anywhere in the horizon (so the
+/// wheel holds events past the next block's first bucket, as a cluster
+/// tick does), times one microsecond either side of a horizon edge (a far
+/// block's first bucket), cancels of far events (every event of one block
+/// included) and schedules behind a peek that stopped on a block's first
+/// bucket. Every seed leaves a run of two or three blocks empty, so the
+/// wheel drains and the cursor jumps the gap.
+TEST(EventQueueFuzz, FarBlocksMatchPriorityQueueReference) {
+  std::size_t behind_block_peeks = 0;
+  std::size_t emptied_blocks = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    Differential d;
+    // Blocks [quiet_lo, quiet_hi) receive no event ahead of the cursor, and
+    // a stream's first event past them sits in block quiet_hi's first bucket.
+    const SimTime quiet_lo = rng.uniform_int(1, 2);
+    const SimTime quiet_hi = quiet_lo + rng.uniform_int(2, 3);
+    const auto quiet = [&](SimTime t) {
+      return t >= quiet_lo * kHorizon && t < quiet_hi * kHorizon;
+    };
+    const auto edge_of = [&](SimTime block) {
+      return block * kHorizon + rng.uniform_int(-1, 1);
+    };
+    SimTime newest = 0;
+    const auto schedule = [&](SimTime t) {
+      d.schedule(t);
+      newest = std::max(newest, t);
+    };
+    const std::int64_t streams = rng.uniform_int(2, 4);
+    for (std::int64_t s = 0; s < streams; ++s) {
+      SimTime t = rng.uniform_int(0, kHorizon - 1);
+      const SimTime end = t + rng.uniform_int(5, 40) * kHorizon;
+      while (true) {
+        t = rng.chance(0.1) ? edge_of(t / kHorizon + 1)
+                            : t + rng.uniform_int(0, kHorizon / 8);
+        if (quiet(t)) {
+          t = quiet_hi * kHorizon + rng.uniform_int(0, kBucketWidth - 1);
+        }
+        if (t >= end) break;
+        schedule(t);
+      }
+    }
+    // Peek, and at a block's first bucket sometimes schedule behind the
+    // peeked event first, as Simulation::run_until's caller may; then pop.
+    const auto pop = [&] {
+      const SimTime now = d.last_pop();
+      const auto next = d.peek();
+      if (next && *next > now && *next % kHorizon < kBucketWidth &&
+          rng.chance(0.5)) {
+        d.schedule(rng.uniform_int(now, *next - 1));
+        ++behind_block_peeks;
+      }
+      return d.pop().has_value();
+    };
+    for (int step = 0; step < 3000; ++step) {
+      const SimTime now = d.last_pop();
+      const double roll = rng.uniform();
+      if (roll < 0.15) {
+        if (newest > now + kHorizon) {
+          const SimTime t = rng.uniform_int(now + kHorizon, newest);
+          if (!quiet(t)) schedule(t);
+        }
+      } else if (roll < 0.25) {
+        const SimTime t = now + rng.uniform_int(0, kHorizon - 1);
+        if (!quiet(t)) schedule(t);
+      } else if (roll < 0.3) {
+        const SimTime t =
+            std::max(now, edge_of(now / kHorizon + rng.uniform_int(1, 6)));
+        if (!quiet(t)) schedule(t);
+      } else if (roll < 0.35) {
+        std::vector<std::size_t> far;
+        for (std::size_t i = 0; i < d.live().size(); ++i) {
+          if (d.time_of(d.live()[i]) >= now + kHorizon) far.push_back(i);
+        }
+        if (!far.empty()) {
+          d.cancel(far[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(far.size()) - 1))]);
+        }
+      } else if (roll < 0.37) {
+        // Every event of one far block. Walking down, the entry cancel()
+        // moves into slot i was already visited.
+        const SimTime block = now / kHorizon + rng.uniform_int(2, 8);
+        bool any = false;
+        for (std::size_t i = d.live().size(); i-- > 0;) {
+          if (d.time_of(d.live()[i]) / kHorizon == block) {
+            d.cancel(i);
+            any = true;
+          }
+        }
+        if (any) ++emptied_blocks;
+      } else {
+        pop();
+      }
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " step " << step;
+    }
+    while (pop()) {
+    }
+    ASSERT_FALSE(HasFailure()) << "seed " << seed << " drain";
+  }
+  EXPECT_GT(behind_block_peeks, 0u);
+  EXPECT_GT(emptied_blocks, 0u);
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "cluster/cluster.hpp"
 #include "knots/experiment.hpp"
@@ -86,6 +90,72 @@ TEST(InvariantChecker, ProvisionCeilingDisabledSkipsOvercommitClaims) {
   EXPECT_FALSE(strict.ok());
   EXPECT_TRUE(has_category(strict, "gpu-provision"));
   EXPECT_FALSE(has_category(strict, "gpu-memory"));
+}
+
+/// One GPU, tenant 1 capped (which switches the ledger on), and one pending
+/// pod per entry of `tenants`, pod i owned by tenants[i].
+cluster::Cluster& tenant_cluster(std::unique_ptr<cluster::Cluster>& holder,
+                                 cluster::Scheduler& sched,
+                                 std::vector<int> tenants) {
+  cluster::ClusterConfig cfg = one_gpu_config();
+  cfg.tenant_quotas = {
+      cluster::TenantQuotaSpec{.tenant = 1, .provision_cap_mb = 8000.0}};
+  holder = std::make_unique<cluster::Cluster>(cfg, sched);
+  std::vector<workload::PodSpec> pods;
+  for (std::size_t i = 0; i < tenants.size(); ++i) {
+    workload::PodSpec spec;
+    spec.id = PodId{static_cast<std::int32_t>(i)};
+    spec.app = "probe";
+    spec.arrival = 10 * kSec;
+    spec.tenant = tenants[i];
+    pods.push_back(std::move(spec));
+  }
+  holder->load(std::move(pods));
+  return *holder;
+}
+
+std::vector<std::string> messages_of(const InvariantChecker& checker,
+                                     std::string_view category) {
+  std::vector<std::string> out;
+  for (const auto& v : checker.violations()) {
+    if (v.category == category) out.push_back(v.message);
+  }
+  return out;
+}
+
+TEST(InvariantChecker, DetectsInjectedTenantChargeMismatch) {
+  // A tenant pod attached behind the cluster's back holds memory its
+  // ledger row was never charged for.
+  NoopScheduler sched;
+  std::unique_ptr<cluster::Cluster> holder;
+  auto& cl = tenant_cluster(holder, sched, {1});
+  ASSERT_TRUE(cl.device(GpuId{0}).attach(PodId{0}, 4000.0));
+  InvariantChecker checker(InvariantOptions{.fatal = false});
+  checker.on_tick_end(cl);
+  EXPECT_EQ(messages_of(checker, "tenant-accounting"),
+            std::vector<std::string>{
+                "tenant 1 ledger charge 0 MB != resident sum 4000 MB"});
+  EXPECT_TRUE(messages_of(checker, "tenant-quota").empty());
+}
+
+TEST(InvariantChecker, DetectsInjectedResidentsWithoutLedgerRow) {
+  // Tenant 2 has no quota and was never charged, so the ledger has no row
+  // for it; its resident is a dropped charge. The row reports come first,
+  // in ascending tenant order, then the row-less tenants.
+  NoopScheduler sched;
+  std::unique_ptr<cluster::Cluster> holder;
+  auto& cl = tenant_cluster(holder, sched, {2, 1, 2});
+  auto& dev = cl.device(GpuId{0});
+  ASSERT_TRUE(dev.attach(PodId{0}, 1500.0));
+  ASSERT_TRUE(dev.attach(PodId{1}, 2500.0));
+  ASSERT_TRUE(dev.attach(PodId{2}, 1250.5));
+  InvariantChecker checker(InvariantOptions{.fatal = false});
+  checker.on_tick_end(cl);
+  EXPECT_EQ(messages_of(checker, "tenant-accounting"),
+            (std::vector<std::string>{
+                "tenant 1 ledger charge 0 MB != resident sum 2500 MB",
+                "tenant 2 holds 2750.5 MB of residents but has no ledger "
+                "row"}));
 }
 
 TEST(InvariantChecker, DetectsStalledClock) {
