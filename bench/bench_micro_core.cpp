@@ -1,13 +1,15 @@
 // Google-benchmark microbenchmarks of the hot paths: telemetry ingest and
 // window queries, forecaster fits, correlation, the event queue, a periodic
 // tick chain and far arrivals scheduled up front, one full scheduler round,
-// a DL run on a contended fabric, and the per-tick invariant audit.
+// a DL run on a contended fabric, the per-tick invariant audit, and one
+// GPU's per-resident usage write.
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
 #include "core/rng.hpp"
 #include "dlsim/dl_cluster.hpp"
 #include "dlsim/dl_policies.hpp"
+#include "gpu/gpu_device.hpp"
 #include "knots/config.hpp"
 #include "net/fabric.hpp"
 #include "obs/metrics.hpp"
@@ -344,6 +346,29 @@ void BM_InvariantAudit(benchmark::State& state) {
   state.counters["live"] = static_cast<double>(live);
 }
 BENCHMARK(BM_InvariantAudit)->Arg(1000)->Arg(72)->Unit(benchmark::kMicrosecond);
+
+void BM_DeviceSetUsage(benchmark::State& state) {
+  // The pod advance's device write: one GPU with k residents, set_usage on
+  // each in turn, round-robin (a lookup plus a totals fold over every
+  // resident). pods-1k averages about six residents per occupied GPU.
+  const auto k = static_cast<std::int32_t>(state.range(0));
+  gpu::GpuDevice dev(GpuId{0});
+  std::vector<PodId> pods;
+  for (std::int32_t i = 0; i < k; ++i) {
+    // Attached out of id order, as placements arrive.
+    pods.push_back(PodId{(i * 5) % k * 7 + 3});
+    if (!dev.attach(pods.back(), 900.0)) state.SkipWithError("attach failed");
+  }
+  const gpu::Usage usage{0.2, 800.0, 100.0, 50.0};
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(dev.set_usage(pods[next], usage));
+    if (++next == pods.size()) next = 0;
+  }
+  benchmark::DoNotOptimize(dev.totals());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DeviceSetUsage)->Arg(1)->Arg(6)->Arg(16);
 
 }  // namespace
 

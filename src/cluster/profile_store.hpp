@@ -52,7 +52,8 @@ class ProfileStore {
   /// ImageProfile pointers are stable (node-based map). Schedulers key
   /// per-pod profile caches on this: while the generation stands still, a
   /// cached find() result — pointer or miss — is still current, and reads
-  /// through a cached pointer see the latest runs.
+  /// through a cached pointer see the latest runs. A value derived from a
+  /// profile's contents must be keyed on its observed_runs instead.
   [[nodiscard]] std::uint64_t generation() const noexcept { return gen_; }
 
   /// Spearman correlation between two images' memory signatures; nullopt

@@ -479,6 +479,11 @@ void DlEngine::apply_fault(const fault::FaultEvent& event) {
       fault_feed_.push_back(
           fault::FaultNotice{sim_.now(), event.kind, event.node, false});
       break;
+    case fault::FaultKind::kSpotReclaim:
+      // Unreachable: set_fault_plan validates against an empty preemptible
+      // mask, which rejects every reclaim (the DL fleet has no spot nodes).
+      KNOTS_CHECK_MSG(false, "spot reclaim installed on the DL engine");
+      break;
     case fault::FaultKind::kLinkDown:
     case fault::FaultKind::kLinkDegrade: {
       // set_fault_plan already validated the name against the fabric.

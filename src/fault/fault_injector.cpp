@@ -50,7 +50,8 @@ void FaultInjector::note_pcie_stall(NodeId node, SimTime now, SimTime until,
 }
 
 void FaultInjector::note_ecc_degrade(NodeId node) {
-  state(node);  // Bounds check only; the retired pages live on the device.
+  // Bounds check only; the retired pages live on the device.
+  (void)state(node);
   ++stats_.ecc_degrades;
   touched_ = true;
 }

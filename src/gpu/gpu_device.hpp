@@ -7,8 +7,8 @@
 // capacity is a capacity violation that crashes the most-recently-grown pod).
 #pragma once
 
+#include <cstddef>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "core/types.hpp"
@@ -89,16 +89,22 @@ class GpuDevice {
   /// violation — the caller crashes the offending pod).
   [[nodiscard]] bool set_usage(PodId pod, const Usage& usage);
 
-  [[nodiscard]] bool resident(PodId pod) const {
-    return usages_.contains(pod);
+  [[nodiscard]] bool resident(PodId pod) const noexcept {
+    return slot_of(pod) < residents_.size();
   }
   [[nodiscard]] std::optional<double> provisioned_mb(PodId pod) const;
   [[nodiscard]] std::vector<PodId> resident_pods() const;
   /// Resident pods in ascending id order, without the copy resident_pods()
-  /// makes — maintained incrementally on attach/detach for the per-tick
-  /// harvest and audit loops.
+  /// makes: the id column of the resident table, for the per-tick harvest
+  /// and audit loops.
   [[nodiscard]] const std::vector<PodId>& residents() const noexcept {
-    return residents_sorted_;
+    return residents_;
+  }
+  /// Each resident's container allocation in MB, index-parallel to
+  /// residents(): the audits sum it in place instead of looking up
+  /// provisioned_mb() per pod.
+  [[nodiscard]] const std::vector<double>& allocations() const noexcept {
+    return provisioned_;
   }
 
   [[nodiscard]] GpuTotals totals() const noexcept { return totals_; }
@@ -143,14 +149,20 @@ class GpuDevice {
   }
 
  private:
+  /// Row of `pod` in the resident table; residents_.size() when absent.
+  [[nodiscard]] std::size_t slot_of(PodId pod) const noexcept;
   void recompute_totals() noexcept;
   void refresh_derived() const;
 
   GpuId id_;
   GpuSpec spec_;
-  std::unordered_map<PodId, Usage> usages_;
-  std::unordered_map<PodId, double> provisioned_;
-  std::vector<PodId> residents_sorted_;
+  // The resident table: one row per pod in ascending id order, kept as
+  // three parallel columns. A device hosts a handful of pods, so a lookup
+  // scans the id column, and recompute_totals sums in id order, which
+  // fixes the totals' rounding independently of attach order.
+  std::vector<PodId> residents_;
+  std::vector<Usage> usages_;
+  std::vector<double> provisioned_;
   GpuTotals totals_{};
   bool parked_ = false;
   double ecc_retired_mb_ = 0.0;

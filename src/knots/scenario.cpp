@@ -9,6 +9,7 @@
 #include "gpu/device_model.hpp"
 #include "telemetry/timeseries_db.hpp"
 #include "workload/app_mix.hpp"
+#include "workload/load_generator.hpp"
 
 namespace knots {
 
@@ -318,13 +319,25 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
       return false;
     }
   }
-  // The whole pod workload is generated before the first tick: a duration
-  // or load whose pods cannot fit in this host's memory is rejected at the
+  // The whole pod workload is generated before the first tick: a load that
+  // leaves a stream no whole-microsecond gap to draw with, or a duration or
+  // load whose pods cannot fit in this host's memory, is rejected at the
   // workload directive that came last.
+  const auto at_workload_line = [&b](const std::string& why) {
+    return b.workload_line > 0 ? err(b.workload_line, why) : why;
+  };
+  const workload::StreamGaps gaps = workload::mean_interarrivals(
+      workload::app_mix(built.mix_id), built.workload);
+  if (gaps.batch == 0 || gaps.lc == 0) {
+    error = at_workload_line(
+        "load_scale leaves a mean inter-arrival gap under 1 us or past what "
+        "a time holds");
+    return false;
+  }
   const std::string too_long = memory_bound_error(
       workload_footprint_bytes(built), "the workload's pods");
   if (!too_long.empty()) {
-    error = b.workload_line > 0 ? err(b.workload_line, too_long) : too_long;
+    error = at_workload_line(too_long);
     return false;
   }
   // The class hosting node `n`: classes expand in file order.

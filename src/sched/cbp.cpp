@@ -21,24 +21,38 @@ bool CbpScheduler::forecast_override(const cluster::Cluster&,
   return false;
 }
 
-const cluster::ImageProfile* CbpScheduler::profile_of(
+CbpScheduler::ProfileMemo& CbpScheduler::memo_of(
     const cluster::Cluster& cl, const cluster::Pod& pod) const {
   const auto idx = static_cast<std::size_t>(pod.id().value);
-  if (profile_cache_.size() <= idx) {
-    profile_cache_.resize(idx + 1, {kNeverCached, nullptr});
+  if (profile_cache_.size() <= idx) profile_cache_.resize(idx + 1);
+  ProfileMemo& memo = profile_cache_[idx];
+  if (memo.profile == nullptr) {
+    const std::uint64_t current = cl.profiles().generation();
+    if (memo.stamp != current) {
+      memo.profile = cl.profiles().find(pod.profile_key());
+      memo.stamp = memo.profile == nullptr ? current : 0;
+    }
   }
-  auto& [gen, prof] = profile_cache_[idx];
-  const std::uint64_t current = cl.profiles().generation();
-  if (gen != current) {
-    prof = cl.profiles().find(pod.profile_key());
-    gen = current;
+  return memo;
+}
+
+double CbpScheduler::batch_target_mb(ProfileMemo& memo) const {
+  const auto runs = static_cast<std::uint64_t>(memo.profile->observed_runs);
+  if (memo.stamp != runs) {
+    memo.target_mb = std::max(
+        kMinProvisionMb,
+        percentile_sorted(memo.profile->memory_signature_sorted,
+                          params_.provision_percentile) *
+            kResizeHeadroom);
+    memo.stamp = runs;
   }
-  return prof;
+  return memo.target_mb;
 }
 
 double CbpScheduler::sizing_mb(const cluster::Cluster& cl,
                                const cluster::Pod& pod) const {
-  const auto* prof = profile_of(cl, pod);
+  ProfileMemo& memo = memo_of(cl, pod);
+  const auto* prof = memo.profile;
   if (prof == nullptr || prof->memory_signature.empty()) {
     // First run of this image: trust the (overstated) user request — for
     // inference pods that is TensorFlow's whole-device earmark, so the
@@ -48,21 +62,21 @@ double CbpScheduler::sizing_mb(const cluster::Cluster& cl,
   // Knots resize: provision for the observed footprint percentile, not the
   // declared claim. Latency-critical pods get their peak (their footprint
   // is flat and small; under-provisioning them buys nothing).
-  const double p = pod.latency_critical() ? 100.0 : params_.provision_percentile;
-  const double target = percentile_sorted(prof->memory_signature_sorted, p);
-  return std::max(kMinProvisionMb, target * kResizeHeadroom);
+  if (!pod.latency_critical()) return batch_target_mb(memo);
+  const double peak = percentile_sorted(prof->memory_signature_sorted, 100.0);
+  return std::max(kMinProvisionMb, peak * kResizeHeadroom);
 }
 
 double CbpScheduler::sm_estimate(const cluster::Cluster& cl,
                                  const cluster::Pod& pod) const {
-  const auto* prof = profile_of(cl, pod);
+  const auto* prof = memo_of(cl, pod).profile;
   if (prof == nullptr) return params_.unknown_sm_estimate;
   return prof->mean_sm;
 }
 
 double CbpScheduler::peak_sm_estimate(const cluster::Cluster& cl,
                                       const cluster::Pod& pod) const {
-  const auto* prof = profile_of(cl, pod);
+  const auto* prof = memo_of(cl, pod).profile;
   if (prof == nullptr) return 1.0;
   return prof->peak_sm;
 }
@@ -126,13 +140,11 @@ void CbpScheduler::harvest(cluster::Cluster& cl) {
         const auto& pod = cl.pod(id);
         if (pod.latency_critical()) continue;
         if (pod.state() != cluster::PodState::kRunning) continue;
-        const auto* prof = profile_of(cl, pod);
-        if (prof == nullptr || prof->memory_signature.empty()) continue;
-        const double target =
-            std::max(kMinProvisionMb,
-                     percentile_sorted(prof->memory_signature_sorted,
-                                       params_.provision_percentile) *
-                         kResizeHeadroom);
+        ProfileMemo& memo = memo_of(cl, pod);
+        if (memo.profile == nullptr || memo.profile->memory_signature.empty()) {
+          continue;
+        }
+        const double target = batch_target_mb(memo);
         if (pod.provisioned_mb() > target * kResizeHeadroom) {
           // May fail when current usage sits above the target; retried on a
           // later tick once the pod's demand recedes.

@@ -72,14 +72,6 @@ class CbpScheduler : public cluster::Scheduler {
   /// Harvests over-provisioned running batch containers down to percentile.
   void harvest(cluster::Cluster& cluster);
 
-  /// Memoized ProfileStore::find for a pod's image. A pod's profile key is
-  /// immutable and find() only changes when record_run() adds an image and
-  /// bumps the store generation, so the (generation, pointer) pair — misses
-  /// included — stays valid until then. Saves a string hash per lookup; CBP
-  /// asks several times per pending and resident pod per tick.
-  [[nodiscard]] const cluster::ImageProfile* profile_of(
-      const cluster::Cluster& cluster, const cluster::Pod& pod) const;
-
   SchedParams params_;
   std::string rationale_placed_;
   std::string rationale_woke_;
@@ -88,9 +80,34 @@ class CbpScheduler : public cluster::Scheduler {
 
  private:
   static constexpr std::uint64_t kNeverCached = ~std::uint64_t{0};
-  /// Indexed by dense pod id: (store generation at lookup, cached result).
-  mutable std::vector<std::pair<std::uint64_t, const cluster::ImageProfile*>>
-      profile_cache_;
+  /// One pod's memo, 24 bytes. While `profile` is null, `stamp` is the
+  /// store generation the miss was seen at. Once found, the pointer never
+  /// changes, and `stamp` is the profile's observed_runs when `target_mb`
+  /// was derived (0: not yet): record_run() merges every later run into the
+  /// profile in place without moving the generation, so the run count is
+  /// what says the target moved.
+  struct ProfileMemo {
+    std::uint64_t stamp = kNeverCached;
+    const cluster::ImageProfile* profile = nullptr;
+    double target_mb = 0.0;
+  };
+  static_assert(sizeof(ProfileMemo) <= 24, "one memo per pod ever seen");
+  /// Memoized ProfileStore::find for a pod's image. A pod's profile key is
+  /// immutable and find() only changes when record_run() adds an image and
+  /// bumps the store generation, so a miss stays valid until then, and a
+  /// found profile for good (the store never erases; pointers are stable).
+  /// Saves a string hash per lookup; CBP asks several times per pending and
+  /// resident pod per tick.
+  [[nodiscard]] ProfileMemo& memo_of(const cluster::Cluster& cluster,
+                                     const cluster::Pod& pod) const;
+  /// A batch pod's container size: max(64, signature percentile ×
+  /// headroom) of its found, non-empty profile, what both the first-fit
+  /// sizing and the harvest resize to. Re-derived only after the profile
+  /// took another run.
+  [[nodiscard]] double batch_target_mb(ProfileMemo& memo) const;
+
+  /// Indexed by dense pod id.
+  mutable std::vector<ProfileMemo> profile_cache_;
   /// Scratch for the first-fit-decreasing sort: (sizing_mb, pod).
   std::vector<std::pair<double, PodId>> sized_batch_;
 };

@@ -92,7 +92,7 @@ class ServingEngine {
     /// Together with ewma_batch_us this is the *effective* per-replica
     /// throughput the autoscaler provisions against.
     double ewma_fill = 0;
-    std::vector<Replica> replicas;
+    std::vector<Replica> replicas{};
     std::size_t arrivals_since_scale = 0;
 
     // Tallies (requests_ holds per-request ground truth; these avoid a

@@ -122,9 +122,7 @@ void InvariantChecker::check_devices(const cluster::Cluster& cluster) {
                  std::to_string(residents.size()));
     }
     double provisioned_sum = 0;
-    for (PodId pod : residents) {
-      provisioned_sum += dev.provisioned_mb(pod).value_or(0.0);
-    }
+    for (const double mb : dev.allocations()) provisioned_sum += mb;
     if (std::abs(provisioned_sum - totals.memory_provisioned_mb) > eps) {
       report(cluster, "gpu-accounting",
              gpu_tag(gpu) + " provisioned total " +
@@ -320,13 +318,15 @@ void InvariantChecker::check_tenants(const cluster::Cluster& cluster) {
   const std::size_t gpus = cluster.gpu_count();
   for (std::size_t g = 0; g < gpus; ++g) {
     const auto& dev = cluster.device(GpuId{static_cast<std::int32_t>(g)});
-    for (PodId pod : dev.residents()) {
-      const int tenant = cluster.pod(pod).spec().tenant;
+    const auto& residents = dev.residents();
+    const auto& allocations = dev.allocations();
+    for (std::size_t i = 0; i < residents.size(); ++i) {
+      const int tenant = cluster.pod(residents[i]).spec().tenant;
       auto it = sum_of(tenant);
       if (it == tenant_sums_.end()) {
         it = tenant_sums_.insert(it, TenantSum{.tenant = tenant});
       }
-      it->mb += dev.provisioned_mb(pod).value_or(0.0);
+      it->mb += allocations[i];
     }
   }
   ledger.for_each_row([&](const cluster::TenantRow& row) {

@@ -83,13 +83,22 @@ PodSpec make_lc_pod(const AppMix& mix, const LoadGenConfig& cfg,
 
 }  // namespace
 
+StreamGaps mean_interarrivals(const AppMix& mix, const LoadGenConfig& cfg) {
+  const auto scaled = [](SimTime base, double rate_scale) -> SimTime {
+    const double gap = static_cast<double>(base) / rate_scale;
+    // Past what a SimTime holds (or not a number): no gap to truncate.
+    if (!(gap < static_cast<double>(kNever))) return 0;
+    return static_cast<SimTime>(gap);
+  };
+  return {scaled(batch_interarrival(mix.load), cfg.batch_rate_scale),
+          scaled(lc_interarrival(mix.load), cfg.lc_rate_scale)};
+}
+
 double expected_pod_count(const AppMix& mix, const LoadGenConfig& cfg) {
   const auto window = static_cast<double>(cfg.duration);
-  const double batch_gap =
-      static_cast<double>(batch_interarrival(mix.load)) / cfg.batch_rate_scale;
-  const double lc_gap =
-      static_cast<double>(lc_interarrival(mix.load)) / cfg.lc_rate_scale;
-  return window / batch_gap + window / lc_gap;
+  const StreamGaps gaps = mean_interarrivals(mix, cfg);
+  return window / static_cast<double>(gaps.batch) +
+         window / static_cast<double>(gaps.lc);
 }
 
 std::vector<PodSpec> generate_workload(const AppMix& mix,
@@ -102,16 +111,13 @@ std::vector<PodSpec> generate_workload(const AppMix& mix,
 
   const double burst = arrival_burstiness(mix.cov);
 
-  const auto batch_gap = static_cast<SimTime>(
-      static_cast<double>(batch_interarrival(mix.load)) / cfg.batch_rate_scale);
-  const auto lc_gap = static_cast<SimTime>(
-      static_cast<double>(lc_interarrival(mix.load)) / cfg.lc_rate_scale);
+  const StreamGaps gaps = mean_interarrivals(mix, cfg);
 
   WorkloadSpec spec;
-  spec.stream(AlibabaArrivals(batch_gap, burst), cfg.duration,
+  spec.stream(AlibabaArrivals(gaps.batch, burst), cfg.duration,
               arrival_rng.fork(1),
               [&](SimTime t) { return make_batch_pod(mix, cfg, t, batch_rng); });
-  spec.stream(AlibabaArrivals(lc_gap, burst), cfg.duration,
+  spec.stream(AlibabaArrivals(gaps.lc, burst), cfg.duration,
               arrival_rng.fork(2),
               [&](SimTime t) { return make_lc_pod(mix, cfg, t, lc_rng); });
   std::vector<PodSpec> pods = spec.build();

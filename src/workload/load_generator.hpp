@@ -78,8 +78,19 @@ SimTime lc_interarrival(LoadLevel level);
 /// Arrival burstiness for a COV level.
 double arrival_burstiness(CovLevel level);
 
+/// Mean inter-arrival gaps of a mix's two streams as generate_workload
+/// draws them: each load level's base gap over its rate scale, truncated to
+/// whole microseconds. A gap is 0 when its scale leaves none a stream can
+/// draw with (under 1 µs, or past what a SimTime holds); inputs reject such
+/// a scale, and generating with it aborts.
+struct StreamGaps {
+  SimTime batch = 0;
+  SimTime lc = 0;
+};
+StreamGaps mean_interarrivals(const AppMix& mix, const LoadGenConfig& config);
+
 /// Mean number of pods generate_workload draws for `mix` under `config`:
-/// the arrival window over each stream's mean inter-arrival gap. Inputs
+/// the arrival window over each stream's mean_interarrivals gap. Inputs
 /// size a workload by it before generating anything.
 double expected_pod_count(const AppMix& mix, const LoadGenConfig& config);
 

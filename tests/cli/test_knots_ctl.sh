@@ -243,6 +243,12 @@ printf 'nodeclass a p100-16g 2\nduration 9000000000000s\n' >"$WORK/pods.cfg"
 expect_reject "scenario pods past host memory" -- scenario "$WORK/pods.cfg"
 grep -q "line 2: the workload's pods need" "$WORK/err" || \
   fail "scenario pods past host memory: no line-numbered diagnostic"
+# A load that truncates the LC stream's mean gap (110 ms / 1e6) to 0 us
+# exits 2 at its line; it used to abort in the arrival process (rc 134).
+printf 'nodeclass a p100-16g 1\nduration 1s\nload_scale 1000000\n' >"$WORK/gap.cfg"
+expect_reject "scenario gap under 1 us" -- scenario "$WORK/gap.cfg"
+grep -q "line 3: load_scale leaves a mean inter-arrival gap" "$WORK/err" || \
+  fail "scenario gap under 1 us: no line-numbered diagnostic"
 
 "$CTL" scenario "$WORK/does_not_exist.cfg" >"$WORK/out" 2>"$WORK/err"
 rc=$?

@@ -130,6 +130,28 @@ TEST(GpuDevice, PcieClampedToLinkCapacity) {
   EXPECT_DOUBLE_EQ(dev.totals().tx_mbps, dev.spec().pcie_mbps);
 }
 
+TEST(GpuDevice, TotalsSumInPodIdOrder) {
+  // 1e-16 is under half an ulp of 1.0, so the fold order decides the sum:
+  // 1.0 + 1e-16 + 1e-16 == 1.0, while 1e-16 + 1e-16 + 1.0 rounds up to
+  // 1.0000000000000002. Attached out of id order, the totals must still be
+  // the pod-id-order fold.
+  auto dev = make_device();
+  const auto value = [](PodId pod) { return pod == PodId{2} ? 1.0 : 1e-16; };
+  for (PodId pod : {PodId{9}, PodId{2}, PodId{5}}) {
+    ASSERT_TRUE(dev.attach(pod, value(pod)));
+    ASSERT_TRUE(dev.set_usage(pod, {value(pod), value(pod), 0, 0}));
+  }
+  const double in_id_order = (1.0 + 1e-16) + 1e-16;
+  ASSERT_EQ(in_id_order, 1.0);
+  ASSERT_NE((1e-16 + 1e-16) + 1.0, in_id_order);
+  EXPECT_EQ(dev.totals().memory_used_mb, in_id_order);
+  EXPECT_EQ(dev.totals().memory_provisioned_mb, in_id_order);
+  EXPECT_EQ(dev.totals().sm_demand, in_id_order);
+  EXPECT_EQ(dev.residents(),
+            (std::vector<PodId>{PodId{2}, PodId{5}, PodId{9}}));
+  EXPECT_EQ(dev.allocations(), (std::vector<double>{1.0, 1e-16, 1e-16}));
+}
+
 TEST(GpuDevice, ResidentPodsSortedAndComplete) {
   auto dev = make_device();
   ASSERT_TRUE(dev.attach(PodId{5}, 10));

@@ -235,8 +235,20 @@ TEST(ScenarioSpec, RejectionMatrix) {
        "nodeclass a p100-16g 2\nduration 9000000000000s\n",
        "line 2: the workload's pods need"},
       {"load past host memory",
-       "duration 600s\nnodeclass a p100-16g 2\nload_scale 1e15\n",
+       "duration 600000s\nnodeclass a p100-16g 2\nload_scale 1e5\n",
        "line 3: the workload's pods need"},
+      // A load that leaves a stream no whole-microsecond mean gap (the
+      // generator truncates 110 ms / 1e6 to 0 us) or a gap past what a time
+      // holds: rejected at the same line, before generation aborts on it.
+      {"load truncating a gap to 0 us",
+       "nodeclass a p100-16g 1\nduration 1s\nload_scale 1000000\n",
+       "line 3: load_scale leaves a mean inter-arrival gap under 1 us"},
+      {"load truncating every gap to 0 us",
+       "duration 600s\nnodeclass a p100-16g 2\nload_scale 1e15\n",
+       "line 3: load_scale leaves a mean inter-arrival gap under 1 us"},
+      {"load stretching a gap past the clock",
+       "load_scale 1e-300\nnodeclass a p100-16g 2\n",
+       "line 1: load_scale leaves a mean inter-arrival gap"},
   };
   for (const Rejection& c : cases) {
     SCOPED_TRACE(c.label);

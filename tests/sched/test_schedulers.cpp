@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "cluster/cluster.hpp"
+#include "core/percentile.hpp"
 #include "sched/cbp.hpp"
 #include "sched/peak_prediction.hpp"
 #include "sched/registry.hpp"
@@ -129,6 +130,70 @@ TEST(Cbp, NeverOvercommitsPhysicalAllocations) {
   cl.load(mix_pods(1, 30 * kSec, 5));
   cl.run();
   EXPECT_TRUE(probe.ok_);
+}
+
+TEST(Cbp, HarvestFollowsInPlaceProfileUpdates) {
+  // Three batch pods of one image. A's completion profiles the image, and
+  // the harvest shrinks the long-running B to that profile's target. C's
+  // completion is the image's second run: record_run merges it into the
+  // same profile in place, which lowers the signature percentile without
+  // moving the store generation. The next harvest must resize B again.
+  const auto batch_pod = [](std::int32_t id, SimTime arrival,
+                            double memory_mb, SimTime length) {
+    workload::PodSpec spec;
+    spec.id = PodId{id};
+    spec.app = "harvest-probe";
+    spec.arrival = arrival;
+    spec.profile = workload::AppProfile(
+        "harvest-probe",
+        {workload::Phase{length, gpu::Usage{0.3, memory_mb, 0, 0}}});
+    spec.requested_mb = 8000;
+    return spec;
+  };
+  struct Seen {
+    std::uint64_t generation = 0;
+    double target_mb = 0;
+    double b_provisioned_mb = 0;
+  };
+  class Probe : public CbpScheduler {
+   public:
+    void on_schedule(cluster::SchedulingContext& ctx) override {
+      CbpScheduler::on_schedule(ctx);
+      const auto& cl = *ctx.cluster;
+      const auto* prof = cl.profiles().find("harvest-probe");
+      const auto& b = cl.pod(PodId{1});
+      if (prof == nullptr || b.state() != cluster::PodState::kRunning) return;
+      const Seen now{cl.profiles().generation(),
+                     std::max(64.0, percentile_sorted(
+                                        prof->memory_signature_sorted,
+                                        params().provision_percentile) *
+                                        1.05),
+                     b.provisioned_mb()};
+      if (prof->observed_runs == 1) {
+        after_first = now;
+      } else if (prof->observed_runs == 2 && !second_seen) {
+        after_second = now;
+        second_seen = true;
+      }
+    }
+    Seen after_first;
+    Seen after_second;
+    bool second_seen = false;
+  };
+  Probe probe;
+  Cluster cl(cfg4(), probe);
+  cl.load({batch_pod(0, 0, 4000, 2 * kSec),
+           batch_pod(1, 0, 500, 60 * kSec),
+           batch_pod(2, 10 * kSec, 1000, 2 * kSec)});
+  cl.run();
+  ASSERT_EQ(cl.completed_count(), 3u);
+  ASSERT_TRUE(probe.second_seen) << "C must complete while B runs";
+  // The premise: the second run moved the target but not the generation.
+  ASSERT_EQ(probe.after_second.generation, probe.after_first.generation);
+  ASSERT_LT(probe.after_second.target_mb * 1.05, probe.after_first.target_mb);
+  EXPECT_EQ(probe.after_first.b_provisioned_mb, probe.after_first.target_mb);
+  EXPECT_EQ(probe.after_second.b_provisioned_mb,
+            probe.after_second.target_mb);
 }
 
 TEST(Pp, GrantsForecastOverrides) {

@@ -25,6 +25,29 @@ TEST(LoadGenerator, ArrivalsSortedAndIdsDense) {
   }
 }
 
+TEST(LoadGenerator, PodCountEstimateUsesTheGapsTheGeneratorDraws) {
+  // A rate scale that leaves the LC stream a 1.9 us mean gap: the generator
+  // truncates it to 1 us, and the estimate must count with that gap too,
+  // not with 1.9 us, which undercounts the stream almost 2x.
+  const AppMix mix = app_mix(1);
+  LoadGenConfig cfg;
+  cfg.duration = 5 * kMsec;
+  cfg.lc_rate_scale = static_cast<double>(lc_interarrival(mix.load)) / 1.9;
+  const StreamGaps gaps = mean_interarrivals(mix, cfg);
+  EXPECT_EQ(gaps.lc, 1);
+  EXPECT_EQ(gaps.batch, batch_interarrival(mix.load));
+  const auto window = static_cast<double>(cfg.duration);
+  EXPECT_EQ(expected_pod_count(mix, cfg),
+            window / static_cast<double>(gaps.batch) + window / 1.0);
+
+  // A scale that leaves under 1 us, or past what a SimTime holds, leaves no
+  // gap at all.
+  cfg.lc_rate_scale = 1e6;
+  EXPECT_EQ(mean_interarrivals(mix, cfg).lc, 0);
+  cfg.batch_rate_scale = 1e-300;
+  EXPECT_EQ(mean_interarrivals(mix, cfg).batch, 0);
+}
+
 TEST(LoadGenerator, BothClassesPresent) {
   const auto pods = generate_workload(app_mix(1), small_config(), Rng(2));
   int batch = 0, lc = 0;
