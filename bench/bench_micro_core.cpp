@@ -32,7 +32,7 @@ void BM_TsdbIngest(benchmark::State& state) {
   telemetry::TimeSeriesDb db(GpuId{0}, 1);
   SimTime t = 0;
   for (auto _ : state) {
-    db.write(GpuId{0}, {t++, 0.5, 0.5, 150.0, 0.0, 0.0});
+    db.write(GpuId{0}, {t++, 0.5});
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -42,11 +42,10 @@ void BM_TsdbWindowQuery(benchmark::State& state) {
   telemetry::TimeSeriesDb db(GpuId{0}, 1);
   const auto n = static_cast<SimTime>(state.range(0));
   for (SimTime t = 0; t < n; ++t) {
-    db.write(GpuId{0}, {t, 0.5, 0.5, 150.0, 0.0, 0.0});
+    db.write(GpuId{0}, {t, 0.5});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        db.query_window(GpuId{0}, telemetry::Metric::kSmUtil, n / 2));
+    benchmark::DoNotOptimize(db.query_window(GpuId{0}, n / 2));
   }
 }
 BENCHMARK(BM_TsdbWindowQuery)->Arg(1000)->Arg(10000)->Arg(60000);

@@ -1,13 +1,11 @@
 // Telemetry hot-path microbenchmarks + end-to-end sweep throughput.
 //
 // Times the per-tick telemetry layer the way the simulator drives it — the
-// scrape of a 1,000-node cluster (one heartbeat row per GPU, its memory
-// noise drawn eagerly), the aggregator's free-memory-sorted query after it,
-// and PP's 500-sample window read — plus the same window over a column whose
-// noise is replayed on read, window materialization and single-percentile
-// selection. Heap allocations are counted via a replaced operator new, and
-// the run finishes with the 10-node four-scheduler sweep measured in
-// ticks/sec.
+// scrape of a 1,000-node cluster (one noised memory row per GPU), the
+// aggregator's free-memory-sorted query after it, and PP's 500-sample window
+// read — plus window materialization and single-percentile selection. Heap
+// allocations are counted via a replaced operator new, and the run finishes
+// with the 10-node four-scheduler sweep measured in ticks/sec.
 //
 //   bench_micro_telemetry --json BENCH_perf.json   # machine-readable output
 //   bench_micro_telemetry --fast                   # CI smoke sizing
@@ -82,16 +80,11 @@ std::vector<std::pair<std::string, double>> as_metrics(const Measurement& m) {
 
 constexpr std::size_t kWindow = 512;  ///< Samples per scheduler window.
 
-/// One GPU's heartbeat carrying `value` in every column.
-telemetry::Row row_of(SimTime t, double value) {
-  return {t, value, value, value, value, value};
-}
-
 telemetry::TimeSeriesDb prefilled_db(std::size_t rows) {
   telemetry::TimeSeriesDb db(GpuId{0}, 1);
   Rng rng(7);
   for (std::size_t t = 0; t < rows; ++t) {
-    db.write(GpuId{0}, row_of(static_cast<SimTime>(t), rng.uniform()));
+    db.write(GpuId{0}, {static_cast<SimTime>(t), rng.uniform()});
   }
   return db;
 }
@@ -150,7 +143,7 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
     telemetry::TimeSeriesDb db(GpuId{0}, 1);
     SimTime t = 0;
     const auto m = measure(
-        iters, [&](std::size_t) { db.write(GpuId{0}, row_of(t++, 0.5)); });
+        iters, [&](std::size_t) { db.write(GpuId{0}, {t++, 0.5}); });
     session.record("tsdb_ingest", as_metrics(m));
   }
 
@@ -195,22 +188,16 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
                 << fmt(query_ns, 0) << " ns per node-tick\n";
     }
 
-    // -- PP's window read: 500 rows of one GPU's memory column, and the
-    // same window of the SM column, whose noise the read replays --
+    // -- PP's window read: 500 rows of one GPU's memory series --
     std::vector<double> scratch;
     double sink = 0;
     const SimTime window = 499;  // rows at now-499 .. now
-    const auto window_of = [&](telemetry::Metric metric) {
-      return measure(iters, [&, metric](std::size_t i) {
-        const GpuId gpu{static_cast<std::int32_t>(i % ScrapeFixture::kNodes)};
-        fx.aggregator().window_into(gpu, metric, fx.now(), window, scratch);
-        sink += static_cast<double>(scratch.size());
-      });
-    };
-    session.record("pp_window_into_500",
-                   as_metrics(window_of(telemetry::Metric::kMemUtil)));
-    session.record("lazy_window_into_500",
-                   as_metrics(window_of(telemetry::Metric::kSmUtil)));
+    const auto pp = measure(iters, [&](std::size_t i) {
+      const GpuId gpu{static_cast<std::int32_t>(i % ScrapeFixture::kNodes)};
+      fx.aggregator().window_into(gpu, fx.now(), window, scratch);
+      sink += static_cast<double>(scratch.size());
+    });
+    session.record("pp_window_into_500", as_metrics(pp));
     if (sink < 0) std::cout << sink;  // defeat dead-code elimination
   }
 
@@ -221,7 +208,7 @@ void bench_telemetry_micro(bench::Session& session, std::size_t iters) {
     double sink = 0;
     const auto vec = measure(iters, [&](std::size_t) {
       sink += static_cast<double>(
-          db.query_window(GpuId{0}, telemetry::Metric::kMemUtil, since).size());
+          db.query_window(GpuId{0}, since).size());
     });
     if (sink < 0) std::cout << sink;
     session.record("window_query_vector", as_metrics(vec));

@@ -303,8 +303,7 @@ std::optional<ExperimentConfig> config_from_flags(
   const std::string too_big = memory_bound_error(
       telemetry::TimeSeriesDb::footprint_bytes(
           static_cast<double>(*nodes), static_cast<double>(*gpus),
-          defaults.cluster.telemetry_retention,
-          defaults.cluster.telemetry_noise),
+          defaults.cluster.telemetry_retention),
       "the --nodes x --gpus telemetry rings");
   if (!too_big.empty()) {
     std::cerr << "knots_ctl: " << too_big << "\n";
@@ -428,9 +427,19 @@ bool write_file(const std::string& path, const char* what, Emit emit) {
   return !out.fail();
 }
 
+/// False, after a message, when `config`'s pod workload generates no pod:
+/// the run would place nothing and print an empty report.
+bool generates_pods(const ExperimentConfig& config) {
+  if (workload_pod_count(config) > 0) return true;
+  std::cerr << "knots_ctl: --mix " << config.mix_id << " generates no pods in "
+            << "--duration " << config.workload.duration / kSec
+            << " s at seed " << config.seed << " (raise --duration)\n";
+  return false;
+}
+
 int cmd_run(const std::map<std::string, std::string>& flags) {
   const auto config = config_from_flags(flags);
-  if (!config) {
+  if (!config || !generates_pods(*config)) {
     std::cerr << kUsage;
     return 2;
   }
@@ -504,7 +513,7 @@ int cmd_scenario(const std::string& path,
 
 int cmd_sweep(const std::map<std::string, std::string>& flags) {
   const auto base = config_from_flags(flags);
-  if (!base) {
+  if (!base || !generates_pods(*base)) {
     std::cerr << kUsage;
     return 2;
   }

@@ -27,16 +27,6 @@ ExperimentReport build_report(const cluster::Cluster& cl,
   const auto cps = m.cluster_util_percentiles(kUtilPs);
   r.cluster_wide = UtilPercentiles{cps[0], cps[1], cps[2], cps[3]};
 
-  r.pairwise_load_cov.assign(m.gpu_count(),
-                             std::vector<double>(m.gpu_count(), 0.0));
-  for (std::size_t i = 0; i < m.gpu_count(); ++i) {
-    for (std::size_t j = i + 1; j < m.gpu_count(); ++j) {
-      const double c = m.pairwise_load_cov(i, j);
-      r.pairwise_load_cov[i][j] = c;
-      r.pairwise_load_cov[j][i] = c;
-    }
-  }
-
   r.queries = m.query_count();
   r.qos_violations = m.violation_count();
   r.violations_per_kilo = m.qos_violations_per_kilo();
@@ -82,6 +72,11 @@ double workload_footprint_bytes(const ExperimentConfig& config) {
   return workload::expected_pod_count(workload::app_mix(config.mix_id),
                                       config.workload) *
          kPodBytes;
+}
+
+std::size_t workload_pod_count(const ExperimentConfig& config) {
+  return workload::generated_pod_count(workload::app_mix(config.mix_id),
+                                       config.workload, Rng(config.seed));
 }
 
 ExperimentReport run_experiment(const ExperimentConfig& config) {

@@ -29,7 +29,6 @@ struct ExperimentReport {
   std::vector<UtilPercentiles> per_gpu;  ///< Fig 6 / Fig 8 bars.
   UtilPercentiles cluster_wide;          ///< Fig 9 bars.
   std::vector<double> per_gpu_cov;       ///< Fig 7 (sorted ascending).
-  std::vector<std::vector<double>> pairwise_load_cov;  ///< Fig 11b surface.
 
   std::size_t queries = 0;
   std::size_t qos_violations = 0;
@@ -81,6 +80,11 @@ struct ExperimentReport {
 /// queued arrival event. The whole workload is generated before the run
 /// starts, so inputs compare this with the host's memory first.
 double workload_footprint_bytes(const ExperimentConfig& config);
+
+/// Pods KubeKnots::submit_mix_workload() generates for `config`, counted
+/// without building them (workload::generated_pod_count). Inputs reject a
+/// workload of none: its run would place nothing and report an empty run.
+std::size_t workload_pod_count(const ExperimentConfig& config);
 
 /// Distils a finished cluster's metrics into a report.
 ExperimentReport build_report(const cluster::Cluster& cl,

@@ -311,7 +311,7 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
     const auto& nc = b.classes[i];
     const int gpus = nc.gpus_per_node > 0 ? nc.gpus_per_node : b.gpus_per_node;
     telemetry_bytes += telemetry::TimeSeriesDb::footprint_bytes(
-        nc.count, gpus, base.telemetry_retention, base.telemetry_noise);
+        nc.count, gpus, base.telemetry_retention);
     const std::string why =
         memory_bound_error(telemetry_bytes, "the fleet's telemetry rings");
     if (!why.empty()) {
@@ -320,9 +320,9 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
     }
   }
   // The whole pod workload is generated before the first tick: a load that
-  // leaves a stream no whole-microsecond gap to draw with, or a duration or
-  // load whose pods cannot fit in this host's memory, is rejected at the
-  // workload directive that came last.
+  // leaves a stream no whole-microsecond gap to draw with, a duration or
+  // load whose pods cannot fit in this host's memory, or one that draws no
+  // pod at all, is rejected at the workload directive that came last.
   const auto at_workload_line = [&b](const std::string& why) {
     return b.workload_line > 0 ? err(b.workload_line, why) : why;
   };
@@ -338,6 +338,11 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
       workload_footprint_bytes(built), "the workload's pods");
   if (!too_long.empty()) {
     error = at_workload_line(too_long);
+    return false;
+  }
+  if (workload_pod_count(built) == 0) {
+    error = at_workload_line(
+        "the workload generates no pods (raise duration or load_scale)");
     return false;
   }
   // The class hosting node `n`: classes expand in file order.

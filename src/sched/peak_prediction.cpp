@@ -14,8 +14,8 @@ bool PeakPredictionScheduler::forecast_override(
   // A stale series would feed the ARIMA frozen samples: the fit would be
   // confident and wrong. Fall back to CBP's conservative veto.
   if (view.stale) return false;
-  cl.aggregator().window_into(view.gpu, telemetry::Metric::kMemUtil, cl.now(),
-                              params_.window, window_scratch_);
+  cl.aggregator().window_into(view.gpu, cl.now(), params_.window,
+                              window_scratch_);
   const auto& series = window_scratch_;
   if (series.size() < 10) return false;
   ++forecasts_;

@@ -15,7 +15,6 @@ void UtilizationAggregator::register_node(const gpu::GpuNode& node,
     // Default bits never match a device, so the next sorted query sees the
     // new slot as moved and rebuilds with it.
     live_bits_.emplace_back();
-    sorted_pos_.push_back(kUnlisted);
   }
 }
 
@@ -25,7 +24,7 @@ GpuView UtilizationAggregator::make_view(std::size_t slot) const {
   // Rows are never dropped, so a GPU without one has never reported: it
   // reads as no memory used, heard from at time -1.
   const SimTime heard = s.db->latest_time(dev.id());
-  const double mem = s.db->latest(dev.id(), Metric::kMemUtil);
+  const double mem = s.db->latest(dev.id());
   GpuView v;
   v.node = s.node->id();
   v.gpu = dev.id();
@@ -35,7 +34,6 @@ GpuView UtilizationAggregator::make_view(std::size_t slot) const {
   // (physical minus ECC-retired pages).
   v.free_mem_mb = dev.effective_memory_mb() - v.mem_used_mb;
   v.parked = dev.parked();
-  v.residents = dev.totals().residents;
   v.last_heartbeat = heard;
   v.stale = horizon_ > 0 && now_ - heard > horizon_;
   v.preemptible = s.node->spec().preemptible;
@@ -70,19 +68,10 @@ bool UtilizationAggregator::diff_live_bits() const {
     const bool parked = dev.parked();
     if (effective != bits.effective_mb || parked != bits.parked) {
       // Usable capacity feeds the sort key and the parked bit decides
-      // membership, so the list is stale, not just one view.
+      // membership.
       bits.effective_mb = effective;
       bits.parked = parked;
       moved = true;
-    }
-    const std::int32_t residents = dev.totals().residents;
-    if (residents != bits.residents) {
-      // Resident counts key neither the sort nor membership: patch the
-      // listed view instead of rebuilding (a placement moves one GPU).
-      bits.residents = residents;
-      if (sorted_pos_[slot] != kUnlisted) {
-        active_sorted_[sorted_pos_[slot]].residents = residents;
-      }
     }
   }
   return moved;
@@ -117,23 +106,20 @@ UtilizationAggregator::active_sorted_by_free_memory() const {
               return a.slot < b.slot;
             });
   active_sorted_.clear();
-  std::fill(sorted_pos_.begin(), sorted_pos_.end(), kUnlisted);
   for (const SortKey& key : keys_) {
-    sorted_pos_[key.slot] = static_cast<std::uint32_t>(active_sorted_.size());
     active_sorted_.push_back(make_view(key.slot));
   }
   return active_sorted_;
 }
 
-std::vector<double> UtilizationAggregator::window(GpuId gpu, Metric metric,
-                                                  SimTime now,
+std::vector<double> UtilizationAggregator::window(GpuId gpu, SimTime now,
                                                   SimTime window_len) const {
   std::vector<double> out;
-  window_into(gpu, metric, now, window_len, out);
+  window_into(gpu, now, window_len, out);
   return out;
 }
 
-void UtilizationAggregator::window_into(GpuId gpu, Metric metric, SimTime now,
+void UtilizationAggregator::window_into(GpuId gpu, SimTime now,
                                         SimTime window_len,
                                         std::vector<double>& out) const {
   const Slot* slot = find_gpu(gpu);
@@ -141,7 +127,7 @@ void UtilizationAggregator::window_into(GpuId gpu, Metric metric, SimTime now,
     out.clear();
     return;
   }
-  slot->db->window_into(gpu, metric, now - window_len, out);
+  slot->db->window_into(gpu, now - window_len, out);
 }
 
 bool UtilizationAggregator::stale(GpuId gpu) const {

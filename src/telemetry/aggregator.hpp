@@ -7,12 +7,12 @@
 //
 // Every view is read where it lives: the node db's newest time and memory
 // reading and the live device, through a slot table built at registration
-// (GPU lookup is O(1)). The other four metrics are read as windows only.
-// Windows are filled into caller-owned scratch buffers. The sorted-by-free-
-// memory list is kept between queries and rebuilt only when a db appended
-// rows, a device's parked bit or usable capacity moved (ECC retirement), or
-// the tick advanced; a moved resident count is patched in place. Policies
-// that never query (Res-Ag, Uniform) never pay for the sort.
+// (GPU lookup is O(1)). Windows of the memory series are filled into
+// caller-owned scratch buffers. The sorted-by-free-memory list is kept
+// between queries and rebuilt only when a db appended rows, a device's
+// parked bit or usable capacity moved (ECC retirement), or the tick
+// advanced. Policies that never query (Res-Ag, Uniform) never pay for the
+// sort.
 //
 // Not thread-safe. Each simulated cluster owns one aggregator.
 #pragma once
@@ -36,7 +36,6 @@ struct GpuView {
   double mem_used_mb = 0.0;
   double free_mem_mb = 0.0;    ///< usable capacity − used (telemetry view).
   bool parked = false;
-  int residents = 0;
   SimTime last_heartbeat = -1; ///< Time of the newest row; -1 = never.
   /// True when the GPU missed enough heartbeats to cross the staleness
   /// horizon — the values above are last-known-good, not current.
@@ -79,22 +78,20 @@ class UtilizationAggregator {
   /// Snapshot of *active* (non-parked) GPUs sorted by free memory
   /// (descending) — Algorithm 1's node list. The returned reference stays
   /// valid until the next call. Rebuilt only when rows landed, a parked bit
-  /// or a usable capacity moved, or the tick advanced since the last build;
-  /// a moved resident count (every placement and completion) is patched
-  /// into the kept view in place, since it keys neither order nor
-  /// membership. Ties resolve by registration slot, exactly like the
-  /// historical stable_sort.
+  /// or a usable capacity moved, or the tick advanced since the last build.
+  /// Ties resolve by registration slot, exactly like the historical
+  /// stable_sort.
   [[nodiscard]] const std::vector<GpuView>& active_sorted_by_free_memory()
       const;
 
-  /// Windowed series for a metric of one GPU: its values in the rows with
+  /// Windowed memory series of one GPU: its readings in the rows with
   /// time >= now − window. Allocates; prefer window_into() on the tick path.
-  [[nodiscard]] std::vector<double> window(GpuId gpu, Metric metric,
-                                           SimTime now, SimTime window) const;
+  [[nodiscard]] std::vector<double> window(GpuId gpu, SimTime now,
+                                           SimTime window) const;
 
   /// Fills `out` (cleared first) with the windowed series, reusing its
   /// capacity. Leaves `out` empty for unknown GPUs.
-  void window_into(GpuId gpu, Metric metric, SimTime now, SimTime window,
+  void window_into(GpuId gpu, SimTime now, SimTime window,
                    std::vector<double>& out) const;
 
   /// Profiles each active_sorted_by_free_memory() call (wall time, ns) into
@@ -120,7 +117,6 @@ class UtilizationAggregator {
   /// The device fields the sorted list depends on, as of the last query.
   struct LiveBits {
     double effective_mb = -1.0;  ///< -1: registered since, never diffed
-    std::int32_t residents = -1;
     bool parked = false;
   };
 
@@ -128,9 +124,8 @@ class UtilizationAggregator {
   [[nodiscard]] GpuView make_view(std::size_t slot) const;
   /// Rows written to every registered db; moves whenever any db appends.
   [[nodiscard]] std::uint64_t total_rows() const;
-  /// Diffs every device against live_bits_ and patches moved resident
-  /// counts into the sorted list; true when a parked bit or a usable
-  /// capacity moved (sort key or membership stale).
+  /// Diffs every device against live_bits_; true when a parked bit or a
+  /// usable capacity moved (sort key or membership stale).
   bool diff_live_bits() const;
 
   std::vector<Slot> slots_;
@@ -143,10 +138,6 @@ class UtilizationAggregator {
   mutable std::vector<GpuView> active_sorted_;
   mutable std::vector<SortKey> keys_;  ///< sort scratch
   mutable std::vector<LiveBits> live_bits_;  ///< per slot
-  /// Index of each slot's view in active_sorted_ (kUnlisted when parked),
-  /// so a resident-count move patches one view instead of rebuilding.
-  static constexpr std::uint32_t kUnlisted = ~std::uint32_t{0};
-  mutable std::vector<std::uint32_t> sorted_pos_;
   mutable std::uint64_t sorted_rows_ = 0;  ///< total_rows() at the build
   mutable SimTime sorted_now_ = -1;        ///< now_ at the build
   obs::Histogram* sort_profile_ = nullptr;

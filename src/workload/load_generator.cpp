@@ -1,6 +1,7 @@
 #include "workload/load_generator.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "core/check.hpp"
@@ -81,6 +82,24 @@ PodSpec make_lc_pod(const AppMix& mix, const LoadGenConfig& cfg,
       .build();
 }
 
+/// One of the two arrival streams generate_workload draws pods on, with the
+/// rng its arrival times come from (pod factories draw from their own).
+struct ArrivalStream {
+  AlibabaArrivals process;
+  Rng rng;
+};
+
+/// The batch stream, then the LC stream.
+std::array<ArrivalStream, 2> arrival_streams(const AppMix& mix,
+                                             const LoadGenConfig& cfg,
+                                             const Rng& rng) {
+  const Rng arrival_rng = rng.fork(1);
+  const double burst = arrival_burstiness(mix.cov);
+  const StreamGaps gaps = mean_interarrivals(mix, cfg);
+  return {{{AlibabaArrivals(gaps.batch, burst), arrival_rng.fork(1)},
+           {AlibabaArrivals(gaps.lc, burst), arrival_rng.fork(2)}}};
+}
+
 }  // namespace
 
 StreamGaps mean_interarrivals(const AppMix& mix, const LoadGenConfig& cfg) {
@@ -101,24 +120,27 @@ double expected_pod_count(const AppMix& mix, const LoadGenConfig& cfg) {
          window / static_cast<double>(gaps.lc);
 }
 
+std::size_t generated_pod_count(const AppMix& mix, const LoadGenConfig& cfg,
+                                Rng rng) {
+  std::size_t pods = 0;
+  for (const ArrivalStream& s : arrival_streams(mix, cfg, rng)) {
+    pods += s.process.generate(cfg.duration, s.rng).size();
+  }
+  return pods;
+}
+
 std::vector<PodSpec> generate_workload(const AppMix& mix,
                                        const LoadGenConfig& cfg, Rng rng) {
   KNOTS_CHECK(!mix.batch_apps.empty());
   KNOTS_CHECK(!mix.lc_services.empty());
-  Rng arrival_rng = rng.fork(1);
   Rng batch_rng = rng.fork(2);
   Rng lc_rng = rng.fork(3);
-
-  const double burst = arrival_burstiness(mix.cov);
-
-  const StreamGaps gaps = mean_interarrivals(mix, cfg);
+  const auto [batch, lc] = arrival_streams(mix, cfg, rng);
 
   WorkloadSpec spec;
-  spec.stream(AlibabaArrivals(gaps.batch, burst), cfg.duration,
-              arrival_rng.fork(1),
+  spec.stream(batch.process, cfg.duration, batch.rng,
               [&](SimTime t) { return make_batch_pod(mix, cfg, t, batch_rng); });
-  spec.stream(AlibabaArrivals(gaps.lc, burst), cfg.duration,
-              arrival_rng.fork(2),
+  spec.stream(lc.process, cfg.duration, lc.rng,
               [&](SimTime t) { return make_lc_pod(mix, cfg, t, lc_rng); });
   std::vector<PodSpec> pods = spec.build();
   // Multi-tenant assignment: round-robin over the (arrival-sorted, densely

@@ -94,6 +94,12 @@ StreamGaps mean_interarrivals(const AppMix& mix, const LoadGenConfig& config);
 /// size a workload by it before generating anything.
 double expected_pod_count(const AppMix& mix, const LoadGenConfig& config);
 
+/// Number of pods generate_workload(mix, config, rng) draws, counted from
+/// its arrival streams without building a pod. Inputs reject a workload
+/// that generates none: its run would do nothing.
+std::size_t generated_pod_count(const AppMix& mix, const LoadGenConfig& config,
+                                Rng rng);
+
 /// Generates the pod arrival stream for one app mix, sorted by arrival time.
 std::vector<PodSpec> generate_workload(const AppMix& mix,
                                        const LoadGenConfig& config, Rng rng);

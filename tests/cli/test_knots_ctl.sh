@@ -250,6 +250,18 @@ expect_reject "scenario gap under 1 us" -- scenario "$WORK/gap.cfg"
 grep -q "line 3: load_scale leaves a mean inter-arrival gap" "$WORK/err" || \
   fail "scenario gap under 1 us: no line-numbered diagnostic"
 
+# A workload that draws no pod exits 2 instead of printing an empty report
+# and exiting 0: mix 3 expects 2.4 pods over 2 s and draws none at seed 42,
+# and load_scale 1e-10 leaves every mean gap near 1e9 s.
+expect_reject "run generates no pods" -- run --mix 3 --duration 2
+grep -q "knots_ctl: --mix 3 generates no pods in --duration 2 s" "$WORK/err" || \
+  fail "run generates no pods: no diagnostic naming --mix and --duration"
+expect_reject "sweep generates no pods" -- sweep --mix 3 --duration 2
+printf 'nodeclass a p100-16g 1\nduration 1s\nload_scale 1e-10\n' >"$WORK/empty.cfg"
+expect_reject "scenario generates no pods" -- scenario "$WORK/empty.cfg"
+grep -q "line 3: the workload generates no pods" "$WORK/err" || \
+  fail "scenario generates no pods: no line-numbered diagnostic"
+
 "$CTL" scenario "$WORK/does_not_exist.cfg" >"$WORK/out" 2>"$WORK/err"
 rc=$?
 [ "$rc" -eq 2 ] || fail "scenario missing file: expected exit 2, got $rc"

@@ -73,8 +73,8 @@ INSTANTIATE_TEST_SUITE_P(
     Schedulers, EveryScheduler,
     ::testing::ValuesIn(std::vector<sched::SchedulerKind>(
         sched::kAllSchedulers.begin(), sched::kAllSchedulers.end())),
-    [](const auto& info) {
-      std::string name = sched::to_string(info.param);
+    [](const auto& param_info) {
+      std::string name = sched::to_string(param_info.param);
       std::erase_if(name, [](char c) { return !std::isalnum(c); });
       return name;
     });

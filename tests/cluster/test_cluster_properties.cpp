@@ -76,10 +76,10 @@ INSTANTIATE_TEST_SUITE_P(
                           sched::SchedulerKind::kResourceAgnostic,
                           sched::SchedulerKind::kCbp,
                           sched::SchedulerKind::kPeakPrediction)),
-    [](const auto& info) {
-      auto name = sched::to_string(std::get<2>(info.param)) + "_n" +
-                  std::to_string(std::get<0>(info.param)) + "_s" +
-                  std::to_string(std::get<1>(info.param));
+    [](const auto& param_info) {
+      auto name = sched::to_string(std::get<2>(param_info.param)) + "_n" +
+                  std::to_string(std::get<0>(param_info.param)) + "_s" +
+                  std::to_string(std::get<1>(param_info.param));
       std::erase_if(name, [](char c) { return !std::isalnum(c) && c != '_'; });
       return name;
     });

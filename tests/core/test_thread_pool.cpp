@@ -70,7 +70,7 @@ TEST(ThreadPool, ParallelForMoreItemsThanThreadsSelfSchedules) {
   pool.parallel_for(1000, [&](std::size_t i) {
     if (i % 97 == 0) {  // a few "expensive simulations"
       volatile long spin = 0;
-      for (int k = 0; k < 20000; ++k) spin += k;
+      for (int k = 0; k < 20000; ++k) spin = spin + k;
     }
     ++hits[i];
   });

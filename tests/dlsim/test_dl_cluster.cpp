@@ -203,8 +203,8 @@ TEST_P(EveryDlPolicy, Deterministic) {
 INSTANTIATE_TEST_SUITE_P(Policies, EveryDlPolicy,
                          ::testing::Values("resag", "gandiva", "tiresias",
                                            "cbp-pp"),
-                         [](const auto& info) {
-                           std::string n = info.param;
+                         [](const auto& param_info) {
+                           std::string n = param_info.param;
                            std::erase(n, '-');
                            return n;
                          });

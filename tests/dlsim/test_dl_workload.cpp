@@ -25,7 +25,9 @@ TEST(DlWorkload, SortedByArrivalWithDenseIds) {
   const auto wl = generate_dl_workload(small(), Rng(2));
   for (std::size_t i = 0; i < wl.jobs.size(); ++i) {
     EXPECT_EQ(wl.jobs[i].id, static_cast<int>(i));
-    if (i > 0) EXPECT_GE(wl.jobs[i].arrival, wl.jobs[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(wl.jobs[i].arrival, wl.jobs[i - 1].arrival);
+    }
   }
   EXPECT_TRUE(std::is_sorted(
       wl.queries.begin(), wl.queries.end(),

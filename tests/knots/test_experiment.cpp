@@ -54,7 +54,6 @@ TEST(Experiment, ReportFieldsConsistent) {
   EXPECT_EQ(report.mix_id, 1);
   EXPECT_EQ(report.per_gpu.size(), 4u);
   EXPECT_EQ(report.per_gpu_cov.size(), 4u);
-  EXPECT_EQ(report.pairwise_load_cov.size(), 4u);
   EXPECT_EQ(report.pods_completed, report.pods_total);
   EXPECT_GE(report.cluster_wide.p99, report.cluster_wide.p50);
   EXPECT_GE(report.cluster_wide.max, report.cluster_wide.p99);

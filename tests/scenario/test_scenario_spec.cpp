@@ -249,6 +249,15 @@ TEST(ScenarioSpec, RejectionMatrix) {
       {"load stretching a gap past the clock",
        "load_scale 1e-300\nnodeclass a p100-16g 2\n",
        "line 1: load_scale leaves a mean inter-arrival gap"},
+      // A workload that draws no pod would run to an empty report: rejected
+      // at the workload directive that came last. The first expects about
+      // 2e-10 pods; the second expects 2.4 and draws none at seed 42.
+      {"load drawing no pod",
+       "nodeclass a p100-16g 1\nduration 1s\nload_scale 1e-10\n",
+       "line 3: the workload generates no pods"},
+      {"window drawing no pod",
+       "seed 42\nmix 3\nduration 2s\nnodeclass a p100-16g 1\n",
+       "line 3: the workload generates no pods"},
   };
   for (const Rejection& c : cases) {
     SCOPED_TRACE(c.label);

@@ -50,12 +50,12 @@ TEST_F(AggregatorTest, SnapshotReflectsTelemetry) {
   EXPECT_TRUE(nodes_[1]->gpu(0).set_usage(PodId{1}, {0.7, 8192, 0, 0}));
   sample_all(5);
   const auto snap = agg_.snapshot();
-  EXPECT_EQ(agg_.window(GpuId{1}, Metric::kSmUtil, /*now=*/5, /*window=*/0),
-            std::vector<double>{0.7});
+  const double cap = nodes_[1]->gpu(0).spec().memory_mb;
+  EXPECT_EQ(agg_.window(GpuId{1}, /*now=*/5, /*window=*/0),
+            std::vector<double>{8192 / cap});
   EXPECT_NEAR(snap[1].mem_used_mb, 8192, 1e-6);
-  EXPECT_NEAR(snap[1].free_mem_mb,
-              nodes_[1]->gpu(0).spec().memory_mb - 8192, 1e-6);
-  EXPECT_EQ(snap[1].residents, 1);
+  EXPECT_NEAR(snap[1].free_mem_mb, cap - 8192, 1e-6);
+  EXPECT_EQ(snap[1].last_heartbeat, 5);
 }
 
 TEST_F(AggregatorTest, ActiveSortedByFreeMemoryDescending) {
@@ -83,22 +83,20 @@ TEST_F(AggregatorTest, ParkedGpusExcludedFromActiveList) {
 
 TEST_F(AggregatorTest, WindowedSeriesQuery) {
   for (SimTime t = 0; t <= 100; t += 10) sample_all(t);
-  const auto window =
-      agg_.window(GpuId{1}, Metric::kSmUtil, /*now=*/100, /*window=*/35);
+  const auto window = agg_.window(GpuId{1}, /*now=*/100, /*window=*/35);
   EXPECT_EQ(window.size(), 4u);  // t = 70, 80, 90, 100
-  EXPECT_TRUE(agg_.window(GpuId{99}, Metric::kSmUtil, 100, 35).empty());
+  EXPECT_TRUE(agg_.window(GpuId{99}, 100, 35).empty());
 }
 
 TEST_F(AggregatorTest, WindowIntoMatchesAllocatingWindow) {
   for (SimTime t = 0; t <= 100; t += 10) sample_all(t);
-  const auto expect =
-      agg_.window(GpuId{1}, Metric::kSmUtil, /*now=*/100, /*window=*/35);
+  const auto expect = agg_.window(GpuId{1}, /*now=*/100, /*window=*/35);
 
   std::vector<double> scratch = {99.0, 98.0};  // must be cleared, not appended
-  agg_.window_into(GpuId{1}, Metric::kSmUtil, 100, 35, scratch);
+  agg_.window_into(GpuId{1}, 100, 35, scratch);
   EXPECT_EQ(scratch, expect);
 
-  agg_.window_into(GpuId{99}, Metric::kSmUtil, 100, 35, scratch);
+  agg_.window_into(GpuId{99}, 100, 35, scratch);
   EXPECT_TRUE(scratch.empty());
 }
 
@@ -133,19 +131,6 @@ TEST_F(AggregatorTest, ActiveSortedCacheReactsToTelemetryWrites) {
   const auto& after = agg_.active_sorted_by_free_memory();
   EXPECT_NE(after, before);
   EXPECT_EQ(after.back().node.value, 0);
-}
-
-TEST_F(AggregatorTest, ActiveSortedCacheReactsToResidentMove) {
-  sample_all(0);
-  const auto* data = agg_.active_sorted_by_free_memory().data();
-  // A placement with no heartbeat since: the listed view's resident count
-  // follows the device, in place.
-  ASSERT_TRUE(nodes_[2]->gpu(0).attach(PodId{1}, 100));
-  const auto& after = agg_.active_sorted_by_free_memory();
-  EXPECT_EQ(after.data(), data);
-  for (const auto& v : after) {
-    EXPECT_EQ(v.residents, v.node.value == 2 ? 1 : 0);
-  }
 }
 
 TEST_F(AggregatorTest, ActiveSortedCacheReactsToParkFlip) {
@@ -196,7 +181,6 @@ TEST_F(AggregatorTest, NodeRegisteredMidTickIsReadBySameTickQuery) {
   ASSERT_EQ(sorted.size(), 4u);
   EXPECT_EQ(sorted.back().gpu.value, 3);  // least free memory
   EXPECT_EQ(sorted.back().last_heartbeat, 4);
-  EXPECT_EQ(sorted.back().residents, 1);
 }
 
 // Algorithm 1's kept list against its definition: a stable sort by free

@@ -10,9 +10,10 @@
 namespace knots::telemetry {
 namespace {
 
-/// The heartbeat scrape as it was before reads replayed the noise: all five
-/// draws evaluated when the row is written, into a write()-only store. The
-/// reference every replayed read must match bit for bit.
+/// The heartbeat scrape as a five-metric sampler draws it: every §IV-A
+/// metric's noise drawn in full, in the order sm, mem, power, tx, rx, and the
+/// memory reading written to a write()-only store. The reference every
+/// reading of a sampled db must match bit for bit.
 class EagerSampler {
  public:
   EagerSampler(const gpu::GpuNode& node, TimeSeriesDb& db, Rng rng,
@@ -26,14 +27,13 @@ class EagerSampler {
       const double cap = dev.spec().memory_mb;
       // One noise draw per metric, in column order: the draw order is part of
       // every digest.
-      Row row;
-      row.time = now;
-      row.sm = std::clamp(jitter(totals.sm_util, 1.0), 0.0, 1.0);
-      row.mem = std::clamp(jitter(totals.memory_used_mb / cap, 1.0), 0.0, 1.0);
-      row.power = jitter(dev.power_watts(), 10.0);
-      row.tx = jitter(totals.tx_mbps, 100.0);
-      row.rx = jitter(totals.rx_mbps, 100.0);
-      db_->write(dev.id(), row);
+      (void)jitter(totals.sm_util, 1.0);
+      const double mem =
+          std::clamp(jitter(totals.memory_used_mb / cap, 1.0), 0.0, 1.0);
+      (void)jitter(dev.power_watts(), 10.0);
+      (void)jitter(totals.tx_mbps, 100.0);
+      (void)jitter(totals.rx_mbps, 100.0);
+      db_->write(dev.id(), Row{now, mem});
     }
   }
 
@@ -59,37 +59,31 @@ TEST(Sampler, NoiselessSamplesMatchDeviceState) {
   TimeSeriesDb db(node, Rng(1), /*noise_sigma=*/0.0);
   db.sample(500);
 
-  EXPECT_DOUBLE_EQ(db.latest(GpuId{0}, Metric::kSmUtil), 0.6);
-  EXPECT_DOUBLE_EQ(db.latest(GpuId{0}, Metric::kMemUtil),
-                   4096.0 / spec.gpu.memory_mb);
-  EXPECT_DOUBLE_EQ(db.latest(GpuId{0}, Metric::kTxBandwidth), 1000);
-  EXPECT_DOUBLE_EQ(db.latest(GpuId{0}, Metric::kRxBandwidth), 250);
-  EXPECT_DOUBLE_EQ(db.latest(GpuId{0}, Metric::kPowerWatts),
-                   node.gpu(0).power_watts());
+  EXPECT_DOUBLE_EQ(db.latest(GpuId{0}), 4096.0 / spec.gpu.memory_mb);
+  EXPECT_EQ(db.latest_time(GpuId{0}), 500);
   // Idle second GPU sampled too.
-  EXPECT_DOUBLE_EQ(db.latest(GpuId{1}, Metric::kSmUtil), 0.0);
+  EXPECT_DOUBLE_EQ(db.latest(GpuId{1}, -1.0), 0.0);
+  EXPECT_EQ(db.latest_time(GpuId{1}), 500);
 }
 
-TEST(Sampler, WritesAllFiveMetricsPerGpu) {
+TEST(Sampler, WritesOneRowPerGpuPerHeartbeat) {
   gpu::NodeSpec spec;
   spec.gpus_per_node = 3;
   gpu::GpuNode node(NodeId{0}, spec, 0);
   TimeSeriesDb db(node, Rng(1), 0.0);
   db.sample(0);
-  // One row per GPU per heartbeat, carrying all five metrics.
   EXPECT_EQ(db.total_rows(), 3u);
   db.sample(1);
   EXPECT_EQ(db.total_rows(), 6u);
   for (std::int32_t g = 0; g < 3; ++g) {
     EXPECT_EQ(db.latest_time(GpuId{g}), 1);
-    for (const Metric m : kAllMetrics) {
-      EXPECT_EQ(db.query_all(GpuId{g}, m).size(), 2u);
-    }
+    EXPECT_EQ(db.query_all(GpuId{g}).size(), 2u);
   }
 }
 
-// Each row draws its five noise values in column order — the order the
-// per-series layout drew them in, which every committed digest depends on.
+// Each heartbeat advances the stream by five normals per GPU in column order
+// — the order the five-metric rows drew them in, which every committed
+// digest depends on — and stores the second, memory's.
 TEST(Sampler, RowDrawsNoiseInColumnOrder) {
   gpu::NodeSpec spec;
   spec.gpus_per_node = 2;
@@ -109,35 +103,36 @@ TEST(Sampler, RowDrawsNoiseInColumnOrder) {
     for (std::size_t i = 0; i < node.gpu_count(); ++i) {
       const auto& dev = node.gpu(i);
       const auto totals = dev.totals();
-      const double sm = std::clamp(jitter(totals.sm_util, 1.0), 0.0, 1.0);
+      (void)jitter(totals.sm_util, 1.0);
       const double mem = std::clamp(
           jitter(totals.memory_used_mb / dev.spec().memory_mb, 1.0), 0.0, 1.0);
-      const double power = jitter(dev.power_watts(), 10.0);
-      const double tx = jitter(totals.tx_mbps, 100.0);
-      const double rx = jitter(totals.rx_mbps, 100.0);
-      const auto at = [&](Metric m) {
-        return db.query_all(dev.id(), m)[static_cast<std::size_t>(t)].value;
-      };
-      EXPECT_EQ(at(Metric::kSmUtil), sm);
-      EXPECT_EQ(at(Metric::kMemUtil), mem);
-      EXPECT_EQ(at(Metric::kPowerWatts), power);
-      EXPECT_EQ(at(Metric::kTxBandwidth), tx);
-      EXPECT_EQ(at(Metric::kRxBandwidth), rx);
+      (void)jitter(dev.power_watts(), 10.0);
+      (void)jitter(totals.tx_mbps, 100.0);
+      (void)jitter(totals.rx_mbps, 100.0);
+      const Row row = db.query_all(dev.id())[static_cast<std::size_t>(t)];
+      EXPECT_EQ(row.time, t);
+      EXPECT_EQ(row.mem, mem);
     }
   }
 }
 
 TEST(Sampler, NoiseStaysBoundedAndNonNegative) {
   gpu::NodeSpec spec;
+  spec.gpus_per_node = 2;  // the second GPU idles, so the floor at 0 bites
   gpu::GpuNode node(NodeId{0}, spec, 0);
   ASSERT_TRUE(node.gpu(0).attach(PodId{1}, 100));
-  EXPECT_TRUE(node.gpu(0).set_usage(PodId{1}, {0.5, 8192, 0, 0}));
+  EXPECT_TRUE(node.gpu(0).set_usage(
+      PodId{1}, {0.5, 0.5 * spec.gpu.memory_mb, 0, 0}));
   TimeSeriesDb db(node, Rng(7), /*noise_sigma=*/0.05);
   for (SimTime t = 0; t < 200; ++t) db.sample(t);
-  for (const auto& s : db.query_all(GpuId{0}, Metric::kSmUtil)) {
-    EXPECT_GE(s.value, 0.0);
-    EXPECT_LE(s.value, 1.0);
-    EXPECT_NEAR(s.value, 0.5, 0.4);
+  for (const Row& r : db.query_all(GpuId{0})) {
+    EXPECT_GE(r.mem, 0.0);
+    EXPECT_LE(r.mem, 1.0);
+    EXPECT_NEAR(r.mem, 0.5, 0.4);
+  }
+  for (const Row& r : db.query_all(GpuId{1})) {
+    EXPECT_GE(r.mem, 0.0);
+    EXPECT_LE(r.mem, 0.4);
   }
 }
 
@@ -145,23 +140,24 @@ TEST(Sampler, NoisyMeanTracksTruth) {
   gpu::NodeSpec spec;
   gpu::GpuNode node(NodeId{0}, spec, 0);
   ASSERT_TRUE(node.gpu(0).attach(PodId{1}, 100));
-  EXPECT_TRUE(node.gpu(0).set_usage(PodId{1}, {0.4, 1000, 0, 0}));
+  EXPECT_TRUE(node.gpu(0).set_usage(
+      PodId{1}, {0.4, 0.4 * spec.gpu.memory_mb, 0, 0}));
   TimeSeriesDb db(node, Rng(11), 0.02);
   for (SimTime t = 0; t < 2000; ++t) db.sample(t);
   double sum = 0;
-  const auto all = db.query_all(GpuId{0}, Metric::kSmUtil);
-  for (const auto& s : all) sum += s.value;
+  const auto all = db.query_all(GpuId{0});
+  for (const Row& r : all) sum += r.mem;
   EXPECT_NEAR(sum / static_cast<double>(all.size()), 0.4, 0.01);
 }
 
-// Every read of a noised db against the eager sampler: node widths 1–8, no /
-// low / high noise, retentions that keep one row, a few rows, exactly one
-// checkpoint interval and several (so rings and the checkpoint ring both
-// wrap), muted heartbeats, and usage that moves between samples — SM demand
-// past 1 so the clamp bites, idle GPUs so the floor at 0 bites. After every
-// step each column of every retained row is read three ways: latest(),
-// window_into() from a random start, and query_all().
-TEST(SamplerDiff, ReplayedReadsMatchEagerSampler) {
+// Every read of a sampled db against the eager five-draw sampler: node
+// widths 1–8, no / low / high noise, retentions that keep one row, a few
+// rows, and more (so rings wrap), muted heartbeats, and usage that moves
+// between samples — idle GPUs so the floor at 0 bites, and usage past the
+// capacity so the clamp at 1 does. After every step the memory readings of
+// every retained row are read three ways: latest(), window_into() from a
+// random start, and query_all().
+TEST(SamplerDiff, MemoryReadsMatchEagerSampler) {
   constexpr std::array<double, 3> kSigmas = {0.0, 0.005, 0.05};
   constexpr std::array<std::size_t, 4> kRetentions = {1, 7, 64, 200};
   Rng rng(2026);
@@ -176,7 +172,7 @@ TEST(SamplerDiff, ReplayedReadsMatchEagerSampler) {
       const auto first = static_cast<std::int32_t>(rng.uniform_int(0, 20));
       gpu::GpuNode node(NodeId{0}, spec, first);
       const std::uint64_t seed = rng.uniform_int(1, 1 << 30);
-      TimeSeriesDb lazy(node, Rng(seed), sigma, retention);
+      TimeSeriesDb sampled(node, Rng(seed), sigma, retention);
       TimeSeriesDb eager_db(GpuId{first}, node.gpu_count(), retention);
       EagerSampler eager(node, eager_db, Rng(seed), sigma);
 
@@ -195,50 +191,39 @@ TEST(SamplerDiff, ReplayedReadsMatchEagerSampler) {
           dev.detach(pod);
         } else if (dice < 0.5) {
           if (!dev.resident(pod)) (void)dev.attach(pod, 1000.0);
+          const double cap = dev.spec().memory_mb;
           (void)dev.set_usage(pod, {rng.uniform(0.0, 1.3),
-                                    rng.uniform(0.0, dev.spec().memory_mb),
+                                    rng.uniform(0.0, 1.2 * cap),
                                     rng.uniform(0.0, 900.0),
                                     rng.uniform(0.0, 300.0)});
         }
         now += rng.uniform_int(0, 2);  // equal times allowed
         if (rng.chance(0.8)) {  // a muted heartbeat samples nothing
-          lazy.sample(now);
+          sampled.sample(now);
           eager.sample(now);
         }
-        ASSERT_EQ(lazy.total_rows(), eager_db.total_rows());
+        ASSERT_EQ(sampled.total_rows(), eager_db.total_rows());
         for (std::size_t i = 0; i < node.gpu_count(); ++i) {
+          SCOPED_TRACE(::testing::Message() << "step " << step << " gpu " << i);
           const GpuId id = node.gpu(i).id();
-          ASSERT_EQ(lazy.latest_time(id), eager_db.latest_time(id));
-          for (const Metric m : kAllMetrics) {
-            SCOPED_TRACE(::testing::Message()
-                         << "step " << step << " gpu " << i << " "
-                         << metric_name(m));
-            ASSERT_EQ(lazy.latest(id, m, -1.0), eager_db.latest(id, m, -1.0));
-            const auto all = eager_db.query_all(id, m);
-            const auto lazy_all = lazy.query_all(id, m);
-            ASSERT_EQ(lazy_all.size(), all.size());
-            for (std::size_t r = 0; r < all.size(); ++r) {
-              ASSERT_EQ(lazy_all[r].time, all[r].time) << "row " << r;
-              ASSERT_EQ(lazy_all[r].value, all[r].value) << "row " << r;
-            }
-            const SimTime oldest = all.empty() ? 0 : all.front().time;
-            const SimTime since = rng.uniform_int(oldest - 1, now + 1);
-            lazy.window_into(id, m, since, got);
-            eager_db.window_into(id, m, since, want);
-            ASSERT_EQ(got, want) << "since " << since;
+          ASSERT_EQ(sampled.latest_time(id), eager_db.latest_time(id));
+          ASSERT_EQ(sampled.latest(id, -1.0), eager_db.latest(id, -1.0));
+          const auto all = eager_db.query_all(id);
+          const auto sampled_all = sampled.query_all(id);
+          ASSERT_EQ(sampled_all.size(), all.size());
+          for (std::size_t r = 0; r < all.size(); ++r) {
+            ASSERT_EQ(sampled_all[r].time, all[r].time) << "row " << r;
+            ASSERT_EQ(sampled_all[r].mem, all[r].mem) << "row " << r;
           }
+          const SimTime oldest = all.empty() ? 0 : all.front().time;
+          const SimTime since = rng.uniform_int(oldest - 1, now + 1);
+          sampled.window_into(id, since, got);
+          eager_db.window_into(id, since, want);
+          ASSERT_EQ(got, want) << "since " << since;
         }
       }
     }
   }
-}
-
-TEST(SamplerDeathTest, NoisedDbTakesRowsFromSampleOnly) {
-  gpu::NodeSpec spec;
-  gpu::GpuNode node(NodeId{0}, spec, 0);
-  TimeSeriesDb db(node, Rng(3), 0.01);
-  EXPECT_DEATH(db.write(GpuId{0}, Row{0, 0.5, 0.5, 0.5, 0.5, 0.5}),
-               "sample\\(\\) only");
 }
 
 }  // namespace

@@ -24,7 +24,6 @@ inline void expect_identical(const ExperimentReport& a,
   EXPECT_EQ(a.cluster_wide.p99, b.cluster_wide.p99);
   EXPECT_EQ(a.cluster_wide.max, b.cluster_wide.max);
   EXPECT_EQ(a.per_gpu_cov, b.per_gpu_cov);
-  EXPECT_EQ(a.pairwise_load_cov, b.pairwise_load_cov);
   EXPECT_EQ(a.queries, b.queries);
   EXPECT_EQ(a.qos_violations, b.qos_violations);
   EXPECT_EQ(a.violations_per_kilo, b.violations_per_kilo);

@@ -1,7 +1,7 @@
 // Randomized legal-transition fuzz of the Pod state machine: many walks
-// through Pending → Starting → Running → {Completed | Crashed → Pending}
-// asserting the documented invariants at every step, with particular
-// attention to crash → requeue → restart cycles.
+// through Pending → Starting → Running → {Completed | Crashed → Pending |
+// Evicted → Pending} asserting the documented invariants at every step, with
+// particular attention to crash or eviction → requeue → restart cycles.
 #include <gtest/gtest.h>
 
 #include "cluster/pod.hpp"
@@ -47,6 +47,7 @@ TEST(PodFuzz, RandomizedLegalWalks) {
     Pod pod(fuzz_spec(rng));
     SimTime now = pod.spec().arrival;
     int expected_crashes = 0;
+    int expected_evictions = 0;
     SimTime expected_first_start = -1;
     const SimTime total = pod.spec().profile.total_duration();
     ASSERT_GT(total, 0);
@@ -71,10 +72,16 @@ TEST(PodFuzz, RandomizedLegalWalks) {
           break;
         }
         case PodState::kStarting: {
-          if (rng.chance(0.15)) {
+          const double dice = rng.uniform();
+          if (dice < 0.1) {
             pod.crash(now);
             ++expected_crashes;
             EXPECT_EQ(pod.state(), PodState::kCrashed);
+          } else if (dice < 0.15) {
+            // The hosting node died while the container launched.
+            pod.evict(now);
+            ++expected_evictions;
+            EXPECT_EQ(pod.state(), PodState::kEvicted);
           } else {
             pod.begin_running(now);
             EXPECT_EQ(pod.state(), PodState::kRunning);
@@ -88,6 +95,14 @@ TEST(PodFuzz, RandomizedLegalWalks) {
             ++expected_crashes;
             // Restart-from-scratch semantics: all progress is lost.
             EXPECT_EQ(pod.state(), PodState::kCrashed);
+            EXPECT_DOUBLE_EQ(pod.progress(), 0.0);
+            break;
+          }
+          if (rng.chance(0.05)) {
+            pod.evict(now);
+            ++expected_evictions;
+            // Evicted pods restart from scratch too.
+            EXPECT_EQ(pod.state(), PodState::kEvicted);
             EXPECT_DOUBLE_EQ(pod.progress(), 0.0);
             break;
           }
@@ -112,6 +127,16 @@ TEST(PodFuzz, RandomizedLegalWalks) {
           EXPECT_DOUBLE_EQ(pod.progress(), 0.0);
           break;
         }
+        case PodState::kEvicted: {
+          EXPECT_EQ(pod.evict_count(), expected_evictions);
+          EXPECT_FALSE(pod.gpu().valid());
+          EXPECT_DOUBLE_EQ(pod.provisioned_mb(), 0.0);
+          EXPECT_DOUBLE_EQ(pod.progress(), 0.0);
+          now += rng.uniform_int(1, 3000) * kMsec;  // Eviction delay.
+          pod.requeue();
+          EXPECT_EQ(pod.state(), PodState::kPending);
+          break;
+        }
         case PodState::kCompleted:
           step = 400;  // Terminal: walk done.
           break;
@@ -119,6 +144,7 @@ TEST(PodFuzz, RandomizedLegalWalks) {
     }
     check_always_invariants(pod);
     EXPECT_EQ(pod.crash_count(), expected_crashes) << "seed " << seed;
+    EXPECT_EQ(pod.evict_count(), expected_evictions) << "seed " << seed;
     if (pod.state() == PodState::kCompleted) {
       EXPECT_TRUE(pod.finished_profile());
       EXPECT_GE(pod.completion(), expected_first_start);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "workload/djinn_tonic.hpp"
 
@@ -20,7 +21,9 @@ TEST(LoadGenerator, ArrivalsSortedAndIdsDense) {
   ASSERT_FALSE(pods.empty());
   for (std::size_t i = 0; i < pods.size(); ++i) {
     EXPECT_EQ(pods[i].id.value, static_cast<std::int32_t>(i));
-    if (i > 0) EXPECT_GE(pods[i].arrival, pods[i - 1].arrival);
+    if (i > 0) {
+      EXPECT_GE(pods[i].arrival, pods[i - 1].arrival);
+    }
     EXPECT_LT(pods[i].arrival, small_config().duration);
   }
 }
@@ -46,6 +49,33 @@ TEST(LoadGenerator, PodCountEstimateUsesTheGapsTheGeneratorDraws) {
   EXPECT_EQ(mean_interarrivals(mix, cfg).lc, 0);
   cfg.batch_rate_scale = 1e-300;
   EXPECT_EQ(mean_interarrivals(mix, cfg).batch, 0);
+}
+
+// Inputs reject a workload by generated_pod_count before generating it, so
+// the count must be exactly the generator's: every mix, windows short
+// enough to draw no pod (mix 3 over 2 s at seed 42 does) and long ones,
+// and scaled loads.
+TEST(LoadGenerator, PodCountMatchesTheGeneratedWorkload) {
+  bool saw_empty = false;
+  for (const AppMix& mix : all_app_mixes()) {
+    for (const SimTime duration : {2 * kSec, 60 * kSec}) {
+      for (const double scale : {0.01, 1.0, 3.0}) {
+        for (const std::uint64_t seed : {1u, 42u, 7919u}) {
+          LoadGenConfig cfg;
+          cfg.duration = duration;
+          cfg.batch_rate_scale = scale;
+          cfg.lc_rate_scale = scale;
+          const std::size_t pods =
+              generate_workload(mix, cfg, Rng(seed)).size();
+          ASSERT_EQ(generated_pod_count(mix, cfg, Rng(seed)), pods)
+              << "mix " << mix.id << " duration " << duration << " scale "
+              << scale << " seed " << seed;
+          saw_empty = saw_empty || pods == 0;
+        }
+      }
+    }
+  }
+  EXPECT_TRUE(saw_empty);
 }
 
 TEST(LoadGenerator, BothClassesPresent) {
