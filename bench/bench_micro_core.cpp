@@ -1,8 +1,9 @@
 // Google-benchmark microbenchmarks of the hot paths: telemetry ingest and
 // window queries, forecaster fits, correlation, the event queue, a periodic
-// tick chain and far arrivals scheduled up front, one full scheduler round,
-// a DL run on a contended fabric, the per-tick invariant audit, and one
-// GPU's per-resident usage write.
+// tick chain and far arrivals scheduled up front, full cluster runs, a DL
+// run on a contended fabric, the per-tick invariant audit, one CBP or PP
+// scheduler round at datacenter scale, and one GPU's per-resident usage
+// write.
 #include <benchmark/benchmark.h>
 
 #include "cluster/cluster.hpp"
@@ -345,6 +346,55 @@ void BM_InvariantAudit(benchmark::State& state) {
   state.counters["live"] = static_cast<double>(live);
 }
 BENCHMARK(BM_InvariantAudit)->Arg(1000)->Arg(72)->Unit(benchmark::kMicrosecond);
+
+void BM_SchedulerRound(benchmark::State& state, sched::SchedulerKind kind) {
+  // One CBP or PP round in the pods-1k shape: 1,000 P100 nodes, app mix 1
+  // at the testbed's pod density over a 20 s arrival window (batch pods ten
+  // times shorter and ten times more frequent, as in perfbench), telemetry
+  // rings of 1,024 rows. The cluster is held at 10 s, mid-window, then each
+  // iteration steps one whole tick with a metrics registry attached.
+  // `round_ns` is the mean sched.on_schedule_ns over the stepped ticks, the
+  // round alone; the iteration time is the whole tick. The iteration count
+  // is fixed so every build steps the same 200 ticks.
+  constexpr int kNodes = 1000;
+  constexpr SimTime kHoldAt = 10 * kSec;
+  ExperimentConfig cfg = ExperimentConfig::Builder{}
+                             .mix(1)
+                             .scheduler(kind)
+                             .nodes(kNodes)
+                             .duration(20 * kSec)
+                             .seed(1)
+                             .load_scale(kNodes / 10.0)
+                             .build();
+  cfg.workload.min_time_scale /= 10.0;
+  cfg.workload.max_time_scale /= 10.0;
+  cfg.workload.batch_rate_scale *= 10.0;
+  cfg.cluster.seed = cfg.seed;
+  cfg.cluster.telemetry_retention = 1024;
+  auto scheduler = sched::make_scheduler(cfg.scheduler);
+  cluster::Cluster cl(cfg.cluster, *scheduler);
+  cl.load(workload::generate_workload(workload::app_mix(cfg.mix_id),
+                                      cfg.workload, Rng(cfg.seed)));
+  StopAtTickEnd stop(cl);
+  cl.add_observer(&stop);
+  cl.run();  // Returns at the end of the first tick.
+  while (cl.now() < kHoldAt) cl.engine().run_all();
+
+  obs::MetricsRegistry registry;
+  cl.set_metrics_registry(&registry);
+  for (auto _ : state) cl.engine().run_all();
+  const obs::Histogram& rounds = registry.histogram("sched.on_schedule_ns");
+  if (rounds.count() != static_cast<std::uint64_t>(state.iterations())) {
+    state.SkipWithError("a step ran other than one scheduler round");
+  }
+  state.counters["round_ns"] = rounds.mean();
+}
+BENCHMARK_CAPTURE(BM_SchedulerRound, CBP, sched::SchedulerKind::kCbp)
+    ->Iterations(200)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SchedulerRound, PP, sched::SchedulerKind::kPeakPrediction)
+    ->Iterations(200)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DeviceSetUsage(benchmark::State& state) {
   // The pod advance's device write: one GPU with k residents, set_usage on

@@ -414,18 +414,57 @@ void export_csv(const ExperimentReport& r, const std::string& path) {
   std::cout << "wrote " << csv.rows_written() << " rows to " << path << "\n";
 }
 
-/// Writes via `emit` to `path`; returns false (with a message) on I/O error.
-template <typename Emit>
-bool write_file(const std::string& path, const char* what, Emit emit) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) {
-    std::cerr << "knots_ctl: cannot write " << what << " to " << path << "\n";
-    return false;
+/// The sinks behind one run's --trace, --trace-bin and --metrics-out
+/// flags. `observability` points only at the sinks a flag asks for;
+/// write() writes every asked-for file once the run is over.
+class RunOutputs {
+ public:
+  explicit RunOutputs(const std::map<std::string, std::string>& flags)
+      : flags_(flags) {
+    if (flags.count("trace") != 0 || flags.count("trace-bin") != 0) {
+      observability.trace = &trace_;
+    }
+    if (flags.count("metrics-out") != 0) observability.metrics = &metrics_;
   }
-  emit(out);
-  std::cout << "wrote " << what << " to " << path << "\n";
-  return !out.fail();
-}
+  RunOutputs(const RunOutputs&) = delete;
+  RunOutputs& operator=(const RunOutputs&) = delete;
+
+  /// Writes each asked-for file; false when any write failed.
+  [[nodiscard]] bool write() const {
+    bool ok = write_file("trace", "chrome trace", [this](std::ostream& os) {
+      trace_.export_chrome_trace(os);
+    });
+    ok &= write_file("trace-bin", "binary trace",
+                     [this](std::ostream& os) { trace_.export_binary(os); });
+    ok &= write_file("metrics-out", "metrics",
+                     [this](std::ostream& os) { metrics_.to_json(os); });
+    return ok;
+  }
+
+  RunObservability observability;
+
+ private:
+  /// Writes via `emit` to the path `flag` names, if given; false (with a
+  /// message) on I/O error.
+  template <typename Emit>
+  bool write_file(const char* flag, const char* what, Emit emit) const {
+    const auto it = flags_.find(flag);
+    if (it == flags_.end()) return true;
+    std::ofstream out(it->second, std::ios::binary);
+    if (!out) {
+      std::cerr << "knots_ctl: cannot write " << what << " to " << it->second
+                << "\n";
+      return false;
+    }
+    emit(out);
+    std::cout << "wrote " << what << " to " << it->second << "\n";
+    return !out.fail();
+  }
+
+  const std::map<std::string, std::string>& flags_;
+  obs::TraceSink trace_;
+  obs::MetricsRegistry metrics_;
+};
 
 /// False, after a message, when `config`'s pod workload generates no pod:
 /// the run would place nothing and print an empty report.
@@ -444,32 +483,12 @@ int cmd_run(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  obs::TraceSink trace;
-  obs::MetricsRegistry metrics;
-  const bool want_trace =
-      flags.count("trace") != 0 || flags.count("trace-bin") != 0;
-  RunObservability observability;
-  if (want_trace) observability.trace = &trace;
-  if (flags.count("metrics-out")) observability.metrics = &metrics;
-
-  const auto report = run_experiment(*config, observability);
+  RunOutputs outputs(flags);
+  const auto report = run_experiment(*config, outputs.observability);
   print_report(report);
   if (flags.count("csv")) export_csv(report, flags.at("csv"));
 
-  bool io_ok = true;
-  if (flags.count("trace")) {
-    io_ok &= write_file(flags.at("trace"), "chrome trace",
-                        [&](std::ostream& os) { trace.export_chrome_trace(os); });
-  }
-  if (flags.count("trace-bin")) {
-    io_ok &= write_file(flags.at("trace-bin"), "binary trace",
-                        [&](std::ostream& os) { trace.export_binary(os); });
-  }
-  if (flags.count("metrics-out")) {
-    io_ok &= write_file(flags.at("metrics-out"), "metrics",
-                        [&](std::ostream& os) { metrics.to_json(os); });
-  }
-  return io_ok ? 0 : 1;
+  return outputs.write() ? 0 : 1;
 }
 
 int cmd_scenario(const std::string& path,
@@ -481,34 +500,14 @@ int cmd_scenario(const std::string& path,
     return 2;
   }
 
-  obs::TraceSink trace;
-  obs::MetricsRegistry metrics;
-  RunObservability observability;
-  if (flags.count("trace") != 0 || flags.count("trace-bin") != 0) {
-    observability.trace = &trace;
-  }
-  if (flags.count("metrics-out")) observability.metrics = &metrics;
-
+  RunOutputs outputs(flags);
   std::cout << "scenario " << scenario->name << " ("
             << scenario->config.cluster.nodes << " nodes)\n";
-  const auto report = run_experiment(scenario->config, observability);
+  const auto report = run_experiment(scenario->config, outputs.observability);
   print_report(report);
   if (flags.count("csv")) export_csv(report, flags.at("csv"));
 
-  bool io_ok = true;
-  if (flags.count("trace")) {
-    io_ok &= write_file(flags.at("trace"), "chrome trace",
-                        [&](std::ostream& os) { trace.export_chrome_trace(os); });
-  }
-  if (flags.count("trace-bin")) {
-    io_ok &= write_file(flags.at("trace-bin"), "binary trace",
-                        [&](std::ostream& os) { trace.export_binary(os); });
-  }
-  if (flags.count("metrics-out")) {
-    io_ok &= write_file(flags.at("metrics-out"), "metrics",
-                        [&](std::ostream& os) { metrics.to_json(os); });
-  }
-  return io_ok ? 0 : 1;
+  return outputs.write() ? 0 : 1;
 }
 
 int cmd_sweep(const std::map<std::string, std::string>& flags) {
@@ -655,31 +654,11 @@ int cmd_serve(const std::map<std::string, std::string>& flags) {
     return 2;
   }
 
-  obs::TraceSink trace;
-  obs::MetricsRegistry metrics;
-  RunObservability observability;
-  if (flags.count("trace") != 0 || flags.count("trace-bin") != 0) {
-    observability.trace = &trace;
-  }
-  if (flags.count("metrics-out")) observability.metrics = &metrics;
-
-  const auto report = serve::run_serving(cfg, observability);
+  RunOutputs outputs(flags);
+  const auto report = serve::run_serving(cfg, outputs.observability);
   print_serving_report(report, cfg);
 
-  bool io_ok = true;
-  if (flags.count("trace")) {
-    io_ok &= write_file(flags.at("trace"), "chrome trace",
-                        [&](std::ostream& os) { trace.export_chrome_trace(os); });
-  }
-  if (flags.count("trace-bin")) {
-    io_ok &= write_file(flags.at("trace-bin"), "binary trace",
-                        [&](std::ostream& os) { trace.export_binary(os); });
-  }
-  if (flags.count("metrics-out")) {
-    io_ok &= write_file(flags.at("metrics-out"), "metrics",
-                        [&](std::ostream& os) { metrics.to_json(os); });
-  }
-  return io_ok ? 0 : 1;
+  return outputs.write() ? 0 : 1;
 }
 
 void print_dl_run(const dlsim::DlResult& r) {
@@ -804,31 +783,15 @@ int cmd_dlsim(const std::map<std::string, std::string>& flags) {
   }
   options.faults = *plan;
 
-  obs::TraceSink trace;
-  obs::MetricsRegistry metrics;
-  if (flags.count("trace") != 0 || flags.count("trace-bin") != 0) {
-    options.trace = &trace;
-  }
-  if (flags.count("metrics-out")) options.metrics = &metrics;
+  RunOutputs outputs(flags);
+  options.trace = outputs.observability.trace;
+  options.metrics = outputs.observability.metrics;
 
   const auto result = dlsim::run_dl_simulation(
       policy, cluster, wl, static_cast<std::uint64_t>(*seed), options);
   print_dl_run(result);
 
-  bool io_ok = true;
-  if (flags.count("trace")) {
-    io_ok &= write_file(flags.at("trace"), "chrome trace",
-                        [&](std::ostream& os) { trace.export_chrome_trace(os); });
-  }
-  if (flags.count("trace-bin")) {
-    io_ok &= write_file(flags.at("trace-bin"), "binary trace",
-                        [&](std::ostream& os) { trace.export_binary(os); });
-  }
-  if (flags.count("metrics-out")) {
-    io_ok &= write_file(flags.at("metrics-out"), "metrics",
-                        [&](std::ostream& os) { metrics.to_json(os); });
-  }
-  return io_ok ? 0 : 1;
+  return outputs.write() ? 0 : 1;
 }
 
 int cmd_list() {

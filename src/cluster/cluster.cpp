@@ -153,7 +153,8 @@ void Cluster::load(std::vector<workload::PodSpec> specs) {
     last_arrival_ = std::max(last_arrival_, spec.arrival);
     const SimTime arrival = spec.arrival;
     const PodId id = spec.id;
-    pods_.push_back(pod_arena_.create(std::move(spec)));
+    const ImageId image = profile_store_.intern(image_key(spec));
+    pods_.push_back(pod_arena_.create(std::move(spec), image));
     sim_.schedule_at(arrival, [this, id] { on_arrival(id); });
   }
   pod_states_.assign(pods_.size(),
@@ -183,7 +184,8 @@ PodId Cluster::submit_pod(workload::PodSpec spec) {
   spec.arrival = std::max(spec.arrival, now());
   last_arrival_ = std::max(last_arrival_, spec.arrival);
   const SimTime arrival = spec.arrival;
-  pods_.push_back(pod_arena_.create(std::move(spec)));
+  const ImageId image = profile_store_.intern(image_key(spec));
+  pods_.push_back(pod_arena_.create(std::move(spec), image));
   pod_states_.push_back(static_cast<std::uint8_t>(PodState::kPending));
   sim_.schedule_at(arrival, [this, id] { on_arrival(id); });
   return id;
@@ -433,8 +435,6 @@ SchedulingContext Cluster::make_context() {
   ctx.now = now();
   ctx.pending = &pending_;
   ctx.aggregator = &aggregator_;
-  ctx.profiles = &profile_store_;
-  ctx.fault_feed = &fault_feed_;
   ctx.trace = trace_;
   // Exposed only while quotas are actually enforced, so policies behave
   // bit-identically on quota-free runs.
@@ -459,8 +459,6 @@ void Cluster::apply_fault(const fault::FaultEvent& event) {
       injector_->note_node_down(event.node);
       nodes_[node_idx]->set_online(false);
       evict_node(event.node);
-      fault_feed_.push_back(
-          {now(), fault::FaultKind::kNodeCrash, event.node, false});
       for (auto* o : observers_) o->on_node_down(*this, event.node);
       if (trace_ != nullptr) {
         trace_->record(now(), EventKind::kNodeDown, event.node.value);
@@ -479,22 +477,14 @@ void Cluster::apply_fault(const fault::FaultEvent& event) {
         node.gpu(g).retire_memory_mb(event.severity);
       }
       injector_->note_ecc_degrade(event.node);
-      fault_feed_.push_back(
-          {now(), fault::FaultKind::kGpuEccDegrade, event.node, false});
       break;
     }
     case fault::FaultKind::kHeartbeatLoss: {
       injector_->note_heartbeat_gap(event.node, event.at + event.duration);
-      fault_feed_.push_back(
-          {now(), fault::FaultKind::kHeartbeatLoss, event.node, false});
       sim_.schedule_after(event.duration, [this, node = event.node] {
-        if (!injector_->heartbeat_muted(node, now())) {
-          fault_feed_.push_back(
-              {now(), fault::FaultKind::kHeartbeatLoss, node, true});
-          if (trace_ != nullptr) {
-            trace_->record(now(), EventKind::kFaultRecover, node.value, -1,
-                           0.0, "heartbeat-loss");
-          }
+        if (trace_ != nullptr && !injector_->heartbeat_muted(node, now())) {
+          trace_->record(now(), EventKind::kFaultRecover, node.value, -1, 0.0,
+                         "heartbeat-loss");
         }
       });
       break;
@@ -502,27 +492,18 @@ void Cluster::apply_fault(const fault::FaultEvent& event) {
     case fault::FaultKind::kPcieStall: {
       injector_->note_pcie_stall(event.node, now(), event.at + event.duration,
                                  event.severity);
-      fault_feed_.push_back(
-          {now(), fault::FaultKind::kPcieStall, event.node, false});
       sim_.schedule_after(event.duration, [this, node = event.node] {
-        if (injector_->pcie_slowdown(node, now()) == 1.0) {
-          fault_feed_.push_back(
-              {now(), fault::FaultKind::kPcieStall, node, true});
-          if (trace_ != nullptr) {
-            trace_->record(now(), EventKind::kFaultRecover, node.value, -1,
-                           0.0, "pcie-stall");
-          }
+        if (trace_ != nullptr && injector_->pcie_slowdown(node, now()) == 1.0) {
+          trace_->record(now(), EventKind::kFaultRecover, node.value, -1, 0.0,
+                         "pcie-stall");
         }
       });
       break;
     }
     case fault::FaultKind::kSpotReclaim: {
-      // Stage 1: the reclaim *notice*. Schedulers (and serve's autoscaler,
-      // through the feed) get the node's spot_notice grace to drain or
-      // re-place before the capacity actually disappears.
+      // Stage 1: the reclaim *notice*. The node keeps running for its
+      // spot_notice grace before the capacity actually disappears.
       if (injector_->node_down(event.node)) return;
-      fault_feed_.push_back(
-          {now(), fault::FaultKind::kSpotReclaim, event.node, false});
       const SimTime notice = nodes_[node_idx]->spec().spot_notice;
       sim_.schedule_after(notice,
                           [this, node = event.node, d = event.duration] {
@@ -531,37 +512,12 @@ void Cluster::apply_fault(const fault::FaultEvent& event) {
       break;
     }
     case fault::FaultKind::kLinkDown:
-    case fault::FaultKind::kLinkDegrade: {
+    case fault::FaultKind::kLinkDegrade:
       // set_fault_plan already validated the name against the fabric.
       KNOTS_CHECK_MSG(fabric_ != nullptr,
                       "link fault installed without a fabric");
-      const auto link = fabric_->link_index(event.link);
-      KNOTS_CHECK_MSG(link.has_value(), "link fault names an unknown link");
-      const bool hard = event.kind == fault::FaultKind::kLinkDown;
-      if (hard) {
-        fabric_->set_link_down(*link);
-      } else {
-        fabric_->degrade_link(*link, event.severity);
-      }
-      fault_feed_.push_back({now(), event.kind, event.node, false});
-      if (event.duration > 0) {
-        sim_.schedule_after(
-            event.duration, [this, l = *link, hard, kind = event.kind] {
-              if (hard) {
-                fabric_->set_link_up(l);
-              } else {
-                fabric_->restore_link(l);
-              }
-              fault_feed_.push_back({now(), kind, NodeId{}, true});
-              if (trace_ != nullptr) {
-                trace_->record(now(), EventKind::kFaultRecover,
-                               static_cast<std::int32_t>(l), -1, 0.0,
-                               fault::to_string(kind));
-              }
-            });
-      }
+      fabric_->apply_link_fault(event, trace_);
       break;
-    }
   }
 }
 
@@ -588,7 +544,6 @@ void Cluster::reclaim_node(NodeId id, SimTime duration) {
 void Cluster::recover_node(NodeId id) {
   injector_->note_node_up(id);
   nodes_[static_cast<std::size_t>(id.value)]->set_online(true);
-  fault_feed_.push_back({now(), fault::FaultKind::kNodeCrash, id, true});
   for (auto* o : observers_) o->on_node_up(*this, id);
   if (trace_ != nullptr) {
     trace_->record(now(), EventKind::kNodeUp, id.value);
@@ -751,11 +706,9 @@ void Cluster::complete_pod(Pod& p) {
   ledger_.release(p.id());
 
   const auto& spec = p.spec();
-  profile_store_.record_run(
-      p.profile_key(), spec.profile.memory_percentile_mb(80.0),
-      spec.profile.peak_memory_mb(), spec.profile.mean_sm(),
-      spec.profile.peak_sm(), spec.profile.memory_signature(),
-      spec.profile.sm_signature());
+  profile_store_.record_run(p.image(), spec.profile.mean_sm(),
+                            spec.profile.peak_sm(),
+                            spec.profile.memory_signature());
 
   if (p.latency_critical()) {
     QueryRecord q;
@@ -885,7 +838,6 @@ void Cluster::tick() {
     KNOTS_PROF_SCOPE(sched_profile_);
     scheduler_->on_schedule(ctx);
   }
-  fault_feed_.clear();
   maybe_park_idle_gpus();
 
   // Energy integrates every tick; figure metrics sample at 1 s cadence.

@@ -390,7 +390,6 @@ class Cluster : private net::FabricObserver {
   std::unique_ptr<net::Fabric> fabric_;  ///< null when config_.fabric empty
   fault::FaultPlan fault_plan_;
   std::unique_ptr<fault::FaultInjector> injector_;
-  std::vector<fault::FaultNotice> fault_feed_;
   std::vector<bool> gpu_stale_;  ///< Previous-tick staleness, for edges.
   bool has_preemptible_ = false;  ///< Any node is spot capacity.
   SimTime last_arrival_ = 0;

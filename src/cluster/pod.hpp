@@ -8,6 +8,7 @@
 //                                   eviction delay, progress lost)
 #pragma once
 
+#include <string>
 #include <string_view>
 
 #include "core/types.hpp"
@@ -33,15 +34,14 @@ std::string image_key(const workload::PodSpec& spec);
 
 class Pod {
  public:
-  explicit Pod(workload::PodSpec spec)
-      : spec_(std::move(spec)), profile_key_(image_key(spec_)) {}
+  /// `image` is image_key(spec) interned in the cluster's ProfileStore
+  /// (invalid for a pod built outside a cluster).
+  explicit Pod(workload::PodSpec spec, ImageId image = {})
+      : spec_(std::move(spec)), image_(image) {}
 
   [[nodiscard]] const workload::PodSpec& spec() const noexcept { return spec_; }
-  /// image_key(spec()), computed once — the schedulers' profile lookups
-  /// would otherwise rebuild the string per resident per tick.
-  [[nodiscard]] const std::string& profile_key() const noexcept {
-    return profile_key_;
-  }
+  /// The pod's profile-store id: schedulers read its profile by index.
+  [[nodiscard]] ImageId image() const noexcept { return image_; }
   [[nodiscard]] PodId id() const noexcept { return spec_.id; }
   [[nodiscard]] PodState state() const noexcept { return state_; }
   [[nodiscard]] bool terminal() const noexcept {
@@ -96,7 +96,7 @@ class Pod {
 
  private:
   workload::PodSpec spec_;
-  std::string profile_key_;
+  ImageId image_;
   PodState state_ = PodState::kPending;
   GpuId gpu_{};
   double provisioned_mb_ = 0;

@@ -22,31 +22,26 @@ void ema_merge(std::vector<double>& acc, const std::vector<double>& next) {
 }
 }  // namespace
 
-void ProfileStore::record_run(const std::string& image, double p80_memory_mb,
-                              double peak_memory_mb, double mean_sm,
-                              double peak_sm,
-                              const std::vector<double>& memory_signature,
-                              const std::vector<double>& sm_signature) {
-  auto& prof = profiles_[image];
+ImageId ProfileStore::intern(const std::string& key) {
+  const ImageId next{static_cast<std::int32_t>(profiles_.size())};
+  const auto [it, added] = ids_.try_emplace(key, next);
+  if (added) profiles_.emplace_back();
+  return it->second;
+}
+
+void ProfileStore::record_run(ImageId image, double mean_sm, double peak_sm,
+                              const std::vector<double>& memory_signature) {
+  KNOTS_CHECK(image.valid() &&
+              static_cast<std::size_t>(image.value) < profiles_.size());
+  auto& prof = profiles_[static_cast<std::size_t>(image.value)];
   if (prof.observed_runs == 0) {
-    // Only a new image changes what find() returns: later runs update the
-    // profile in place, behind the same pointer.
-    ++gen_;
-    prof.image = image;
-    prof.p80_memory_mb = p80_memory_mb;
-    prof.peak_memory_mb = peak_memory_mb;
     prof.mean_sm = mean_sm;
     prof.peak_sm = peak_sm;
     prof.memory_signature = memory_signature;
-    prof.sm_signature = sm_signature;
   } else {
-    prof.p80_memory_mb =
-        (1.0 - kEma) * prof.p80_memory_mb + kEma * p80_memory_mb;
-    prof.peak_memory_mb = std::max(prof.peak_memory_mb, peak_memory_mb);
     prof.mean_sm = (1.0 - kEma) * prof.mean_sm + kEma * mean_sm;
     prof.peak_sm = std::max(prof.peak_sm, peak_sm);
     ema_merge(prof.memory_signature, memory_signature);
-    ema_merge(prof.sm_signature, sm_signature);
   }
   // Runs complete far less often than schedulers read percentiles, so the
   // sorted shadow is refreshed here rather than per query.
@@ -56,13 +51,15 @@ void ProfileStore::record_run(const std::string& image, double p80_memory_mb,
   ++prof.observed_runs;
 }
 
-const ImageProfile* ProfileStore::find(const std::string& image) const {
-  auto it = profiles_.find(image);
-  return it == profiles_.end() ? nullptr : &it->second;
+const ImageProfile* ProfileStore::find(ImageId image) const {
+  KNOTS_CHECK(image.valid() &&
+              static_cast<std::size_t>(image.value) < profiles_.size());
+  const auto& prof = profiles_[static_cast<std::size_t>(image.value)];
+  return prof.observed_runs == 0 ? nullptr : &prof;
 }
 
-std::optional<double> ProfileStore::memory_correlation(
-    const std::string& a, const std::string& b) const {
+std::optional<double> ProfileStore::memory_correlation(ImageId a,
+                                                       ImageId b) const {
   const ImageProfile* pa = find(a);
   const ImageProfile* pb = find(b);
   if (pa == nullptr || pb == nullptr) return std::nullopt;

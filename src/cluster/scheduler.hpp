@@ -2,9 +2,9 @@
 //
 // An engine invokes the policy once per scheduling tick through
 // on_schedule(), handing it a SchedulingContext — a curated view of
-// everything a policy may read (pending queue, telemetry aggregator,
-// profile store, this tick's fault feed) plus the Cluster pointer it
-// mutates through place / resize_pod / park. The DL engine drives the same
+// everything a policy may read (pending queue, telemetry aggregator, tenant
+// quotas) plus the Cluster pointer it mutates through place / resize_pod /
+// park and reads image profiles through. The DL engine drives the same
 // interface with the pod-specific members null and its own view in
 // `extension` (see dlsim/). Fault transitions additionally
 // fire the optional on_node_down / on_node_up / on_telemetry_stale hooks,
@@ -14,10 +14,8 @@
 
 #include <deque>
 #include <string>
-#include <vector>
 
 #include "core/types.hpp"
-#include "fault/fault_plan.hpp"
 
 namespace knots::telemetry {
 class UtilizationAggregator;
@@ -29,7 +27,6 @@ class TraceSink;
 namespace knots::cluster {
 
 class Cluster;
-class ProfileStore;
 class TenantLedger;
 
 /// Engine-specific payload a substrate may hang off the SchedulingContext.
@@ -51,10 +48,6 @@ struct SchedulingContext {
   SimTime now = 0;
   const std::deque<PodId>* pending = nullptr;
   const telemetry::UtilizationAggregator* aggregator = nullptr;
-  const ProfileStore* profiles = nullptr;
-  /// Fault transitions applied since the previous scheduling round,
-  /// oldest-first (empty on every tick of a fault-free run).
-  const std::vector<fault::FaultNotice>* fault_feed = nullptr;
   /// Optional tracer for kDecision rationale events; nullptr when the run
   /// is untraced. Policies must behave identically either way.
   obs::TraceSink* trace = nullptr;

@@ -59,11 +59,6 @@ void TenantLedger::accrue_gpu_seconds(int tenant, double seconds) {
   row(tenant).gpu_seconds += seconds;
 }
 
-double TenantLedger::charged_mb(PodId pod) const {
-  const auto it = pod_charges_.find(pod);
-  return it == pod_charges_.end() ? 0.0 : it->second.mb;
-}
-
 std::vector<TenantRow> TenantLedger::rows() const {
   std::vector<TenantRow> out;
   out.reserve(tenants_.size());

@@ -79,9 +79,6 @@ class TenantLedger {
   /// Accrues device runtime for a tracked tenant.
   void accrue_gpu_seconds(int tenant, double seconds);
 
-  /// Current charge held against a pod (0 when unknown).
-  [[nodiscard]] double charged_mb(PodId pod) const;
-
   /// All tracked tenants' rows, ascending tenant id (deterministic).
   [[nodiscard]] std::vector<TenantRow> rows() const;
 

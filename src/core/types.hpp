@@ -47,12 +47,14 @@ struct Id {
 struct NodeTag {};
 struct GpuTag {};
 struct PodTag {};
-struct JobTag {};
+struct ImageTag {};
 
 using NodeId = Id<NodeTag>;
 using GpuId = Id<GpuTag>;
 using PodId = Id<PodTag>;
-using JobId = Id<JobTag>;
+/// A profile-store key (container image, or inference service × batch
+/// size), interned densely from 0 by cluster::ProfileStore::intern.
+using ImageId = Id<ImageTag>;
 
 }  // namespace knots
 

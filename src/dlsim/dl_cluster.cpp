@@ -286,7 +286,6 @@ void DlEngine::crash_job(int job_id) {
 cluster::SchedulingContext DlEngine::make_context() {
   cluster::SchedulingContext ctx;
   ctx.now = sim_.now();
-  ctx.fault_feed = &fault_feed_;
   ctx.trace = trace_;
   ctx.extension = view_.get();
   return ctx;
@@ -324,7 +323,6 @@ bool DlEngine::tick(SimTime t) {
     ++next_job_;
   }
   schedule_round();
-  fault_feed_.clear();
   refresh_comm_factors();
   advance_jobs(t);
   serve_queries(t);
@@ -470,14 +468,10 @@ void DlEngine::apply_fault(const fault::FaultEvent& event) {
       // The DL simulator has no telemetry pipeline to mute; the gap is
       // tallied so mixed plans stay valid across substrates.
       injector_.note_heartbeat_gap(event.node, sim_.now() + event.duration);
-      fault_feed_.push_back(
-          fault::FaultNotice{sim_.now(), event.kind, event.node, false});
       break;
     case fault::FaultKind::kPcieStall:
       injector_.note_pcie_stall(event.node, sim_.now(),
                                 sim_.now() + event.duration, event.severity);
-      fault_feed_.push_back(
-          fault::FaultNotice{sim_.now(), event.kind, event.node, false});
       break;
     case fault::FaultKind::kSpotReclaim:
       // Unreachable: set_fault_plan validates against an empty preemptible
@@ -485,39 +479,12 @@ void DlEngine::apply_fault(const fault::FaultEvent& event) {
       KNOTS_CHECK_MSG(false, "spot reclaim installed on the DL engine");
       break;
     case fault::FaultKind::kLinkDown:
-    case fault::FaultKind::kLinkDegrade: {
+    case fault::FaultKind::kLinkDegrade:
       // set_fault_plan already validated the name against the fabric.
       KNOTS_CHECK_MSG(fabric_ != nullptr,
                       "link fault installed without a fabric");
-      const auto link = fabric_->link_index(event.link);
-      KNOTS_CHECK_MSG(link.has_value(), "link fault names an unknown link");
-      const bool hard = event.kind == fault::FaultKind::kLinkDown;
-      if (hard) {
-        fabric_->set_link_down(*link);
-      } else {
-        fabric_->degrade_link(*link, event.severity);
-      }
-      fault_feed_.push_back(
-          fault::FaultNotice{sim_.now(), event.kind, event.node, false});
-      if (event.duration > 0) {
-        sim_.schedule_after(
-            event.duration, [this, l = *link, hard, kind = event.kind] {
-              if (hard) {
-                fabric_->set_link_up(l);
-              } else {
-                fabric_->restore_link(l);
-              }
-              fault_feed_.push_back(
-                  fault::FaultNotice{sim_.now(), kind, NodeId{}, true});
-              if (trace_ != nullptr) {
-                trace_->record(sim_.now(), obs::EventKind::kFaultRecover,
-                               static_cast<std::int32_t>(l), -1, 0.0,
-                               fault::to_string(kind));
-              }
-            });
-      }
+      fabric_->apply_link_fault(event, trace_);
       break;
-    }
   }
 }
 
@@ -562,8 +529,6 @@ void DlEngine::crash_node(const fault::FaultEvent& event) {
     if (trace_ != nullptr) {
       trace_->record(t, obs::EventKind::kNodeDown, event.node.value);
     }
-    fault_feed_.push_back(
-        fault::FaultNotice{t, fault::FaultKind::kNodeCrash, event.node, false});
     auto ctx = make_context();
     policy_->on_node_down(ctx, event.node);
   }
@@ -585,8 +550,6 @@ void DlEngine::recover_node(NodeId node_id) {
     trace_->record(t, obs::EventKind::kFaultRecover, node_id.value, -1, 0.0,
                    fault::to_string(fault::FaultKind::kNodeCrash));
   }
-  fault_feed_.push_back(
-      fault::FaultNotice{t, fault::FaultKind::kNodeCrash, node_id, true});
   auto ctx = make_context();
   policy_->on_node_up(ctx, node_id);
 }
@@ -608,8 +571,6 @@ void DlEngine::apply_ecc(const fault::FaultEvent& event) {
       crash_job(residents_[g].back());
     }
   }
-  fault_feed_.push_back(
-      fault::FaultNotice{sim_.now(), event.kind, event.node, false});
 }
 
 double DlEngine::cluster_watts() const {

@@ -270,13 +270,6 @@ class DlEngine : private net::FabricObserver {
   [[nodiscard]] int tor_of(NodeId node) const {
     return fabric_ ? fabric_->tor_of(node.value) : 0;
   }
-  /// Communication efficiency factor of a job at the last solve, which
-  /// runs on the first tick after a gang gained or lost a GPU or a link
-  /// changed state (1 = communication-free; tests read this).
-  [[nodiscard]] double comm_factor(int job) const noexcept {
-    const auto j = static_cast<std::size_t>(job);
-    return j < comm_factor_.size() ? comm_factor_[j] : 1.0;
-  }
 
   /// Test helper: advances simulated time to `t` without running ticks.
   void advance_to(SimTime t);
@@ -332,7 +325,6 @@ class DlEngine : private net::FabricObserver {
 
   fault::FaultInjector injector_;
   fault::FaultPlan plan_;
-  std::vector<fault::FaultNotice> fault_feed_;
   verify::RunDigest digest_;
   obs::TraceSink* trace_ = nullptr;
   obs::MetricsRegistry* metrics_ = nullptr;

@@ -5,7 +5,8 @@
 // per run: it schedules the plan's events on the simulation engine, applies
 // the physical consequences (eviction, power-off, muted samplers, slowed
 // progress) and records each transition here; schedulers observe the result
-// through Cluster::node_health() and the SchedulingContext fault feed.
+// through Cluster::node_health() and the Scheduler's on_node_down /
+// on_node_up / on_telemetry_stale hooks.
 //
 // The injector itself never touches cluster state — it is a pure record of
 // what is currently broken, so it stays deterministic and trivially

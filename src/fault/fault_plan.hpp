@@ -26,12 +26,12 @@
 //   kLinkDown       — a named fabric link carries nothing for `duration`
 //                     (0 = never restored). Flows over it stall until it
 //                     recovers or they are rerouted by a new placement.
-//   kSpotReclaim    — the cloud provider reclaims a *preemptible* node: a
-//                     warning notice lands on the fault feed at `at`, then
-//                     after the node's NodeSpec::spot_notice grace the node
-//                     goes down exactly like a crash (pods evicted back to
-//                     pending via the kEvicted requeue path); capacity
-//                     returns after `duration` (0 = never).
+//   kSpotReclaim    — the cloud provider reclaims a *preemptible* node: the
+//                     warning notice comes at `at`, then after the node's
+//                     NodeSpec::spot_notice grace the node goes down
+//                     exactly like a crash (pods evicted back to pending
+//                     via the kEvicted requeue path); capacity returns
+//                     after `duration` (0 = never).
 #pragma once
 
 #include <cstdint>
@@ -65,18 +65,6 @@ struct FaultEvent {
   std::string link{};    ///< Fabric link name; only link faults set it.
 
   bool operator==(const FaultEvent&) const = default;
-};
-
-/// An applied fault transition, as surfaced to schedulers through the
-/// SchedulingContext fault feed. `cleared` marks the recovery edge of a
-/// transient fault (node back up, heartbeats resumed, stall over).
-struct FaultNotice {
-  SimTime time = 0;
-  FaultKind kind = FaultKind::kNodeCrash;
-  NodeId node{};
-  bool cleared = false;
-
-  bool operator==(const FaultNotice&) const = default;
 };
 
 /// Explicit fault schedule. Fluent builders append events; the cluster

@@ -118,12 +118,6 @@ class GpuDevice {
   [[nodiscard]] double effective_memory_mb() const noexcept {
     return spec_.memory_mb - ecc_retired_mb_;
   }
-  [[nodiscard]] double ecc_retired_mb() const noexcept {
-    return ecc_retired_mb_;
-  }
-  [[nodiscard]] bool ecc_degraded() const noexcept {
-    return ecc_retired_mb_ > 0;
-  }
   /// Retires `mb` of device memory (sticky double-bit errors; cumulative,
   /// never restored). Capped so at least 1 MB stays usable.
   void retire_memory_mb(double mb);

@@ -19,7 +19,7 @@ struct NodeSpec {
   /// time via a fault::kSpotReclaim event. Schedulers see the flag through
   /// GpuView.preemptible and trade its capacity for eviction risk.
   bool preemptible = false;
-  /// Advance warning between the reclaim notice (a FaultNotice on the feed)
+  /// Advance warning between the reclaim notice (the kSpotReclaim event)
   /// and the node actually going down (cloud spot instances give ~30–120 s).
   SimTime spot_notice = 0;
   GpuSpec gpu{};

@@ -7,7 +7,9 @@
 #include <utility>
 
 #include "core/check.hpp"
+#include "fault/fault_plan.hpp"
 #include "gpu/gpu_device.hpp"
+#include "obs/trace.hpp"
 
 namespace knots::net {
 namespace {
@@ -456,6 +458,35 @@ void Fabric::restore_link(std::size_t link) {
 bool Fabric::link_up(std::size_t link) const {
   KNOTS_CHECK(link < states_.size());
   return states_[link].up;
+}
+
+void Fabric::apply_link_fault(const fault::FaultEvent& event,
+                              obs::TraceSink* trace) {
+  KNOTS_CHECK_MSG(sim_ != nullptr, "Fabric::apply_link_fault requires bind()");
+  const auto link = link_index(event.link);
+  KNOTS_CHECK_MSG(link.has_value(), "link fault names an unknown link");
+  const bool hard = event.kind == fault::FaultKind::kLinkDown;
+  KNOTS_CHECK_MSG(hard || event.kind == fault::FaultKind::kLinkDegrade,
+                  "apply_link_fault takes link faults only");
+  if (hard) {
+    set_link_down(*link);
+  } else {
+    degrade_link(*link, event.severity);
+  }
+  if (event.duration <= 0) return;
+  sim_->schedule_after(
+      event.duration, [this, trace, l = *link, hard, kind = event.kind] {
+        if (hard) {
+          set_link_up(l);
+        } else {
+          restore_link(l);
+        }
+        if (trace != nullptr) {
+          trace->record(sim_->now(), obs::EventKind::kFaultRecover,
+                        static_cast<std::int32_t>(l), -1, 0.0,
+                        fault::to_string(kind));
+        }
+      });
 }
 
 void Fabric::link_state_changed(std::size_t link, bool up) {

@@ -40,6 +40,13 @@
 #include "net/fair_share.hpp"
 #include "sim/simulation.hpp"
 
+namespace knots::fault {
+struct FaultEvent;
+}
+namespace knots::obs {
+class TraceSink;
+}
+
 namespace knots::net {
 
 enum class LinkKind {
@@ -220,6 +227,11 @@ class Fabric {
   void restore_link(std::size_t link);
   [[nodiscard]] bool link_up(std::size_t link) const;
   [[nodiscard]] double effective_capacity(std::size_t link) const;
+  /// Applies a kLinkDown or kLinkDegrade event to its named link (down, or
+  /// capacity divided by `severity`). A positive `duration` restores the
+  /// link that much later on the bound engine and records a kFaultRecover
+  /// on `trace` (null: untraced). Requires bind().
+  void apply_link_fault(const fault::FaultEvent& event, obs::TraceSink* trace);
 
   struct Stats {
     std::uint64_t flows_started = 0;

@@ -21,38 +21,25 @@ bool CbpScheduler::forecast_override(const cluster::Cluster&,
   return false;
 }
 
-CbpScheduler::ProfileMemo& CbpScheduler::memo_of(
-    const cluster::Cluster& cl, const cluster::Pod& pod) const {
-  const auto idx = static_cast<std::size_t>(pod.id().value);
-  if (profile_cache_.size() <= idx) profile_cache_.resize(idx + 1);
-  ProfileMemo& memo = profile_cache_[idx];
-  if (memo.profile == nullptr) {
-    const std::uint64_t current = cl.profiles().generation();
-    if (memo.stamp != current) {
-      memo.profile = cl.profiles().find(pod.profile_key());
-      memo.stamp = memo.profile == nullptr ? current : 0;
-    }
-  }
-  return memo;
-}
-
-double CbpScheduler::batch_target_mb(ProfileMemo& memo) const {
-  const auto runs = static_cast<std::uint64_t>(memo.profile->observed_runs);
-  if (memo.stamp != runs) {
-    memo.target_mb = std::max(
+double CbpScheduler::batch_target_mb(
+    ImageId image, const cluster::ImageProfile& prof) const {
+  const auto i = static_cast<std::size_t>(image.value);
+  if (targets_.size() <= i) targets_.resize(i + 1);
+  ImageTarget& cached = targets_[i];
+  if (cached.runs != prof.observed_runs) {
+    cached.target_mb = std::max(
         kMinProvisionMb,
-        percentile_sorted(memo.profile->memory_signature_sorted,
+        percentile_sorted(prof.memory_signature_sorted,
                           params_.provision_percentile) *
             kResizeHeadroom);
-    memo.stamp = runs;
+    cached.runs = prof.observed_runs;
   }
-  return memo.target_mb;
+  return cached.target_mb;
 }
 
 double CbpScheduler::sizing_mb(const cluster::Cluster& cl,
                                const cluster::Pod& pod) const {
-  ProfileMemo& memo = memo_of(cl, pod);
-  const auto* prof = memo.profile;
+  const auto* prof = cl.profiles().find(pod.image());
   if (prof == nullptr || prof->memory_signature.empty()) {
     // First run of this image: trust the (overstated) user request — for
     // inference pods that is TensorFlow's whole-device earmark, so the
@@ -62,21 +49,21 @@ double CbpScheduler::sizing_mb(const cluster::Cluster& cl,
   // Knots resize: provision for the observed footprint percentile, not the
   // declared claim. Latency-critical pods get their peak (their footprint
   // is flat and small; under-provisioning them buys nothing).
-  if (!pod.latency_critical()) return batch_target_mb(memo);
+  if (!pod.latency_critical()) return batch_target_mb(pod.image(), *prof);
   const double peak = percentile_sorted(prof->memory_signature_sorted, 100.0);
   return std::max(kMinProvisionMb, peak * kResizeHeadroom);
 }
 
 double CbpScheduler::sm_estimate(const cluster::Cluster& cl,
                                  const cluster::Pod& pod) const {
-  const auto* prof = memo_of(cl, pod).profile;
+  const auto* prof = cl.profiles().find(pod.image());
   if (prof == nullptr) return params_.unknown_sm_estimate;
   return prof->mean_sm;
 }
 
 double CbpScheduler::peak_sm_estimate(const cluster::Cluster& cl,
                                       const cluster::Pod& pod) const {
-  const auto* prof = memo_of(cl, pod).profile;
+  const auto* prof = cl.profiles().find(pod.image());
   if (prof == nullptr) return 1.0;
   return prof->peak_sm;
 }
@@ -113,10 +100,9 @@ bool CbpScheduler::lc_peak_safe(const cluster::Cluster& cl,
 bool CbpScheduler::correlation_ok(const cluster::Cluster& cl,
                                   const cluster::Pod& pod,
                                   const gpu::GpuDevice& dev) const {
-  const std::string& key = pod.profile_key();
   for (PodId resident : dev.residents()) {
     const auto corr = cl.profiles().memory_correlation(
-        key, cl.pod(resident).profile_key());
+        pod.image(), cl.pod(resident).image());
     if (corr.has_value() && *corr > params_.correlation_threshold) {
       return false;
     }
@@ -140,11 +126,9 @@ void CbpScheduler::harvest(cluster::Cluster& cl) {
         const auto& pod = cl.pod(id);
         if (pod.latency_critical()) continue;
         if (pod.state() != cluster::PodState::kRunning) continue;
-        ProfileMemo& memo = memo_of(cl, pod);
-        if (memo.profile == nullptr || memo.profile->memory_signature.empty()) {
-          continue;
-        }
-        const double target = batch_target_mb(memo);
+        const auto* prof = cl.profiles().find(pod.image());
+        if (prof == nullptr || prof->memory_signature.empty()) continue;
+        const double target = batch_target_mb(pod.image(), *prof);
         if (pod.provisioned_mb() > target * kResizeHeadroom) {
           // May fail when current usage sits above the target; retried on a
           // later tick once the pod's demand recedes.

@@ -32,6 +32,11 @@ class CbpScheduler : public cluster::Scheduler {
   [[nodiscard]] bool parks_idle_gpus() const override { return true; }
 
   [[nodiscard]] const SchedParams& params() const noexcept { return params_; }
+  /// Entries in the batch-target cache: one per image id up to the highest
+  /// batch image sized or harvested so far, however many pods ran.
+  [[nodiscard]] std::size_t cached_targets() const noexcept {
+    return targets_.size();
+  }
 
  protected:
   /// Derived policies (PP) pass their own prefix so traced kDecision
@@ -79,35 +84,22 @@ class CbpScheduler : public cluster::Scheduler {
   std::string rationale_quota_;
 
  private:
-  static constexpr std::uint64_t kNeverCached = ~std::uint64_t{0};
-  /// One pod's memo, 24 bytes. While `profile` is null, `stamp` is the
-  /// store generation the miss was seen at. Once found, the pointer never
-  /// changes, and `stamp` is the profile's observed_runs when `target_mb`
-  /// was derived (0: not yet): record_run() merges every later run into the
-  /// profile in place without moving the generation, so the run count is
-  /// what says the target moved.
-  struct ProfileMemo {
-    std::uint64_t stamp = kNeverCached;
-    const cluster::ImageProfile* profile = nullptr;
+  /// One image's batch target and the profile's observed_runs it was
+  /// derived at (0: never). record_run() merges every later run into the
+  /// profile in place, so the run count is what says the target moved.
+  struct ImageTarget {
+    int runs = 0;
     double target_mb = 0.0;
   };
-  static_assert(sizeof(ProfileMemo) <= 24, "one memo per pod ever seen");
-  /// Memoized ProfileStore::find for a pod's image. A pod's profile key is
-  /// immutable and find() only changes when record_run() adds an image and
-  /// bumps the store generation, so a miss stays valid until then, and a
-  /// found profile for good (the store never erases; pointers are stable).
-  /// Saves a string hash per lookup; CBP asks several times per pending and
-  /// resident pod per tick.
-  [[nodiscard]] ProfileMemo& memo_of(const cluster::Cluster& cluster,
-                                     const cluster::Pod& pod) const;
   /// A batch pod's container size: max(64, signature percentile ×
-  /// headroom) of its found, non-empty profile, what both the first-fit
+  /// headroom) of its image's non-empty profile, what both the first-fit
   /// sizing and the harvest resize to. Re-derived only after the profile
   /// took another run.
-  [[nodiscard]] double batch_target_mb(ProfileMemo& memo) const;
+  [[nodiscard]] double batch_target_mb(ImageId image,
+                                       const cluster::ImageProfile& prof) const;
 
-  /// Indexed by dense pod id.
-  mutable std::vector<ProfileMemo> profile_cache_;
+  /// Indexed by ImageId.
+  mutable std::vector<ImageTarget> targets_;
   /// Scratch for the first-fit-decreasing sort: (sizing_mb, pod).
   std::vector<std::pair<double, PodId>> sized_batch_;
 };

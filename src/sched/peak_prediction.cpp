@@ -35,9 +35,7 @@ bool PeakPredictionScheduler::forecast_override(
   const double pred_util = std::clamp(model.predict_ahead(steps), 0.0, 1.0);
   const double capacity = cl.device(view.gpu).effective_memory_mb();
   const double pred_free = capacity * (1.0 - pred_util);
-  const bool ok = pred_free >= needed_mb;
-  if (ok) ++granted_;
-  return ok;
+  return pred_free >= needed_mb;
 }
 
 }  // namespace knots::sched

@@ -21,12 +21,9 @@ class PeakPredictionScheduler final : public CbpScheduler {
 
   [[nodiscard]] std::string name() const override { return "PP"; }
 
-  /// Forecast statistics (observability / tests).
+  /// Forecasts fitted so far (observability / tests).
   [[nodiscard]] std::size_t forecasts_made() const noexcept {
     return forecasts_;
-  }
-  [[nodiscard]] std::size_t overrides_granted() const noexcept {
-    return granted_;
   }
 
  protected:
@@ -36,7 +33,6 @@ class PeakPredictionScheduler final : public CbpScheduler {
 
  private:
   mutable std::size_t forecasts_ = 0;
-  mutable std::size_t granted_ = 0;
   /// Window materialization scratch, reused across candidate GPUs and
   /// ticks — the ARIMA fit needs contiguous doubles, but refilling this
   /// buffer allocates nothing once it has warmed up to the window length.

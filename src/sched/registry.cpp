@@ -98,13 +98,4 @@ std::unique_ptr<cluster::Scheduler> make_scheduler(const std::string& name,
   return factory(params);
 }
 
-std::vector<std::string> registered_scheduler_names() {
-  const std::lock_guard<std::mutex> lock(registry_mutex());
-  ensure_builtins_locked();
-  std::vector<std::string> names;
-  names.reserve(factories().size());
-  for (const auto& [name, factory] : factories()) names.push_back(name);
-  return names;
-}
-
 }  // namespace knots::sched

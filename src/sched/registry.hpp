@@ -13,7 +13,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "cluster/scheduler.hpp"
 #include "sched/params.hpp"
@@ -48,8 +47,5 @@ void register_scheduler(const std::string& name, SchedulerFactory factory);
 /// accept external input should check scheduler_registered first).
 std::unique_ptr<cluster::Scheduler> make_scheduler(const std::string& name,
                                                    SchedParams params = {});
-
-/// All registered names, sorted; built-in pod schedulers always present.
-[[nodiscard]] std::vector<std::string> registered_scheduler_names();
 
 }  // namespace knots::sched

@@ -36,10 +36,6 @@ class AutoscalerModel {
   int update(std::size_t arrivals_in_period, SimTime period,
              double observed_throughput_qps = -1.0);
 
-  /// Current smoothed arrival-rate estimate, requests/sec.
-  [[nodiscard]] double rate_qps() const noexcept {
-    return ewma_qps_ < 0 ? 0.0 : ewma_qps_;
-  }
   [[nodiscard]] int min_replicas() const noexcept { return min_replicas_; }
   [[nodiscard]] int max_replicas() const noexcept { return max_replicas_; }
   /// Requests/sec one replica sustains at full batches.

@@ -56,13 +56,8 @@ class BatchJobSpec {
     headroom_ = factor;
     return *this;
   }
-  /// Upper bound on the declared request, MB (defaults to 95 % of a 16 GB
-  /// device via cap_device_mb).
-  BatchJobSpec& cap_request_mb(double cap) {
-    cap_mb_ = cap;
-    return *this;
-  }
-  /// Convenience: cap the request at kRequestCapFraction of this device.
+  /// Caps the declared request at kRequestCapFraction of a `device_mb`
+  /// device (by default, of the default 16 GB device).
   BatchJobSpec& cap_device_mb(double device_mb) {
     cap_mb_ = device_mb * kRequestCapFraction;
     return *this;

@@ -169,8 +169,13 @@ TEST(Cluster, ProfileStoreLearnsImages) {
   auto scheduler = sched::make_scheduler(sched::SchedulerKind::kPeakPrediction);
   Cluster cl(small_cluster(), *scheduler);
   cl.load(small_workload());
+  // Every pod's key is interned at load; no image has a run yet.
+  ASSERT_GT(cl.profiles().size(), 0u);
+  EXPECT_EQ(cl.profiles().find(cl.pod(PodId{0}).image()), nullptr);
   cl.run();
-  EXPECT_GT(cl.profiles().size(), 0u);
+  const auto* prof = cl.profiles().find(cl.pod(PodId{0}).image());
+  ASSERT_NE(prof, nullptr);
+  EXPECT_GT(prof->observed_runs, 0);
 }
 
 TEST(Cluster, UtilizationAwareSchedulersAreCrashFree) {

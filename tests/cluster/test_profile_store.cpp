@@ -7,85 +7,103 @@
 namespace knots::cluster {
 namespace {
 
-TEST(ProfileStore, UnknownImageIsNull) {
+TEST(ProfileStore, InternGivesEqualKeysOneDenseId) {
   ProfileStore store;
-  EXPECT_EQ(store.find("nope"), nullptr);
-  EXPECT_FALSE(store.known("nope"));
-  EXPECT_EQ(store.size(), 0u);
-  EXPECT_FALSE(store.memory_correlation("a", "b").has_value());
+  const ImageId lud = store.intern("lud");
+  const ImageId face = store.intern("face#4");
+  EXPECT_EQ(lud, ImageId{0});
+  EXPECT_EQ(face, ImageId{1});
+  EXPECT_EQ(store.intern(std::string("l") + "ud"), lud);
+  EXPECT_EQ(store.intern("face#4"), face);
+  EXPECT_EQ(store.size(), 2u);
+}
+
+TEST(ProfileStore, UnknownImageIsNull) {
+  // Interning allocates an id but no profile: find() stays null until the
+  // image's first recorded run.
+  ProfileStore store;
+  const ImageId a = store.intern("a");
+  const ImageId b = store.intern("b");
+  EXPECT_EQ(store.find(a), nullptr);
+  EXPECT_EQ(store.size(), 2u);
+  EXPECT_FALSE(store.memory_correlation(a, b).has_value());
+  store.record_run(a, 0.1, 0.2, {1, 2, 3});
+  EXPECT_NE(store.find(a), nullptr);
+  EXPECT_EQ(store.find(b), nullptr);
+  EXPECT_FALSE(store.memory_correlation(a, b).has_value());
 }
 
 TEST(ProfileStore, FirstRunStoredVerbatim) {
   ProfileStore store;
-  store.record_run("lud", 500, 700, 0.4, 0.9, {1, 2, 3}, {0.1, 0.2, 0.3});
-  const auto* prof = store.find("lud");
+  const ImageId lud = store.intern("lud");
+  store.record_run(lud, 0.4, 0.9, {3, 1, 2});
+  const auto* prof = store.find(lud);
   ASSERT_NE(prof, nullptr);
   EXPECT_EQ(prof->observed_runs, 1);
-  EXPECT_DOUBLE_EQ(prof->p80_memory_mb, 500);
-  EXPECT_DOUBLE_EQ(prof->peak_memory_mb, 700);
   EXPECT_DOUBLE_EQ(prof->mean_sm, 0.4);
-  EXPECT_EQ(prof->memory_signature, (std::vector<double>{1, 2, 3}));
+  EXPECT_DOUBLE_EQ(prof->peak_sm, 0.9);
+  EXPECT_EQ(prof->memory_signature, (std::vector<double>{3, 1, 2}));
+  EXPECT_EQ(prof->memory_signature_sorted, (std::vector<double>{1, 2, 3}));
 }
 
 TEST(ProfileStore, EmaBlendsSubsequentRuns) {
   ProfileStore store;
-  store.record_run("x", 100, 200, 0.2, 0.5, {10}, {0.1});
-  store.record_run("x", 200, 180, 0.4, 0.6, {20}, {0.2});
-  const auto* prof = store.find("x");
+  const ImageId x = store.intern("x");
+  store.record_run(x, 0.2, 0.6, {10, 30});
+  store.record_run(x, 0.4, 0.5, {20, 0});
+  const auto* prof = store.find(x);
   ASSERT_NE(prof, nullptr);
   EXPECT_EQ(prof->observed_runs, 2);
-  EXPECT_DOUBLE_EQ(prof->p80_memory_mb, 0.7 * 100 + 0.3 * 200);
-  EXPECT_DOUBLE_EQ(prof->peak_memory_mb, 200);  // peaks only grow
-  EXPECT_DOUBLE_EQ(prof->peak_sm, 0.6);
-  EXPECT_DOUBLE_EQ(prof->memory_signature[0], 13);
+  EXPECT_DOUBLE_EQ(prof->mean_sm, 0.7 * 0.2 + 0.3 * 0.4);
+  EXPECT_DOUBLE_EQ(prof->peak_sm, 0.6);  // peaks only grow
+  EXPECT_DOUBLE_EQ(prof->memory_signature[0], 0.7 * 10 + 0.3 * 20);
+  EXPECT_DOUBLE_EQ(prof->memory_signature[1], 0.7 * 30);
+  // The sorted shadow follows the merged signature.
+  EXPECT_EQ(prof->memory_signature_sorted,
+            (std::vector<double>{prof->memory_signature[0],
+                                 prof->memory_signature[1]}));
 }
 
 TEST(ProfileStore, CorrelationBetweenSimilarSignaturesIsHigh) {
   ProfileStore store;
-  std::vector<double> rampy, anti, sm(8, 0.1);
+  std::vector<double> rampy, anti;
   for (int i = 0; i < 8; ++i) {
     rampy.push_back(i);
     anti.push_back(8 - i);
   }
-  store.record_run("a", 1, 1, 0, 0, rampy, sm);
-  store.record_run("b", 1, 1, 0, 0, rampy, sm);
-  store.record_run("c", 1, 1, 0, 0, anti, sm);
-  EXPECT_NEAR(*store.memory_correlation("a", "b"), 1.0, 1e-9);
-  EXPECT_NEAR(*store.memory_correlation("a", "c"), -1.0, 1e-9);
+  const ImageId a = store.intern("a");
+  const ImageId b = store.intern("b");
+  const ImageId c = store.intern("c");
+  store.record_run(a, 0, 0, rampy);
+  store.record_run(b, 0, 0, rampy);
+  store.record_run(c, 0, 0, anti);
+  EXPECT_NEAR(*store.memory_correlation(a, b), 1.0, 1e-9);
+  EXPECT_NEAR(*store.memory_correlation(a, c), -1.0, 1e-9);
 }
 
 TEST(ProfileStore, CorrelationNullWhenLengthsMismatch) {
   ProfileStore store;
-  store.record_run("a", 1, 1, 0, 0, {1, 2, 3}, {0, 0, 0});
-  store.record_run("b", 1, 1, 0, 0, {1, 2}, {0, 0});
-  EXPECT_FALSE(store.memory_correlation("a", "b").has_value());
+  const ImageId a = store.intern("a");
+  const ImageId b = store.intern("b");
+  store.record_run(a, 0, 0, {1, 2, 3});
+  store.record_run(b, 0, 0, {1, 2});
+  EXPECT_FALSE(store.memory_correlation(a, b).has_value());
 }
 
 TEST(ProfileStore, SeparateImagesIndependent) {
+  // An inference service profiles per batch size: face#1 and face#64 are
+  // two images with two profiles.
   ProfileStore store;
-  store.record_run("face#1", 10, 10, 0.1, 0.2, {1}, {1});
-  store.record_run("face#64", 90, 95, 0.5, 0.8, {9}, {9});
+  const ImageId small = store.intern("face#1");
+  const ImageId large = store.intern("face#64");
+  ASSERT_NE(small, large);
+  store.record_run(small, 0.1, 0.2, {1});
+  store.record_run(large, 0.5, 0.8, {9});
   EXPECT_EQ(store.size(), 2u);
-  EXPECT_DOUBLE_EQ(store.find("face#1")->p80_memory_mb, 10);
-  EXPECT_DOUBLE_EQ(store.find("face#64")->p80_memory_mb, 90);
-}
-
-TEST(ProfileStore, GenerationMovesOnlyWhenAnImageIsAdded) {
-  // Caches of find() (CBP's per-pod profile pointers) stay valid across
-  // repeat runs of an image: the pointer is stable and reads see the update.
-  ProfileStore store;
-  const auto empty = store.generation();
-  store.record_run("x", 100, 200, 0.2, 0.5, {10}, {0.1});
-  const auto one_image = store.generation();
-  EXPECT_NE(one_image, empty);
-  const ImageProfile* cached = store.find("x");
-  store.record_run("x", 200, 180, 0.4, 0.6, {20}, {0.2});
-  EXPECT_EQ(store.generation(), one_image);
-  EXPECT_EQ(store.find("x"), cached);
-  EXPECT_EQ(cached->observed_runs, 2);
-  store.record_run("y", 1, 1, 0, 0, {1}, {1});
-  EXPECT_NE(store.generation(), one_image);
-  EXPECT_EQ(store.find("x"), cached);
+  EXPECT_DOUBLE_EQ(store.find(small)->mean_sm, 0.1);
+  EXPECT_DOUBLE_EQ(store.find(large)->mean_sm, 0.5);
+  EXPECT_EQ(store.find(small)->observed_runs, 1);
+  EXPECT_EQ(store.find(large)->memory_signature, (std::vector<double>{9}));
 }
 
 }  // namespace

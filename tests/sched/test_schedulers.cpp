@@ -1,6 +1,10 @@
 // Behavioural tests of the four policies through the Cluster API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "cluster/cluster.hpp"
 #include "core/percentile.hpp"
 #include "sched/cbp.hpp"
@@ -107,7 +111,9 @@ TEST(Cbp, ProvisionsKnownImagesAtPercentile) {
   cl.load(std::move(pods));
   cl.run();
   // Knots learned profiles and the runs completed crash-free.
-  EXPECT_GT(cl.profiles().size(), 0u);
+  const auto* prof = cl.profiles().find(cl.pod(PodId{0}).image());
+  ASSERT_NE(prof, nullptr);
+  EXPECT_GT(prof->observed_runs, 0);
   EXPECT_EQ(cl.metrics().crash_count(), 0u);
 }
 
@@ -132,26 +138,37 @@ TEST(Cbp, NeverOvercommitsPhysicalAllocations) {
   EXPECT_TRUE(probe.ok_);
 }
 
+/// CBP's batch container size for an image's profile: max(64, the
+/// provision percentile of its signature × 1.05).
+double batch_target(const SchedParams& params,
+                    const cluster::ImageProfile& prof) {
+  return std::max(64.0, percentile_sorted(prof.memory_signature_sorted,
+                                          params.provision_percentile) *
+                            1.05);
+}
+
+/// A one-phase batch pod of `app` (constant SM 0.3 and `memory_mb`),
+/// requesting 8,000 MB.
+workload::PodSpec batch_pod(std::int32_t id, const std::string& app,
+                            SimTime arrival, double memory_mb,
+                            SimTime length) {
+  workload::PodSpec spec;
+  spec.id = PodId{id};
+  spec.app = app;
+  spec.arrival = arrival;
+  spec.profile = workload::AppProfile(
+      app, {workload::Phase{length, gpu::Usage{0.3, memory_mb, 0, 0}}});
+  spec.requested_mb = 8000;
+  return spec;
+}
+
 TEST(Cbp, HarvestFollowsInPlaceProfileUpdates) {
   // Three batch pods of one image. A's completion profiles the image, and
   // the harvest shrinks the long-running B to that profile's target. C's
   // completion is the image's second run: record_run merges it into the
-  // same profile in place, which lowers the signature percentile without
-  // moving the store generation. The next harvest must resize B again.
-  const auto batch_pod = [](std::int32_t id, SimTime arrival,
-                            double memory_mb, SimTime length) {
-    workload::PodSpec spec;
-    spec.id = PodId{id};
-    spec.app = "harvest-probe";
-    spec.arrival = arrival;
-    spec.profile = workload::AppProfile(
-        "harvest-probe",
-        {workload::Phase{length, gpu::Usage{0.3, memory_mb, 0, 0}}});
-    spec.requested_mb = 8000;
-    return spec;
-  };
+  // same profile in place, which lowers the signature percentile. The next
+  // harvest must resize B again.
   struct Seen {
-    std::uint64_t generation = 0;
     double target_mb = 0;
     double b_provisioned_mb = 0;
   };
@@ -160,15 +177,10 @@ TEST(Cbp, HarvestFollowsInPlaceProfileUpdates) {
     void on_schedule(cluster::SchedulingContext& ctx) override {
       CbpScheduler::on_schedule(ctx);
       const auto& cl = *ctx.cluster;
-      const auto* prof = cl.profiles().find("harvest-probe");
       const auto& b = cl.pod(PodId{1});
+      const auto* prof = cl.profiles().find(b.image());
       if (prof == nullptr || b.state() != cluster::PodState::kRunning) return;
-      const Seen now{cl.profiles().generation(),
-                     std::max(64.0, percentile_sorted(
-                                        prof->memory_signature_sorted,
-                                        params().provision_percentile) *
-                                        1.05),
-                     b.provisioned_mb()};
+      const Seen now{batch_target(params(), *prof), b.provisioned_mb()};
       if (prof->observed_runs == 1) {
         after_first = now;
       } else if (prof->observed_runs == 2 && !second_seen) {
@@ -182,18 +194,56 @@ TEST(Cbp, HarvestFollowsInPlaceProfileUpdates) {
   };
   Probe probe;
   Cluster cl(cfg4(), probe);
-  cl.load({batch_pod(0, 0, 4000, 2 * kSec),
-           batch_pod(1, 0, 500, 60 * kSec),
-           batch_pod(2, 10 * kSec, 1000, 2 * kSec)});
+  cl.load({batch_pod(0, "harvest-probe", 0, 4000, 2 * kSec),
+           batch_pod(1, "harvest-probe", 0, 500, 60 * kSec),
+           batch_pod(2, "harvest-probe", 10 * kSec, 1000, 2 * kSec)});
   cl.run();
   ASSERT_EQ(cl.completed_count(), 3u);
   ASSERT_TRUE(probe.second_seen) << "C must complete while B runs";
-  // The premise: the second run moved the target but not the generation.
-  ASSERT_EQ(probe.after_second.generation, probe.after_first.generation);
+  // The premise: the second run moved the target past the resize slack.
   ASSERT_LT(probe.after_second.target_mb * 1.05, probe.after_first.target_mb);
   EXPECT_EQ(probe.after_first.b_provisioned_mb, probe.after_first.target_mb);
   EXPECT_EQ(probe.after_second.b_provisioned_mb,
             probe.after_second.target_mb);
+}
+
+TEST(Cbp, TargetCacheHoldsOneEntryPerImage) {
+  // 200 batch pods of two images. CBP caches one batch target per image,
+  // not per pod, and every batch pod placed once its image is profiled is
+  // provisioned at exactly that image's target.
+  class PlacementCheck final : public cluster::ClusterObserver {
+   public:
+    explicit PlacementCheck(const CbpScheduler& cbp) : cbp_(cbp) {}
+    void on_place(const Cluster& cl, PodId id, GpuId,
+                  double provisioned_mb) override {
+      const auto* prof = cl.profiles().find(cl.pod(id).image());
+      if (prof == nullptr) return;
+      ++profiled_;
+      EXPECT_EQ(provisioned_mb, batch_target(cbp_.params(), *prof))
+          << "pod " << id.value;
+    }
+    int profiled_ = 0;
+
+   private:
+    const CbpScheduler& cbp_;
+  };
+  std::vector<workload::PodSpec> pods;
+  for (std::int32_t i = 0; i < 200; ++i) {
+    const bool even = i % 2 == 0;
+    pods.push_back(batch_pod(i, even ? "alpha" : "beta", i * 100 * kMsec,
+                             even ? 1500.0 : 2500.0,
+                             (even ? 1 : 2) * kSec));
+  }
+  CbpScheduler cbp;
+  Cluster cl(cfg4(), cbp);
+  PlacementCheck check(cbp);
+  cl.add_observer(&check);
+  cl.load(std::move(pods));
+  cl.run();
+  ASSERT_EQ(cl.completed_count(), 200u);
+  EXPECT_EQ(cl.profiles().size(), 2u);
+  EXPECT_EQ(cbp.cached_targets(), 2u);
+  EXPECT_GT(check.profiled_, 150);
 }
 
 TEST(Pp, GrantsForecastOverrides) {
