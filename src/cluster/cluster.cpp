@@ -330,13 +330,27 @@ bool Cluster::park(GpuId id) {
   const auto [node_idx, gpu_in_node] =
       gpu_index_.at(static_cast<std::size_t>(id.value));
   if (!nodes_[node_idx]->online()) return false;
-  auto& dev = device(id);
-  if (dev.totals().residents > 0) return false;
-  dev.set_parked(true);
+  if (device(id).totals().residents > 0) return false;
+  record_park(id);
+  return true;
+}
+
+void Cluster::record_park(GpuId id) {
+  device(id).set_parked(true);
   note_parked(id);
   for (auto* o : observers_) o->on_park(*this, id);
   if (trace_ != nullptr) trace_->record(now(), EventKind::kPark, id.value);
-  return true;
+}
+
+void Cluster::requeue_after(PodId id, SimTime delay) {
+  sim_.schedule_after(delay, [this, id] {
+    auto& pod = *pods_[static_cast<std::size_t>(id.value)];
+    pod.requeue();
+    note_state(pod);
+    pending_.push_back(id);
+    for (auto* o : observers_) o->on_requeue(*this, id);
+    if (trace_ != nullptr) trace_->record(now(), EventKind::kRequeue, id.value);
+  });
 }
 
 void Cluster::evict_node(NodeId id) {
@@ -356,16 +370,7 @@ void Cluster::evict_node(NodeId id) {
       if (trace_ != nullptr) {
         trace_->record(now(), EventKind::kEvict, pod_id.value, id.value);
       }
-      sim_.schedule_after(config_.evict_relaunch_delay, [this, pod_id] {
-        auto& pod_ref = *pods_[static_cast<std::size_t>(pod_id.value)];
-        pod_ref.requeue();
-        note_state(pod_ref);
-        pending_.push_back(pod_id);
-        for (auto* o : observers_) o->on_requeue(*this, pod_id);
-        if (trace_ != nullptr) {
-          trace_->record(now(), EventKind::kRequeue, pod_id.value);
-        }
-      });
+      requeue_after(pod_id, config_.evict_relaunch_delay);
     }
   }
   std::erase_if(active_, [this](PodId pid) {
@@ -452,25 +457,9 @@ void Cluster::apply_fault(const fault::FaultEvent& event) {
   }
   if (faults_counter_ != nullptr) faults_counter_->inc();
   switch (event.kind) {
-    case fault::FaultKind::kNodeCrash: {
-      // A crash while already down (overlapping random-plan intervals) is
-      // absorbed by the outstanding outage.
-      if (injector_->node_down(event.node)) return;
-      injector_->note_node_down(event.node);
-      nodes_[node_idx]->set_online(false);
-      evict_node(event.node);
-      for (auto* o : observers_) o->on_node_down(*this, event.node);
-      if (trace_ != nullptr) {
-        trace_->record(now(), EventKind::kNodeDown, event.node.value);
-      }
-      SchedulingContext ctx = make_context();
-      scheduler_->on_node_down(ctx, event.node);
-      if (event.duration > 0) {
-        sim_.schedule_after(event.duration,
-                            [this, node = event.node] { recover_node(node); });
-      }
+    case fault::FaultKind::kNodeCrash:
+      take_node_down(event.node, event.duration);
       break;
-    }
     case fault::FaultKind::kGpuEccDegrade: {
       auto& node = *nodes_[node_idx];
       for (std::size_t g = 0; g < node.gpu_count(); ++g) {
@@ -502,12 +491,16 @@ void Cluster::apply_fault(const fault::FaultEvent& event) {
     }
     case fault::FaultKind::kSpotReclaim: {
       // Stage 1: the reclaim *notice*. The node keeps running for its
-      // spot_notice grace before the capacity actually disappears.
+      // spot_notice grace before the capacity actually disappears. Stage
+      // 2, when the grace has elapsed, is a node crash in every observable
+      // way — evictions ride the kEvicted requeue path, telemetry goes
+      // dark, power drops to zero — so every conservation invariant and
+      // observer contract holds unchanged.
       if (injector_->node_down(event.node)) return;
       const SimTime notice = nodes_[node_idx]->spec().spot_notice;
       sim_.schedule_after(notice,
                           [this, node = event.node, d = event.duration] {
-                            reclaim_node(node, d);
+                            take_node_down(node, d);
                           });
       break;
     }
@@ -521,12 +514,11 @@ void Cluster::apply_fault(const fault::FaultEvent& event) {
   }
 }
 
-void Cluster::reclaim_node(NodeId id, SimTime duration) {
-  // Stage 2: the notice grace elapsed; the provider takes the node. From
-  // here it is a node-crash in every observable way — evictions ride the
-  // kEvicted requeue path, telemetry goes dark, power drops to zero — so
-  // every conservation invariant and observer contract holds unchanged.
-  if (injector_->node_down(id)) return;  // crashed during the notice window
+void Cluster::take_node_down(NodeId id, SimTime duration) {
+  // A node that is already down (overlapping crash intervals, or a crash
+  // during a reclaim's notice window) absorbs the event into the
+  // outstanding outage.
+  if (injector_->node_down(id)) return;
   injector_->note_node_down(id);
   nodes_[static_cast<std::size_t>(id.value)]->set_online(false);
   evict_node(id);
@@ -745,14 +737,7 @@ void Cluster::crash_pod(Pod& p) {
   for (auto* o : observers_) o->on_crash(*this, id);
   if (trace_ != nullptr) trace_->record(now(), EventKind::kCrash, id.value);
   if (crashes_counter_ != nullptr) crashes_counter_->inc();
-  sim_.schedule_after(config_.relaunch_delay, [this, id] {
-    auto& pod_ref = *pods_[static_cast<std::size_t>(id.value)];
-    pod_ref.requeue();
-    note_state(pod_ref);
-    pending_.push_back(id);
-    for (auto* o : observers_) o->on_requeue(*this, id);
-    if (trace_ != nullptr) trace_->record(now(), EventKind::kRequeue, id.value);
-  });
+  requeue_after(id, config_.relaunch_delay);
 }
 
 void Cluster::sample_figure_metrics() {
@@ -790,13 +775,7 @@ void Cluster::maybe_park_idle_gpus() {
       cand &= cand - 1;
       if (!nodes_[gpu_index_[i].first]->online()) continue;
       if (now() - gpu_last_busy_[i] < config_.idle_park_after) continue;
-      const GpuId id{static_cast<std::int32_t>(i)};
-      device(id).set_parked(true);
-      note_parked(id);
-      for (auto* o : observers_) o->on_park(*this, id);
-      if (trace_ != nullptr) {
-        trace_->record(now(), EventKind::kPark, id.value);
-      }
+      record_park(GpuId{static_cast<std::int32_t>(i)});
     }
   }
 }

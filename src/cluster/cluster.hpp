@@ -308,11 +308,16 @@ class Cluster : private net::FabricObserver {
   void maybe_park_idle_gpus();
   [[nodiscard]] SchedulingContext make_context();
   void apply_fault(const fault::FaultEvent& event);
+  /// Takes a node down for a crash or a landed spot reclaim: evicts its
+  /// residents through the kEvicted requeue path, tells observers, the
+  /// trace and the scheduler, and recovers it after `duration` (0 =
+  /// never). A node that is already down absorbs the event.
+  void take_node_down(NodeId id, SimTime duration);
   void recover_node(NodeId id);
-  /// Spot-reclaim landing after the notice grace: the preemptible node goes
-  /// down exactly like a crash (evictions through the kEvicted requeue path)
-  /// and recovers after `duration` (0 = never).
-  void reclaim_node(NodeId id, SimTime duration);
+  /// Returns a crashed or evicted pod to pending after `delay`.
+  void requeue_after(PodId id, SimTime delay);
+  /// Parks an idle GPU and records the park (bitmap, observers, trace).
+  void record_park(GpuId id);
   void detect_stale_transitions(SchedulingContext& ctx);
   void update_tick_metrics(double cluster_watts);
   [[nodiscard]] bool all_terminal() const;

@@ -260,15 +260,19 @@ void DlEngine::migrate(int job_id, std::size_t from, std::size_t to) {
   }
 }
 
-void DlEngine::crash_job(int job_id) {
+void DlEngine::roll_back(int job_id) {
   auto& job = jobs_[static_cast<std::size_t>(job_id)];
-  // Progress rolls back to the last checkpoint; the relaunched container
-  // rejoins the queue at the back.
   job.progress =
       (job.progress / cfg_.checkpoint_interval) * cfg_.checkpoint_interval;
   evict(job_id);
   job.running = false;
   ++job.restarts;
+}
+
+void DlEngine::crash_job(int job_id) {
+  // Progress rolls back to the last checkpoint; the relaunched container
+  // rejoins the queue at the back.
+  roll_back(job_id);
   const SimTime t = sim_.now();
   digest_.begin_record(Tag::kCrash, t);
   digest_.mix_u64(static_cast<std::uint64_t>(job_id));
@@ -507,13 +511,8 @@ void DlEngine::crash_node(const fault::FaultEvent& event) {
       }
     }
     for (int j : victims) {
-      auto& job = jobs_[static_cast<std::size_t>(j)];
       // The relaunch restarts from the last checkpoint.
-      job.progress = (job.progress / cfg_.checkpoint_interval) *
-                     cfg_.checkpoint_interval;
-      evict(j);
-      job.running = false;
-      ++job.restarts;
+      roll_back(j);
       ++jobs_evicted_;
       digest_.begin_record(Tag::kEvict, t);
       digest_.mix_u64(static_cast<std::uint64_t>(j));

@@ -289,6 +289,9 @@ class DlEngine : private net::FabricObserver {
   void apply_fault(const fault::FaultEvent& event);
   void recover_node(NodeId node_id);
   void crash_node(const fault::FaultEvent& event);
+  /// Rolls a crashed or evicted job back to its last checkpoint, takes it
+  /// off its GPUs and counts the restart; the caller requeues it.
+  void roll_back(int job_id);
   void apply_ecc(const fault::FaultEvent& event);
   void advance_jobs(SimTime t);
   [[nodiscard]] double job_speed(const DltJob& job, SimTime t,

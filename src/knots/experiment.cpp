@@ -6,6 +6,8 @@
 #include "core/thread_pool.hpp"
 #include "knots/kube_knots.hpp"
 #include "sim/event_queue.hpp"
+#include "verify/invariant_checker.hpp"
+#include "verify/run_digest.hpp"
 #include "workload/app_mix.hpp"
 #include "workload/load_generator.hpp"
 
@@ -63,6 +65,24 @@ ExperimentReport build_report(const cluster::Cluster& cl,
   r.ticks = cl.tick_count();
   r.events = cl.events_processed();
   return r;
+}
+
+verify::InvariantOptions invariant_options(sched::SchedulerKind scheduler) {
+  verify::InvariantOptions opts;
+  opts.provision_ceiling_ratio =
+      scheduler == sched::SchedulerKind::kResourceAgnostic ? 0.0 : 1.0;
+  return opts;
+}
+
+void record_verification(ExperimentReport& report,
+                         const verify::RunDigest& digest,
+                         const verify::InvariantChecker& verifier) {
+  report.run_digest = digest.value();
+  report.invariant_checks = verifier.checks_run();
+  report.invariant_violations = verifier.violation_count();
+  for (const auto& v : verifier.violations()) {
+    report.invariant_messages.push_back(v.category + ": " + v.message);
+  }
 }
 
 double workload_footprint_bytes(const ExperimentConfig& config) {

@@ -15,6 +15,12 @@ class TraceSink;
 class MetricsRegistry;
 }  // namespace knots::obs
 
+namespace knots::verify {
+class InvariantChecker;
+class RunDigest;
+struct InvariantOptions;
+}  // namespace knots::verify
+
 namespace knots {
 
 /// Utilization percentiles in percent, in Fig 6/8/9 order.
@@ -89,6 +95,19 @@ std::size_t workload_pod_count(const ExperimentConfig& config);
 /// Distils a finished cluster's metrics into a report.
 ExperimentReport build_report(const cluster::Cluster& cl,
                               std::string scheduler_name, int mix_id);
+
+/// The invariant checker's posture for a run under `scheduler`. Res-Ag is
+/// the blind baseline whose whole point is overcommitting declared requests
+/// past capacity (§II fragmentation story), so its provisioned-claim
+/// ceiling is left unchecked; the utilization-aware policies and the
+/// exclusive-access stock scheduler must stay within the physical device.
+verify::InvariantOptions invariant_options(sched::SchedulerKind scheduler);
+
+/// Copies a finished run's digest and invariant-checker results onto
+/// `report`, which build_report leaves empty.
+void record_verification(ExperimentReport& report,
+                         const verify::RunDigest& digest,
+                         const verify::InvariantChecker& verifier);
 
 /// Runs the configuration to completion (single-threaded, deterministic).
 ExperimentReport run_experiment(const ExperimentConfig& config);

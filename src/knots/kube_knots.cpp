@@ -11,22 +11,6 @@
 
 namespace knots {
 
-namespace {
-
-verify::InvariantOptions invariant_options_for(sched::SchedulerKind kind) {
-  verify::InvariantOptions opts;
-  // Res-Ag is the blind baseline whose whole point is overcommitting
-  // declared requests past capacity (§II fragmentation story), so its
-  // provisioned-claim ceiling is left unchecked; the utilization-aware
-  // policies and the exclusive-access stock scheduler must stay within the
-  // physical device.
-  opts.provision_ceiling_ratio =
-      kind == sched::SchedulerKind::kResourceAgnostic ? 0.0 : 1.0;
-  return opts;
-}
-
-}  // namespace
-
 KubeKnots::KubeKnots(ExperimentConfig config) : config_(std::move(config)) {
   scheduler_ = sched::make_scheduler(config_.scheduler, config_.sched_params);
   cluster::ClusterConfig cluster_cfg = config_.cluster;
@@ -34,7 +18,7 @@ KubeKnots::KubeKnots(ExperimentConfig config) : config_(std::move(config)) {
   cluster_ = std::make_unique<cluster::Cluster>(cluster_cfg, *scheduler_);
   cluster_->set_fault_plan(config_.faults);
   verifier_ = std::make_unique<verify::InvariantChecker>(
-      invariant_options_for(config_.scheduler));
+      invariant_options(config_.scheduler));
   digest_ = std::make_unique<verify::RunDigest>();
   cluster_->add_observer(verifier_.get());
   cluster_->add_observer(digest_.get());
@@ -131,12 +115,7 @@ ExperimentReport KubeKnots::run() {
   }
   ExperimentReport report =
       build_report(*cluster_, scheduler_->name(), config_.mix_id);
-  report.run_digest = digest_->value();
-  report.invariant_checks = verifier_->checks_run();
-  report.invariant_violations = verifier_->violation_count();
-  for (const auto& v : verifier_->violations()) {
-    report.invariant_messages.push_back(v.category + ": " + v.message);
-  }
+  record_verification(report, *digest_, *verifier_);
   return report;
 }
 

@@ -1,22 +1,14 @@
 #include "serve/admission.hpp"
 
-#include <algorithm>
-#include <cmath>
+#include <cstdint>
 
 #include "core/check.hpp"
 
 namespace knots::serve {
 
-AdmissionController::AdmissionController(AdmissionPolicy policy,
-                                         double degrade_latency_scale)
-    : policy_(policy), degrade_scale_(degrade_latency_scale) {
-  KNOTS_CHECK(degrade_latency_scale > 0.0 && degrade_latency_scale <= 1.0);
-}
-
-SimTime AdmissionController::predict(SimTime now, std::size_t queue_depth,
-                                     int replicas, int max_batch,
-                                     SimTime batch_timeout,
-                                     SimTime batch_latency) {
+SimTime predict_completion(SimTime now, std::size_t queue_depth, int replicas,
+                           int max_batch, SimTime batch_timeout,
+                           SimTime batch_latency) {
   if (replicas <= 0) return kMaxPrediction;
   KNOTS_CHECK(max_batch >= 1);
   // The request joins the (queue_depth / max_batch + 1)-th batch; batches
@@ -26,32 +18,6 @@ SimTime AdmissionController::predict(SimTime now, std::size_t queue_depth,
   const auto rounds =
       (batches_ahead + replicas - 1) / static_cast<std::int64_t>(replicas);
   return now + batch_timeout + rounds * batch_latency;
-}
-
-AdmissionDecision AdmissionController::assess(SimTime now, SimTime deadline,
-                                              std::size_t queue_depth,
-                                              int replicas, int max_batch,
-                                              SimTime batch_timeout,
-                                              SimTime batch_latency) const {
-  AdmissionDecision d;
-  d.predicted_completion = predict(now, queue_depth, replicas, max_batch,
-                                   batch_timeout, batch_latency);
-  if (policy_ == AdmissionPolicy::kQueue) return d;  // always admit
-  if (d.predicted_completion <= deadline) return d;
-
-  if (policy_ == AdmissionPolicy::kDegrade) {
-    const auto degraded_latency = static_cast<SimTime>(
-        std::max(1.0, static_cast<double>(batch_latency) * degrade_scale_));
-    const SimTime degraded_prediction = predict(
-        now, queue_depth, replicas, max_batch, batch_timeout, degraded_latency);
-    if (degraded_prediction <= deadline) {
-      d.degrade = true;
-      d.predicted_completion = degraded_prediction;
-      return d;
-    }
-  }
-  d.admit = false;
-  return d;
 }
 
 }  // namespace knots::serve

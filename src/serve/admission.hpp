@@ -1,82 +1,33 @@
-// SLO-aware admission control.
+// SLO-aware admission: one shed rule.
 //
-// At arrival time the controller predicts when the request would complete,
+// At arrival time the engine predicts when the request would complete,
 // given the queue depth ahead of it, the usable replica count and the
-// batch service time, and compares the prediction against the request's
-// deadline. Three policies:
-//   kQueue   — admit everything (open-loop stress; deadline misses land as
-//              SLO violations instead of sheds).
-//   kShed    — reject when the prediction misses the deadline (fail fast:
-//              the client re-resolves to another region).
-//   kDegrade — when the full-quality prediction misses, re-predict with the
-//              degraded model's service time; admit degraded if that fits,
-//              shed only if even the degraded path cannot make it.
-//
-// The admission invariant — every admitted request's predicted completion
-// is at or before its deadline (kShed/kDegrade) — is enforced here by
-// construction and property-tested in tests/serve/test_admission.cpp.
+// batch service time, and sheds the request when the prediction is past
+// its deadline (fail fast: the client re-resolves to another region).
+// Every admitted request's predicted completion is therefore at or before
+// its deadline. tests/serve/test_admission.cpp checks the predictor.
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <limits>
-#include <string_view>
 
 #include "core/types.hpp"
 
 namespace knots::serve {
 
-enum class AdmissionPolicy : std::uint8_t { kQueue, kShed, kDegrade };
-
-[[nodiscard]] constexpr std::string_view to_string(
-    AdmissionPolicy p) noexcept {
-  switch (p) {
-    case AdmissionPolicy::kQueue: return "queue";
-    case AdmissionPolicy::kShed: return "shed";
-    case AdmissionPolicy::kDegrade: return "degrade";
-  }
-  return "unknown";
-}
-
-struct AdmissionDecision {
-  bool admit = true;
-  bool degrade = false;
-  /// Predicted completion time (kMaxPrediction when no replica is usable).
-  SimTime predicted_completion = 0;
-};
-
+/// The prediction when no replica is usable: later than any deadline.
 inline constexpr SimTime kMaxPrediction =
     std::numeric_limits<SimTime>::max() / 2;
 
-class AdmissionController {
- public:
-  AdmissionController(AdmissionPolicy policy, double degrade_latency_scale);
-
-  /// Predicts completion for a request joining a queue of `queue_depth`
-  /// with `replicas` usable servers, each serving batches of up to
-  /// `max_batch` in `batch_latency`. The request waits at most
-  /// `batch_timeout` for its batch to form, then `rounds` full service
-  /// times, where rounds counts the batches ahead of it round-robined
-  /// across replicas.
-  [[nodiscard]] static SimTime predict(SimTime now, std::size_t queue_depth,
-                                       int replicas, int max_batch,
-                                       SimTime batch_timeout,
-                                       SimTime batch_latency);
-
-  /// Applies the policy. `deadline` is absolute (arrival + SLO).
-  [[nodiscard]] AdmissionDecision assess(SimTime now, SimTime deadline,
-                                         std::size_t queue_depth,
+/// Predicts completion for a request joining a queue of `queue_depth`
+/// with `replicas` usable servers, each serving batches of up to
+/// `max_batch` in `batch_latency`. The request waits at most
+/// `batch_timeout` for its batch to form, then `rounds` full service
+/// times, where rounds counts the batches ahead of it round-robined
+/// across replicas.
+[[nodiscard]] SimTime predict_completion(SimTime now, std::size_t queue_depth,
                                          int replicas, int max_batch,
                                          SimTime batch_timeout,
-                                         SimTime batch_latency) const;
-
-  [[nodiscard]] AdmissionPolicy policy() const noexcept { return policy_; }
-  [[nodiscard]] double degrade_latency_scale() const noexcept {
-    return degrade_scale_;
-  }
-
- private:
-  AdmissionPolicy policy_;
-  double degrade_scale_;
-};
+                                         SimTime batch_latency);
 
 }  // namespace knots::serve

@@ -6,13 +6,13 @@
 // through the cluster control plane (submit_pod / finish_pod), where the
 // *existing* scheduler places replicas into harvested batch capacity.
 //
-//   per-replica throughput = max_batch / batch_latency
-//   target = ceil(ewma_qps / (throughput * target_utilization))
+//   target = ceil(ewma_qps / (per_replica_qps * target_utilization))
 //   clamped to [min_replicas, max_replicas]
 //
-// Running replicas below target_utilization of their batch capacity are
-// headroom for bursts; the clamp keeps flash crowds from unbounded
-// scale-out.
+// where per_replica_qps is the caller's live estimate of what one replica
+// sustains. Running replicas below target_utilization of that
+// capacity are headroom for bursts; the clamp keeps flash crowds from
+// unbounded scale-out.
 #pragma once
 
 #include <cstddef>
@@ -24,30 +24,20 @@ namespace knots::serve {
 class AutoscalerModel {
  public:
   AutoscalerModel(double target_utilization, double ewma_alpha,
-                  int min_replicas, int max_replicas, int max_batch,
-                  SimTime batch_latency);
+                  int min_replicas, int max_replicas);
 
-  /// Feeds one period's arrival count; returns the new target replica
-  /// count. The first period seeds the EWMA directly. When the caller has
-  /// a live estimate of what one replica actually sustains (observed fill /
-  /// observed contended batch time), it passes it as
-  /// `observed_throughput_qps`; non-positive falls back to the nominal
-  /// replica_throughput_qps().
+  /// Feeds one period's arrival count and the requests/sec one replica
+  /// currently sustains (observed fill / observed contended batch time,
+  /// positive); returns the new target replica count. The first period
+  /// seeds the EWMA directly.
   int update(std::size_t arrivals_in_period, SimTime period,
-             double observed_throughput_qps = -1.0);
-
-  [[nodiscard]] int min_replicas() const noexcept { return min_replicas_; }
-  [[nodiscard]] int max_replicas() const noexcept { return max_replicas_; }
-  /// Requests/sec one replica sustains at full batches.
-  [[nodiscard]] double replica_throughput_qps() const noexcept;
+             double per_replica_qps);
 
  private:
   double target_util_;
   double alpha_;
   int min_replicas_;
   int max_replicas_;
-  int max_batch_;
-  SimTime batch_latency_;
   double ewma_qps_ = -1.0;  ///< <0 = unseeded.
 };
 

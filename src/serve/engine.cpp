@@ -28,6 +28,20 @@ constexpr std::uint64_t kDigestScaleDown = 0xA8;
 /// Arrival-stream fork family: service s draws stream kArrivalStream + s.
 constexpr std::uint64_t kArrivalStreamBase = 0x5E00;
 
+// Autoscaler cadence and capacity model.
+constexpr SimTime kAutoscalePeriod = 2 * kSec;
+constexpr double kAutoscaleTargetUtilization = 0.7;
+/// Smooths the arrival rate and the observed batch time and fill.
+constexpr double kEwmaAlpha = 0.3;
+constexpr int kMaxReplicas = 8;
+/// Replica container request = warm-model footprint × this headroom
+/// (Knots right-sizing; replicas never use stock-TF greedy earmarks).
+constexpr double kReplicaMemoryHeadroom = 1.1;
+
+// A flash crowd's spike starts and lasts these fractions of the window.
+constexpr double kSpikeStartFrac = 0.5;
+constexpr double kSpikeLengthFrac = 0.1;
+
 std::unique_ptr<workload::ArrivalProcess> make_process(
     const ServingConfig& config, const ServiceConfig& svc) {
   const auto& a = config.arrivals;
@@ -35,18 +49,16 @@ std::unique_ptr<workload::ArrivalProcess> make_process(
     case ArrivalShape::kPoisson:
       return std::make_unique<workload::PoissonArrivals>(svc.qps);
     case ArrivalShape::kDiurnal:
-      return std::make_unique<workload::DiurnalArrivals>(
-          svc.qps, a.diurnal_amplitude, a.diurnal_peaks);
+      return std::make_unique<workload::DiurnalArrivals>(svc.qps,
+                                                         a.diurnal_amplitude);
     case ArrivalShape::kFlashCrowd: {
       const auto spike_at = static_cast<SimTime>(
-          static_cast<double>(config.window) * a.spike_start_frac);
+          static_cast<double>(config.window) * kSpikeStartFrac);
       const auto spike_len = static_cast<SimTime>(
-          static_cast<double>(config.window) * a.spike_length_frac);
+          static_cast<double>(config.window) * kSpikeLengthFrac);
       return std::make_unique<workload::FlashCrowdArrivals>(
           svc.qps, a.spike_multiplier, spike_at, spike_len);
     }
-    case ArrivalShape::kTrace:
-      return std::make_unique<workload::TraceArrivals>(a.trace);
   }
   return std::make_unique<workload::PoissonArrivals>(svc.qps);
 }
@@ -74,13 +86,9 @@ ServingEngine::ServingEngine(cluster::Cluster& cluster,
     const SimTime batch_latency =
         workload::inference_latency(svc.service, svc.max_batch);
     ServiceState state{
-        svc,
-        ServiceQueue(svc.max_batch, svc.batch_timeout),
-        ServiceQueue(svc.max_batch, svc.batch_timeout),
-        AutoscalerModel(config_.autoscale_target_utilization,
-                        config_.autoscale_ewma_alpha, svc.min_replicas,
-                        svc.max_replicas, svc.max_batch, batch_latency)};
-    state.batch_latency = batch_latency;
+        svc, ServiceQueue(svc.max_batch, svc.batch_timeout),
+        AutoscalerModel(kAutoscaleTargetUtilization, kEwmaAlpha,
+                        svc.min_replicas, kMaxReplicas)};
     // §V-B floor: heavyweight services get a proportional SLO rather than
     // an unmeetable one (identical to ServiceSpec::qos_target for queries).
     state.effective_slo =
@@ -99,7 +107,6 @@ void ServingEngine::set_metrics_registry(obs::MetricsRegistry* registry) {
   shed_counter_ = &registry->counter("serve.requests_shed");
   expired_counter_ = &registry->counter("serve.requests_expired");
   served_counter_ = &registry->counter("serve.requests_served");
-  degraded_counter_ = &registry->counter("serve.requests_degraded");
   batches_counter_ = &registry->counter("serve.batches_dispatched");
   replicas_gauge_ = &registry->gauge("serve.replicas");
   queue_gauge_ = &registry->gauge("serve.queue_depth");
@@ -139,8 +146,8 @@ void ServingEngine::prime() {
 
   // Autoscaler cadence (stops at the window end; teardown owns the tail).
   if (config_.autoscale) {
-    sim::schedule_periodic(sim_, config_.autoscale_period,
-                           config_.autoscale_period, [this](SimTime now) {
+    sim::schedule_periodic(sim_, kAutoscalePeriod, kAutoscalePeriod,
+                           [this](SimTime now) {
                              autoscale_round(now);
                              return now < window_;
                            });
@@ -204,15 +211,12 @@ void ServingEngine::on_arrival(std::uint32_t request_index) {
   if (offered_counter_ != nullptr) offered_counter_->inc();
   ++s.arrivals_since_scale;
 
-  const AdmissionController admission(config_.admission,
-                                      s.cfg.degrade_latency_scale);
-  const std::size_t depth = s.full_queue.depth() + s.degraded_queue.depth();
   // Predict with the *observed* (contention-inclusive) batch time, not the
   // datasheet latency — under harvest pressure they differ severalfold.
-  const AdmissionDecision decision = admission.assess(
-      now, r.deadline, depth, usable_replicas(s), s.cfg.max_batch,
+  const SimTime predicted = predict_completion(
+      now, s.queue.depth(), usable_replicas(s), s.cfg.max_batch,
       s.cfg.batch_timeout, static_cast<SimTime>(s.ewma_batch_us));
-  if (!decision.admit) {
+  if (predicted > r.deadline) {
     r.outcome = RequestOutcome::kShed;
     digest_.mix_u64(kDigestShed);
     digest_.mix_u64(r.id);
@@ -225,11 +229,7 @@ void ServingEngine::on_arrival(std::uint32_t request_index) {
     return;
   }
   if (admitted_counter_ != nullptr) admitted_counter_->inc();
-  if (decision.degrade) {
-    s.degraded_queue.push(r.id, now);
-  } else {
-    s.full_queue.push(r.id, now);
-  }
+  s.queue.push(r.id, now);
   // The batch this request joins dispatches on size — checked right away —
   // or on this timeout.
   sim_.schedule_at(now + s.cfg.batch_timeout,
@@ -241,17 +241,7 @@ void ServingEngine::on_arrival(std::uint32_t request_index) {
 void ServingEngine::try_dispatch(std::size_t service) {
   ServiceState& s = services_[service];
   const SimTime now = sim_.now();
-  while (true) {
-    ServiceQueue* queue = nullptr;
-    bool degraded_batch = false;
-    if (s.full_queue.ripe(now)) {
-      queue = &s.full_queue;
-    } else if (s.degraded_queue.ripe(now)) {
-      queue = &s.degraded_queue;
-      degraded_batch = true;
-    }
-    if (queue == nullptr) return;
-
+  while (s.queue.ripe(now)) {
     // Least-contended idle running replica (the front-end balancer routes
     // to the quietest backend); launch order breaks ties deterministically.
     std::size_t replica_index = s.replicas.size();
@@ -270,21 +260,17 @@ void ServingEngine::try_dispatch(std::size_t service) {
     }
     if (replica_index == s.replicas.size()) return;  // nobody free yet
 
-    std::vector<std::uint32_t> batch = queue->form_batch();
+    std::vector<std::uint32_t> batch = s.queue.form_batch();
     // Deadline-passed requests are dropped at the door of the GPU (the
-    // client has long since timed out), and — unless the policy is pure
-    // kQueue — so are *doomed* ones, whose estimated completion already
-    // misses the deadline. The doom check uses the EWMA estimate, not the
-    // exact service time: decisions see estimates, physics sees actuals.
-    const double est_scale =
-        degraded_batch ? std::min(s.cfg.degrade_latency_scale, 1.0) : 1.0;
-    const auto estimated_done =
-        now + static_cast<SimTime>(s.ewma_batch_us * est_scale);
-    const bool drop_doomed = config_.admission != AdmissionPolicy::kQueue;
+    // client has long since timed out), and so are *doomed* ones, whose
+    // estimated completion already misses the deadline. The doom check
+    // uses the EWMA estimate, not the exact service time: decisions see
+    // estimates, physics sees actuals.
+    const auto estimated_done = now + static_cast<SimTime>(s.ewma_batch_us);
     std::size_t w = 0;
     for (const std::uint32_t id : batch) {
       Request& r = requests_[id];
-      if (now >= r.deadline || (drop_doomed && estimated_done > r.deadline)) {
+      if (now >= r.deadline || estimated_done > r.deadline) {
         r.outcome = RequestOutcome::kExpired;
         r.completion = now;
         digest_.mix_u64(kDigestExpire);
@@ -304,31 +290,27 @@ void ServingEngine::try_dispatch(std::size_t service) {
 
     Replica& rep = s.replicas[replica_index];
     const double contention = contention_factor(rep.pod);
-    const double scale =
-        degraded_batch ? s.cfg.degrade_latency_scale : 1.0;
     const auto uncontended = static_cast<double>(workload::inference_latency(
         s.cfg.service, static_cast<int>(batch.size())));
     const auto service_time = std::max<SimTime>(
-        1, static_cast<SimTime>(uncontended * scale * contention));
+        1, static_cast<SimTime>(uncontended * contention));
 
     rep.busy = true;
     ++s.batches;
     s.batched_requests += batch.size();
-    // Full-quality batches feed the observed service-time and fill
-    // estimators (degraded batches run a different model).
-    if (!degraded_batch) {
-      const double alpha = config_.autoscale_ewma_alpha;
-      s.ewma_batch_us = alpha * static_cast<double>(service_time) +
-                        (1.0 - alpha) * s.ewma_batch_us;
-      s.ewma_fill = alpha * static_cast<double>(batch.size()) +
-                    (1.0 - alpha) * s.ewma_fill;
-    }
+    // Every batch feeds the observed service-time and fill estimators.
+    s.ewma_batch_us = kEwmaAlpha * static_cast<double>(service_time) +
+                      (1.0 - kEwmaAlpha) * s.ewma_batch_us;
+    s.ewma_fill = kEwmaAlpha * static_cast<double>(batch.size()) +
+                  (1.0 - kEwmaAlpha) * s.ewma_fill;
     digest_.mix_u64(kDigestDispatch);
     digest_.mix_u64(static_cast<std::uint64_t>(now));
     digest_.mix_u64(static_cast<std::uint64_t>(service));
     digest_.mix_u64(static_cast<std::uint64_t>(rep.pod.value));
     digest_.mix_u64(batch.size());
-    digest_.mix_u64(degraded_batch ? 1 : 0);
+    // The record's former degraded-model flag, always 0 now: mixing it
+    // keeps every serve digest and golden bit-identical.
+    digest_.mix_u64(0);
     digest_.mix_u64(static_cast<std::uint64_t>(service_time));
     if (trace_ != nullptr) {
       trace_->record(now, obs::EventKind::kBatchDispatch, rep.pod.value,
@@ -337,19 +319,16 @@ void ServingEngine::try_dispatch(std::size_t service) {
     }
     if (batches_counter_ != nullptr) batches_counter_->inc();
 
-    sim_.schedule_after(
-        service_time,
-        [this, service, replica_index, moved = std::move(batch),
-         degraded_batch, now]() mutable {
-          on_batch_done(service, replica_index, std::move(moved),
-                        degraded_batch, now);
-        });
+    sim_.schedule_after(service_time, [this, service, replica_index,
+                                       moved = std::move(batch)]() mutable {
+      on_batch_done(service, replica_index, std::move(moved));
+    });
   }
 }
 
-void ServingEngine::record_served(Request& r, SimTime now, bool degraded) {
+void ServingEngine::record_served(Request& r, SimTime now) {
   r.completion = now;
-  r.outcome = degraded ? RequestOutcome::kDegraded : RequestOutcome::kCompleted;
+  r.outcome = RequestOutcome::kCompleted;
   digest_.mix_u64(kDigestDone);
   digest_.mix_u64(r.id);
   digest_.mix_u64(static_cast<std::uint64_t>(r.latency()));
@@ -360,7 +339,6 @@ void ServingEngine::record_served(Request& r, SimTime now, bool degraded) {
                    static_cast<double>(r.latency()) / 1000.0);
   }
   if (served_counter_ != nullptr) served_counter_->inc();
-  if (degraded && degraded_counter_ != nullptr) degraded_counter_->inc();
   if (latency_hist_ != nullptr) {
     latency_hist_->record(static_cast<double>(r.latency()) / 1000.0);
   }
@@ -368,8 +346,7 @@ void ServingEngine::record_served(Request& r, SimTime now, bool degraded) {
 
 void ServingEngine::on_batch_done(std::size_t service,
                                   std::size_t replica_index,
-                                  std::vector<std::uint32_t> batch,
-                                  bool degraded_batch, SimTime dispatched_at) {
+                                  std::vector<std::uint32_t> batch) {
   ServiceState& s = services_[service];
   Replica& rep = s.replicas[replica_index];
   rep.busy = false;
@@ -379,22 +356,18 @@ void ServingEngine::on_batch_done(std::size_t service,
       cluster_.pod(rep.pod).state() == cluster::PodState::kRunning;
   if (replica_alive) {
     for (const std::uint32_t id : batch) {
-      record_served(requests_[id], now, degraded_batch);
+      record_served(requests_[id], now);
     }
   } else {
     // The replica died mid-batch (crash, eviction, node death). The batch
     // never produced responses: re-queue at the front in original order.
     for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
-      Request& r = requests_[*it];
-      ++r.retries;
+      const Request& r = requests_[*it];
       digest_.mix_u64(kDigestRetry);
       digest_.mix_u64(r.id);
-      ServiceQueue& queue =
-          degraded_batch ? s.degraded_queue : s.full_queue;
-      queue.push_front(r.id, r.arrival);
+      s.queue.push_front(r.id, r.arrival);
     }
   }
-  (void)dispatched_at;
   try_dispatch(service);
   update_gauges();
 }
@@ -408,7 +381,7 @@ PodId ServingEngine::launch_replica(std::size_t service) {
   workload::PodSpec spec =
       workload::ServiceSpec(s.cfg.service)
           .batch(s.cfg.max_batch)
-          .memory_headroom(s.cfg.replica_memory_headroom)
+          .memory_headroom(kReplicaMemoryHeadroom)
           .qos(s.cfg.slo)
           .tenant(s.cfg.tenant)
           .avoid_preemptible(slo_core)
@@ -423,7 +396,7 @@ double ServingEngine::replica_request_mb(std::size_t service) const {
   const ServiceState& s = services_[service];
   return workload::ServiceSpec(s.cfg.service)
       .batch(s.cfg.max_batch)
-      .memory_headroom(s.cfg.replica_memory_headroom)
+      .memory_headroom(kReplicaMemoryHeadroom)
       .qos(s.cfg.slo)
       .replica(replica_lifetime_)
       .requested_mb;
@@ -465,8 +438,9 @@ void ServingEngine::autoscale_round(SimTime now) {
     // this cluster right now, not the datasheet figure.
     const double observed_throughput =
         s.ewma_fill * 1e6 / std::max(s.ewma_batch_us, 1.0);
-    const int target = s.autoscaler.update(
-        s.arrivals_since_scale, config_.autoscale_period, observed_throughput);
+    const int target = s.autoscaler.update(s.arrivals_since_scale,
+                                           kAutoscalePeriod,
+                                           observed_throughput);
     s.arrivals_since_scale = 0;
     const int current = alive_replicas(s);
     if (target > current) {
@@ -505,13 +479,12 @@ bool ServingEngine::pump(SimTime now) {
   }
   if (now <= window_) return true;
 
-  // Teardown: once a service's queues drain, retire every remaining
+  // Teardown: once a service's queue drains, retire every remaining
   // replica (scale-to-zero; the serving window is over).
   bool done = true;
   for (std::size_t s_idx = 0; s_idx < services_.size(); ++s_idx) {
     ServiceState& s = services_[s_idx];
-    const bool drained =
-        s.full_queue.empty() && s.degraded_queue.empty();
+    const bool drained = s.queue.empty();
     if (drained) {
       retire_replicas(s_idx, alive_replicas(s), /*scale_down_event=*/false);
     }
@@ -531,8 +504,7 @@ void ServingEngine::update_gauges() {
   double depth = 0;
   for (const ServiceState& s : services_) {
     replicas += alive_replicas(s);
-    depth += static_cast<double>(s.full_queue.depth() +
-                                 s.degraded_queue.depth());
+    depth += static_cast<double>(s.queue.depth());
   }
   replicas_gauge_->set(replicas);
   queue_gauge_->set(depth);
@@ -556,14 +528,9 @@ void ServingEngine::fill_report(ServingReport& report) const {
         ++stats->admitted;
         ++stats->expired;
         break;
-      case RequestOutcome::kCompleted:
-      case RequestOutcome::kDegraded: {
+      case RequestOutcome::kCompleted: {
         ++stats->admitted;
-        if (r.outcome == RequestOutcome::kDegraded) {
-          ++stats->degraded;
-        } else {
-          ++stats->completed;
-        }
+        ++stats->completed;
         if (r.completion > r.deadline) ++stats->slo_violations;
         const double ms = static_cast<double>(r.latency()) / 1000.0;
         samples[s_idx].push_back(ms);
@@ -574,6 +541,8 @@ void ServingEngine::fill_report(ServingReport& report) const {
         // Unresolved at drain deadline (counted admitted, nothing else).
         ++stats->admitted;
         break;
+      case RequestOutcome::kDegraded:
+        KNOTS_CHECK_MSG(false, "no request is served degraded");
     }
   }
 
@@ -598,8 +567,7 @@ void ServingEngine::fill_report(ServingReport& report) const {
     const ServiceState& s = services_[s_idx];
     stats.service = std::string(workload::service_name(s.cfg.service));
     fill_latency(stats.latency, samples[s_idx]);
-    stats.achieved_qps =
-        static_cast<double>(stats.completed + stats.degraded) / window_sec;
+    stats.achieved_qps = static_cast<double>(stats.completed) / window_sec;
     stats.peak_replicas = s.peak_replicas;
     stats.scale_ups = s.scale_ups;
     stats.scale_downs = s.scale_downs;
@@ -609,7 +577,6 @@ void ServingEngine::fill_report(ServingReport& report) const {
     report.shed += stats.shed;
     report.expired += stats.expired;
     report.completed += stats.completed;
-    report.degraded += stats.degraded;
     report.slo_violations += stats.slo_violations;
     report.batches += s.batches;
     report.replicas_launched += s.launched;
@@ -619,12 +586,9 @@ void ServingEngine::fill_report(ServingReport& report) const {
     report.offered_qps += s.cfg.qps;
   }
   fill_latency(report.latency, all);
-  report.achieved_qps =
-      static_cast<double>(report.completed + report.degraded) / window_sec;
-  std::size_t batched = 0;
+  report.achieved_qps = static_cast<double>(report.completed) / window_sec;
   double fill_sum = 0;
   for (const ServiceState& s : services_) {
-    batched += s.batches;
     if (s.batches > 0) {
       fill_sum += static_cast<double>(s.batched_requests) /
                   (static_cast<double>(s.batches) *
@@ -634,7 +598,6 @@ void ServingEngine::fill_report(ServingReport& report) const {
   report.mean_batch_fill =
       services_.empty() ? 0.0
                         : fill_sum / static_cast<double>(services_.size());
-  (void)batched;
   report.serve_digest = digest_.value();
 }
 

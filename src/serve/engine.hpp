@@ -3,12 +3,12 @@
 //
 // One engine drives every configured service: it pre-generates each
 // service's arrival stream (seeded off Rng::fork_at, so streams are
-// independent of each other), runs admission control at
-// every arrival, forms dynamic batches (size-or-timeout), dispatches them
-// to warm serving replicas — cluster pods of PodClass::kService placed by
-// the *existing* scheduler into harvested capacity — and applies the
-// autoscaler's decisions through the cluster control plane
-// (submit_pod / finish_pod).
+// independent of each other), sheds every arrival whose predicted
+// completion misses its deadline, forms dynamic batches (size-or-timeout)
+// in one queue per service, dispatches them to warm serving replicas —
+// cluster pods of PodClass::kService placed by the *existing* scheduler
+// into harvested capacity — and applies the autoscaler's decisions through
+// the cluster control plane (submit_pod / finish_pod).
 //
 // Batch service time is physical: the service's uncontended AppProfile
 // latency at the formed batch size, scaled by the replica GPU's live
@@ -78,15 +78,13 @@ class ServingEngine {
 
   struct ServiceState {
     ServiceConfig cfg;
-    ServiceQueue full_queue;
-    ServiceQueue degraded_queue;
+    ServiceQueue queue;
     AutoscalerModel autoscaler;
-    SimTime batch_latency = 0;  ///< Uncontended, at max_batch.
     /// Effective deadline: max(cfg.slo, §V-B floor) — same rule query pods
     /// get from ServiceSpec::qos_target.
     SimTime effective_slo = 0;
-    /// Observed (contended) full-quality batch service time, EWMA-smoothed;
-    /// seeded with the uncontended latency. Feeds admission prediction.
+    /// Observed (contended) batch service time, EWMA-smoothed; seeded
+    /// with the uncontended latency. Feeds admission prediction.
     double ewma_batch_us = 0;
     /// Observed formed-batch size, EWMA-smoothed; seeded with max_batch.
     /// Together with ewma_batch_us this is the *effective* per-replica
@@ -110,8 +108,7 @@ class ServingEngine {
   /// Dispatches every ripe batch the service's idle replicas can absorb.
   void try_dispatch(std::size_t service);
   void on_batch_done(std::size_t service, std::size_t replica_index,
-                     std::vector<std::uint32_t> batch, bool degraded_batch,
-                     SimTime dispatched_at);
+                     std::vector<std::uint32_t> batch);
   void autoscale_round(SimTime now);
   /// Per-tick pump: re-polls queues (replicas may have relaunched after a
   /// crash with no other wake-up event) and, past the window end, tears
@@ -129,7 +126,7 @@ class ServingEngine {
   [[nodiscard]] int alive_replicas(const ServiceState& s) const;
   /// Live co-location slowdown of the replica's GPU (1.0 when not running).
   [[nodiscard]] double contention_factor(PodId pod) const;
-  void record_served(Request& r, SimTime now, bool degraded);
+  void record_served(Request& r, SimTime now);
   void update_gauges();
 
   cluster::Cluster& cluster_;
@@ -152,7 +149,6 @@ class ServingEngine {
   obs::Counter* shed_counter_ = nullptr;
   obs::Counter* expired_counter_ = nullptr;
   obs::Counter* served_counter_ = nullptr;
-  obs::Counter* degraded_counter_ = nullptr;
   obs::Counter* batches_counter_ = nullptr;
   obs::Gauge* replicas_gauge_ = nullptr;
   obs::Gauge* queue_gauge_ = nullptr;

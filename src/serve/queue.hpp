@@ -38,9 +38,6 @@ class ServiceQueue {
   /// Pops up to max_batch requests. Call only when ripe().
   [[nodiscard]] std::vector<std::uint32_t> form_batch();
 
-  [[nodiscard]] int max_batch() const noexcept { return max_batch_; }
-  [[nodiscard]] SimTime batch_timeout() const noexcept { return timeout_; }
-
  private:
   struct Entry {
     std::uint32_t request;

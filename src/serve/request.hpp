@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 
 #include "core/types.hpp"
 
@@ -11,37 +10,22 @@ namespace knots::serve {
 /// Terminal fate of a request.
 enum class RequestOutcome : std::uint8_t {
   kPending = 0,  ///< Still queued or in flight.
-  kCompleted,    ///< Served at full quality.
-  kDegraded,     ///< Served by the degraded (distilled) model path.
+  kCompleted,    ///< Served.
+  /// Never set: serving has no degraded model. The benchmark's serving
+  /// run still names it, so it stays until that harness changes.
+  kDegraded,
   kShed,         ///< Rejected at admission (predicted deadline miss).
   kExpired,      ///< Dropped at dispatch: its deadline had already passed.
 };
-
-[[nodiscard]] constexpr std::string_view to_string(
-    RequestOutcome o) noexcept {
-  switch (o) {
-    case RequestOutcome::kPending: return "pending";
-    case RequestOutcome::kCompleted: return "completed";
-    case RequestOutcome::kDegraded: return "degraded";
-    case RequestOutcome::kShed: return "shed";
-    case RequestOutcome::kExpired: return "expired";
-  }
-  return "unknown";
-}
 
 struct Request {
   std::uint32_t id = 0;
   std::uint16_t service = 0;  ///< Index into ServingConfig::services.
   SimTime arrival = 0;
   SimTime deadline = 0;       ///< arrival + SLO.
-  SimTime completion = -1;    ///< Set when served.
+  SimTime completion = -1;    ///< Set when served or expired.
   RequestOutcome outcome = RequestOutcome::kPending;
-  std::uint8_t retries = 0;   ///< Re-dispatches after a replica died mid-batch.
 
-  [[nodiscard]] bool served() const noexcept {
-    return outcome == RequestOutcome::kCompleted ||
-           outcome == RequestOutcome::kDegraded;
-  }
   [[nodiscard]] SimTime latency() const noexcept {
     return completion - arrival;
   }

@@ -21,8 +21,6 @@ std::string_view to_string(ArrivalShape s) noexcept {
       return "diurnal";
     case ArrivalShape::kFlashCrowd:
       return "flash-crowd";
-    case ArrivalShape::kTrace:
-      return "trace";
   }
   return "unknown";
 }
@@ -56,12 +54,8 @@ double serving_footprint_bytes(const ServingConfig& config) {
   if (a.shape == ArrivalShape::kFlashCrowd) {
     peak = std::max(1.0, a.spike_multiplier);
   }
-  const double requests =
-      a.shape == ArrivalShape::kTrace
-          ? static_cast<double>(config.services.size()) *
-                static_cast<double>(a.trace.size())
-          : qps * peak * static_cast<double>(config.window) /
-                static_cast<double>(kSec);
+  const double requests = qps * peak * static_cast<double>(config.window) /
+                          static_cast<double>(kSec);
   constexpr double kRequestBytes =
       sizeof(Request) + sim::EventQueue::event_bytes();
   double bytes = requests * kRequestBytes;
@@ -85,12 +79,7 @@ ServingReport run_serving_impl(const ServingConfig& config,
   cluster::Cluster cluster(cluster_cfg, *scheduler);
   cluster.set_fault_plan(exp.faults);
 
-  // Same invariant posture as KubeKnots: only the blind Res-Ag baseline may
-  // overcommit declared requests past device capacity.
-  verify::InvariantOptions inv_opts;
-  inv_opts.provision_ceiling_ratio =
-      exp.scheduler == sched::SchedulerKind::kResourceAgnostic ? 0.0 : 1.0;
-  verify::InvariantChecker verifier(inv_opts);
+  verify::InvariantChecker verifier(invariant_options(exp.scheduler));
   verify::RunDigest cluster_digest;
   cluster.add_observer(&verifier);
   cluster.add_observer(&cluster_digest);
@@ -132,13 +121,7 @@ ServingReport run_serving_impl(const ServingConfig& config,
   ServingReport report;
   report.experiment =
       build_report(cluster, scheduler->name(), exp.mix_id);
-  report.experiment.run_digest = cluster_digest.value();
-  report.experiment.invariant_checks = verifier.checks_run();
-  report.experiment.invariant_violations = verifier.violation_count();
-  for (const auto& v : verifier.violations()) {
-    report.experiment.invariant_messages.push_back(v.category + ": " +
-                                                   v.message);
-  }
+  record_verification(report.experiment, cluster_digest, verifier);
   engine.fill_report(report);
   return report;
 }

@@ -2,12 +2,12 @@
 // simulated GPU cluster (ROADMAP item 3).
 //
 // A ServingConfig describes per-service traffic (an ArrivalProcess shape +
-// mean QPS), dynamic-batching knobs, an SLO with an admission policy, and
-// autoscaling bounds, layered over an ordinary ExperimentConfig whose batch
-// workload keeps the cluster busy underneath (the harvest substrate).
-// run_serving() wires the serving engine onto the cluster's event loop and
-// returns a ServingReport: per-service and aggregate tail latency
-// (p50/p99/p999 over the *full* request population), admission and
+// mean QPS), dynamic-batching knobs, an SLO that admission sheds against,
+// and an autoscaling floor, layered over an ordinary ExperimentConfig whose
+// batch workload keeps the cluster busy underneath (the harvest
+// substrate). run_serving() wires the serving engine onto the cluster's
+// event loop and returns a ServingReport: per-service and aggregate tail
+// latency (p50/p99/p999 over the *full* request population), admission and
 // autoscaler activity, plus the usual cluster-side ExperimentReport and an
 // order-sensitive serve digest — identical (config, seed) runs are
 // bit-identical.
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "knots/experiment.hpp"
-#include "serve/admission.hpp"
 #include "serve/request.hpp"
 #include "workload/arrival.hpp"
 #include "workload/djinn_tonic.hpp"
@@ -30,21 +29,18 @@ enum class ArrivalShape : std::uint8_t {
   kPoisson,
   kDiurnal,
   kFlashCrowd,
-  kTrace,
 };
 
 [[nodiscard]] std::string_view to_string(ArrivalShape s) noexcept;
 
 /// Shape parameters shared by every service in the run (each service still
-/// draws its own independent arrival stream off Rng::fork_at).
+/// draws its own independent arrival stream off Rng::fork_at). A diurnal
+/// run has two peaks in the window; a flash crowd's spike starts at half
+/// the window and lasts a tenth of it.
 struct ArrivalShapeConfig {
   ArrivalShape shape = ArrivalShape::kPoisson;
   double diurnal_amplitude = 0.4;  ///< kDiurnal: rate swing fraction.
-  int diurnal_peaks = 2;           ///< kDiurnal: peaks in the window.
   double spike_multiplier = 5.0;   ///< kFlashCrowd: rate multiple in spike.
-  double spike_start_frac = 0.5;   ///< kFlashCrowd: spike start / window.
-  double spike_length_frac = 0.1;  ///< kFlashCrowd: spike length / window.
-  std::vector<SimTime> trace;      ///< kTrace: replayed verbatim.
 };
 
 /// One deployed inference service.
@@ -54,13 +50,8 @@ struct ServiceConfig {
   int max_batch = 16;                  ///< Dynamic-batching ceiling.
   SimTime batch_timeout = 10 * kMsec;  ///< Size-or-timeout window.
   SimTime slo = 150 * kMsec;           ///< Relative deadline per request.
+  /// Autoscaling floor; the ceiling is 8 replicas per service.
   int min_replicas = 1;
-  int max_replicas = 8;
-  /// Replica container request = warm-model footprint × this headroom
-  /// (Knots right-sizing; replicas never use stock-TF greedy earmarks).
-  double replica_memory_headroom = 1.1;
-  /// Degraded-model service time as a fraction of the full model's.
-  double degrade_latency_scale = 0.35;
   /// Owning tenant: replicas are charged to this tenant's quota (0 = the
   /// default tenant; the ledger stays inactive without quotas).
   int tenant = 0;
@@ -74,11 +65,8 @@ struct ServingConfig {
   std::vector<ServiceConfig> services;
   ArrivalShapeConfig arrivals;
   SimTime window = 60 * kSec;  ///< Request-arrival window.
-  AdmissionPolicy admission = AdmissionPolicy::kShed;
+  /// Re-size each service every 2 s of the window.
   bool autoscale = true;
-  SimTime autoscale_period = 2 * kSec;
-  double autoscale_target_utilization = 0.7;
-  double autoscale_ewma_alpha = 0.3;
   /// Run the experiment mix's batch pods underneath the serving traffic
   /// (the capacity being harvested). Off = serving-only cluster.
   bool background_batch = true;
@@ -101,8 +89,9 @@ struct ServiceStats {
   std::size_t admitted = 0;
   std::size_t shed = 0;
   std::size_t expired = 0;
-  std::size_t completed = 0;  ///< Served at full quality.
-  std::size_t degraded = 0;   ///< Served by the degraded path.
+  std::size_t completed = 0;  ///< Served.
+  /// Always zero (no degraded model); the benchmark's serving run reads it.
+  std::size_t degraded = 0;
   std::size_t slo_violations = 0;  ///< Served past the deadline.
   LatencyStats latency;
   double achieved_qps = 0;  ///< Served requests / window.
@@ -121,7 +110,7 @@ struct ServingReport {
   std::size_t shed = 0;
   std::size_t expired = 0;
   std::size_t completed = 0;
-  std::size_t degraded = 0;
+  std::size_t degraded = 0;  ///< Always zero, as ServiceStats::degraded.
   std::size_t slo_violations = 0;
   LatencyStats latency;
   double offered_qps = 0;
@@ -141,9 +130,8 @@ struct ServingReport {
 };
 
 /// Bytes a serving run needs before its first event: every service's
-/// requests at the shape's peak rate (qps × window × peak multiplier; a
-/// trace's length for kTrace), each a Request and its queued arrival
-/// event, plus the background batch workload (workload_footprint_bytes over
+/// requests at the shape's peak rate (qps × window × peak multiplier), each
+/// a Request and its queued arrival event, plus the background batch workload (workload_footprint_bytes over
 /// the window). Inputs compare this with the host's memory first.
 double serving_footprint_bytes(const ServingConfig& config);
 

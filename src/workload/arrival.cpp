@@ -85,35 +85,6 @@ std::vector<SimTime> FlashCrowdArrivals::generate(SimTime duration,
   });
 }
 
-double FlashCrowdArrivals::mean_qps() const noexcept {
-  // Time-averaged over an (unknown at construction) window the spike fits
-  // in; report the floor rate plus nothing — capacity planners should size
-  // for the spike explicitly via spike_at()/spike_end().
-  return base_qps_;
-}
-
-TraceArrivals::TraceArrivals(std::vector<SimTime> times)
-    : times_(std::move(times)) {
-  std::sort(times_.begin(), times_.end());
-  for (SimTime t : times_) KNOTS_CHECK(t >= 0);
-}
-
-std::vector<SimTime> TraceArrivals::generate(SimTime duration,
-                                             Rng /*rng*/) const {
-  std::vector<SimTime> out;
-  for (SimTime t : times_) {
-    if (t >= duration) break;
-    if (t > 0) out.push_back(t);
-  }
-  return out;
-}
-
-double TraceArrivals::mean_qps() const noexcept {
-  if (times_.empty() || times_.back() <= 0) return 0.0;
-  return static_cast<double>(times_.size()) * kUsPerSec /
-         static_cast<double>(times_.back());
-}
-
 AlibabaArrivals::AlibabaArrivals(SimTime mean_interarrival, double burstiness,
                                  bool diurnal)
     : mean_interarrival_(mean_interarrival),
@@ -127,10 +98,6 @@ std::vector<SimTime> AlibabaArrivals::generate(SimTime duration,
                                                Rng rng) const {
   AlibabaTrace trace(rng);
   return trace.arrivals(duration, mean_interarrival_, burstiness_, diurnal_);
-}
-
-double AlibabaArrivals::mean_qps() const noexcept {
-  return kUsPerSec / static_cast<double>(mean_interarrival_);
 }
 
 }  // namespace knots::workload

@@ -7,16 +7,13 @@
 // Seed child streams off `Rng::fork_at` when a scenario needs several
 // independent processes from one seed.
 //
-// Shapes (ROADMAP item 3): Poisson baseline, diurnal sinusoid (daily
-// peaks), flash crowd (a breaking-news rate spike on top of a Poisson
-// floor), verbatim trace replay, and the Alibaba-2017 log-normal burst
-// model that the batch load generator has always used — now one
-// implementation of the shared interface.
+// Shapes: Poisson baseline, diurnal sinusoid (daily peaks) and flash crowd
+// (a breaking-news rate spike on top of a Poisson floor), which drive
+// serving runs, and the Alibaba-2017 log-normal burst model that the batch
+// load generator has always used — now one implementation of the shared
+// interface.
 #pragma once
 
-#include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -28,15 +25,9 @@ class ArrivalProcess {
  public:
   virtual ~ArrivalProcess() = default;
 
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-
   /// Arrival times in (0, duration), ascending. Pure in (duration, rng).
   [[nodiscard]] virtual std::vector<SimTime> generate(SimTime duration,
                                                       Rng rng) const = 0;
-
-  /// Nominal mean rate in requests/sec (for capacity planning; shapes with
-  /// time-varying intensity report their time-averaged rate).
-  [[nodiscard]] virtual double mean_qps() const noexcept = 0;
 };
 
 /// Memoryless arrivals at a constant rate — the open-loop baseline.
@@ -44,12 +35,8 @@ class PoissonArrivals final : public ArrivalProcess {
  public:
   explicit PoissonArrivals(double qps);
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "poisson";
-  }
   [[nodiscard]] std::vector<SimTime> generate(SimTime duration,
                                               Rng rng) const override;
-  [[nodiscard]] double mean_qps() const noexcept override { return qps_; }
 
  private:
   double qps_;
@@ -62,12 +49,8 @@ class DiurnalArrivals final : public ArrivalProcess {
  public:
   DiurnalArrivals(double mean_qps, double amplitude = 0.4, int peaks = 2);
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "diurnal";
-  }
   [[nodiscard]] std::vector<SimTime> generate(SimTime duration,
                                               Rng rng) const override;
-  [[nodiscard]] double mean_qps() const noexcept override { return qps_; }
 
  private:
   double qps_;
@@ -82,40 +65,14 @@ class FlashCrowdArrivals final : public ArrivalProcess {
   FlashCrowdArrivals(double base_qps, double spike_multiplier,
                      SimTime spike_at, SimTime spike_duration);
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "flash-crowd";
-  }
   [[nodiscard]] std::vector<SimTime> generate(SimTime duration,
                                               Rng rng) const override;
-  [[nodiscard]] double mean_qps() const noexcept override;
-
-  [[nodiscard]] SimTime spike_at() const noexcept { return spike_at_; }
-  [[nodiscard]] SimTime spike_end() const noexcept {
-    return spike_at_ + spike_duration_;
-  }
 
  private:
   double base_qps_;
   double multiplier_;
   SimTime spike_at_;
   SimTime spike_duration_;
-};
-
-/// Replays recorded arrival times verbatim (clipped to the window). Draws
-/// no randomness; the rng argument is unused.
-class TraceArrivals final : public ArrivalProcess {
- public:
-  explicit TraceArrivals(std::vector<SimTime> times);
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "trace";
-  }
-  [[nodiscard]] std::vector<SimTime> generate(SimTime duration,
-                                              Rng rng) const override;
-  [[nodiscard]] double mean_qps() const noexcept override;
-
- private:
-  std::vector<SimTime> times_;
 };
 
 /// The Alibaba-2017 model: log-normal inter-arrival bursts (COV set by
@@ -126,12 +83,8 @@ class AlibabaArrivals final : public ArrivalProcess {
   AlibabaArrivals(SimTime mean_interarrival, double burstiness = 0.5,
                   bool diurnal = true);
 
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "alibaba";
-  }
   [[nodiscard]] std::vector<SimTime> generate(SimTime duration,
                                               Rng rng) const override;
-  [[nodiscard]] double mean_qps() const noexcept override;
 
  private:
   SimTime mean_interarrival_;

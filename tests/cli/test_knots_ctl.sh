@@ -181,6 +181,30 @@ grep -q "serve.requests_offered" "$WORK/serve_metrics.json" || \
 "$CTL" serve --qps 60 --duration 10 --nodes 4 --diurnal 0.8 --autoscale off \
   >"$WORK/serve_diurnal_out" 2>&1 || fail "serve diurnal: expected exit 0, got $?"
 
+# Serving traces are purely observational on every arrival shape: each run
+# again with --trace and --trace-bin keeps its serve and run digest rows.
+# serve_traced <name> <args...>: traces the run and compares its digest
+# rows with those in $WORK/<name>_out.
+serve_traced() {
+  name="$1"
+  shift
+  "$CTL" serve "$@" --trace "$WORK/${name}_trace.json" \
+    --trace-bin "$WORK/${name}_trace.trc" >"$WORK/${name}_traced_out" 2>&1 ||
+    fail "$name traced: expected exit 0, got $?"
+  [ -s "$WORK/${name}_trace.json" ] || fail "$name --trace: missing or empty"
+  [ -s "$WORK/${name}_trace.trc" ] || fail "$name --trace-bin: missing or empty"
+  for row in "serve digest" "run digest"; do
+    untraced=$(grep "$row" "$WORK/${name}_out")
+    traced=$(grep "$row" "$WORK/${name}_traced_out")
+    [ -n "$untraced" ] && [ "$untraced" = "$traced" ] ||
+      fail "$name $row drift: untraced='$untraced' traced='$traced'"
+  done
+}
+serve_traced serve --qps 60 --duration 10 --nodes 4 --slo-ms 400
+serve_traced serve_flash --qps 60 --duration 10 --nodes 4 --flash-crowd 4
+serve_traced serve_diurnal --qps 60 --duration 10 --nodes 4 --diurnal 0.8 \
+  --autoscale off
+
 # ---- fabric: auto moves bytes and survives a link fault; zero is inert ----
 "$CTL" run --mix 1 --scheduler CBP --duration 10 --nodes 4 --fabric auto \
   --link-down "spine@5:3" >"$WORK/fab_out" 2>&1

@@ -118,6 +118,59 @@ TEST(Spot, ReclaimConservesPodsAcrossSeeds) {
   EXPECT_GT(evictions, 0u);
 }
 
+// A node crash and a spot reclaim on the same node share one outage. A
+// crash inside the reclaim's notice window takes the node down first, and
+// the reclaim finds it down and does nothing; a crash during the reclaim's
+// outage finds it down too. Either way the node goes down once and comes
+// back once.
+TEST(Spot, CrashDuringNoticeAbsorbsTheReclaim) {
+  struct Case {
+    const char* name;
+    SimTime crash_at;
+    SimTime crash_for;
+    SimTime reclaim_for;
+    SimTime down_at;
+    SimTime up_at;
+  };
+  // The reclaim notices at 10 s and, after node 2's 5 s notice, takes the
+  // node at 15 s.
+  const Case cases[] = {
+      {"crash during the notice", 12 * kSec, 6 * kSec, 15 * kSec, 12 * kSec,
+       18 * kSec},
+      {"crash during the outage", 18 * kSec, 3 * kSec, 10 * kSec, 15 * kSec,
+       25 * kSec},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExperimentConfig cfg = spot_config(7);
+    cfg.faults.spot_reclaim(NodeId{2}, 10 * kSec, c.reclaim_for);
+    cfg.faults.node_crash(NodeId{2}, c.crash_at, c.crash_for);
+
+    obs::TraceSink trace;
+    KubeKnots knots(cfg);
+    knots.attach_tracer(&trace);
+    knots.submit_mix_workload();
+    const auto report = knots.run();
+
+    std::vector<SimTime> downs;
+    std::vector<SimTime> ups;
+    for (const auto& e : trace.events()) {
+      if (e.kind == obs::EventKind::kNodeDown) downs.push_back(e.ts);
+      if (e.kind == obs::EventKind::kNodeUp) ups.push_back(e.ts);
+    }
+    EXPECT_EQ(report.node_crashes, 1u);
+    EXPECT_EQ(report.node_recoveries, 1u);
+    EXPECT_EQ(downs, std::vector<SimTime>{c.down_at});
+    EXPECT_EQ(ups, std::vector<SimTime>{c.up_at});
+    EXPECT_GT(report.pods_total, 0u);
+    EXPECT_EQ(report.pods_completed, report.pods_total);
+    EXPECT_EQ(report.invariant_violations, 0u)
+        << (report.invariant_messages.empty()
+                ? ""
+                : report.invariant_messages.front());
+  }
+}
+
 TEST(Spot, ReclaimRunsAreDeterministic) {
   ExperimentConfig cfg = spot_config(7);
   cfg.faults.spot_reclaim(NodeId{3}, 10 * kSec, 10 * kSec);

@@ -1,11 +1,16 @@
 // knots::serve end-to-end laws: identical (config, seed) serving runs are
 // bit-identical, a zero-QPS deployment is invisible to
-// the cluster underneath, and the crash-storm serving digest is pinned
-// golden so the fault path cannot drift silently.
+// the cluster underneath, every request ends in one outcome that the
+// report counts, and the crash-storm serving digest is pinned golden so
+// the fault path cannot drift silently.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "fault/fault_plan.hpp"
 #include "knots/kube_knots.hpp"
+#include "serve/engine.hpp"
 #include "serve/serving.hpp"
 #include "workload/app_mix.hpp"
 
@@ -28,6 +33,39 @@ fault::FaultPlan storm_plan() {
       .gpu_ecc_degrade(NodeId{0}, 2 * kSec, 1024.0)
       .heartbeat_loss(NodeId{2}, 3 * kSec, 2 * kSec)
       .pcie_stall(NodeId{3}, 5 * kSec, 2 * kSec, 4.0);
+}
+
+/// Runs `cfg` by driving a ServingEngine on a bare cluster, as the
+/// benchmark's serving run does, and returns the engine's report and its
+/// request table.
+std::pair<ServingReport, std::vector<Request>> drive_engine(
+    const ServingConfig& cfg) {
+  const ExperimentConfig& exp = cfg.experiment;
+  auto scheduler = sched::make_scheduler(exp.scheduler, exp.sched_params);
+  cluster::ClusterConfig cluster_cfg = exp.cluster;
+  cluster_cfg.seed = exp.seed;
+  cluster::Cluster cluster(cluster_cfg, *scheduler);
+  cluster.set_fault_plan(exp.faults);
+
+  workload::LoadGenConfig wl = exp.workload;
+  wl.duration = cfg.window;
+  wl.device_memory_mb = exp.cluster.node_spec.gpu.memory_mb;
+  std::vector<workload::PodSpec> pods;
+  for (auto& p : workload::generate_workload(workload::app_mix(exp.mix_id),
+                                             wl, Rng(exp.seed))) {
+    if (p.klass == workload::PodClass::kBatch) pods.push_back(std::move(p));
+  }
+  for (std::size_t i = 0; i < pods.size(); ++i) {
+    pods[i].id = PodId{static_cast<std::int32_t>(i)};
+  }
+  cluster.load(std::move(pods));
+
+  ServingEngine engine(cluster, cfg, Rng(exp.seed).fork(0x53525645));
+  engine.prime();
+  cluster.run();
+  ServingReport report;
+  engine.fill_report(report);
+  return {report, engine.requests()};
 }
 
 TEST(Serving, DeterminismLaw) {
@@ -146,17 +184,70 @@ TEST(Serving, LongWindowGoldenDigestIsPinned) {
 }
 
 TEST(Serving, AdmissionShedKeepsSloMissesLow) {
-  // With kShed admission, requests that would blow the deadline are turned
-  // away at arrival; the served population's SLO-violation fraction must
-  // stay small even under the flash crowd.
-  ServingConfig cfg = small_serving(ArrivalShape::kFlashCrowd);
-  cfg.admission = AdmissionPolicy::kShed;
-  const auto report = run_serving(cfg);
+  // Requests that would blow the deadline are turned away at arrival; the
+  // served population's SLO-violation fraction must stay small even under
+  // the flash crowd.
+  const auto report = run_serving(small_serving(ArrivalShape::kFlashCrowd));
   ASSERT_GT(report.completed + report.degraded, 0u);
   const double miss_rate =
       static_cast<double>(report.slo_violations) /
       static_cast<double>(report.completed + report.degraded);
   EXPECT_LT(miss_rate, 0.15);
+}
+
+// Every request ends in exactly one outcome, the report's tallies are
+// counts over the request table, and no request is served degraded: for
+// every arrival shape and under the crash storm, whose dead replicas
+// re-queue their batches.
+TEST(Serving, EveryRequestEndsInOneOutcome) {
+  ServingConfig storm = small_serving(ArrivalShape::kPoisson);
+  storm.experiment.faults = storm_plan();
+  const std::pair<const char*, ServingConfig> cases[] = {
+      {"poisson", small_serving(ArrivalShape::kPoisson)},
+      {"diurnal", small_serving(ArrivalShape::kDiurnal)},
+      {"flash-crowd", small_serving(ArrivalShape::kFlashCrowd)},
+      {"crash storm", storm},
+  };
+  std::size_t shed_total = 0;
+  std::size_t expired_total = 0;
+  for (const auto& [name, cfg] : cases) {
+    SCOPED_TRACE(name);
+    const auto [report, requests] = drive_engine(cfg);
+    std::size_t completed = 0, shed = 0, expired = 0, pending = 0;
+    for (const Request& r : requests) {
+      switch (r.outcome) {
+        case RequestOutcome::kCompleted:
+          ++completed;
+          EXPECT_GE(r.completion, r.arrival) << "request " << r.id;
+          break;
+        case RequestOutcome::kShed:
+          ++shed;
+          EXPECT_EQ(r.completion, -1) << "request " << r.id;
+          break;
+        case RequestOutcome::kExpired:
+          ++expired;
+          break;
+        case RequestOutcome::kPending:
+          ++pending;
+          break;
+        case RequestOutcome::kDegraded:
+          ADD_FAILURE() << "request " << r.id << " served degraded";
+          break;
+      }
+    }
+    EXPECT_EQ(report.offered, requests.size());
+    EXPECT_EQ(report.admitted, completed + expired + pending);
+    EXPECT_EQ(report.shed, shed);
+    EXPECT_EQ(report.expired, expired);
+    EXPECT_EQ(report.completed, completed);
+    EXPECT_EQ(report.degraded, 0u);
+    EXPECT_GT(completed, 0u);
+    shed_total += shed;
+    expired_total += expired;
+  }
+  // Both non-served outcomes were reached, so the checks above bit.
+  EXPECT_GT(shed_total, 0u);
+  EXPECT_GT(expired_total, 0u);
 }
 
 TEST(Serving, ObservabilityDoesNotPerturbTheRun) {
