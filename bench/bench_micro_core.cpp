@@ -325,12 +325,12 @@ void BM_InvariantAudit(benchmark::State& state) {
   // Audits must see the clock move, so each timed one runs at the next
   // microsecond of the same rest state; the next real tick runs (untimed)
   // just before its event would fire and brings its few state changes.
-  SimTime next_tick = cl.now() + cfg.cluster.tick;
+  SimTime next_tick = cl.now() + cluster::kTick;
   for (auto _ : state) {
     if (cl.now() + 1 >= next_tick) {
       state.PauseTiming();
       cl.engine().run_all();
-      next_tick = cl.now() + cfg.cluster.tick;
+      next_tick = cl.now() + cluster::kTick;
       state.ResumeTiming();
     }
     cl.engine().run_until(cl.now() + 1);

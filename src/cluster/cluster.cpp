@@ -11,6 +11,22 @@ namespace knots::cluster {
 
 using obs::EventKind;
 
+namespace {
+/// Figure-metrics sampling cadence.
+constexpr SimTime kMetricsPeriod = 1 * kSec;
+static_assert(kMetricsPeriod >= kTick && kMetricsPeriod % kTick == 0,
+              "figure metrics sample on whole ticks");
+constexpr SimTime kRelaunchDelay = 3 * kSec;  ///< Crash → rejoin pending queue.
+/// Node-death eviction → rejoin pending queue. Longer than the crash
+/// relaunch delay: kubelet must notice the node is gone before pods are
+/// rescheduled.
+constexpr SimTime kEvictRelaunchDelay = 5 * kSec;
+/// Missed heartbeats before the aggregator marks a GPU's series stale.
+constexpr int kStaleAfterHeartbeats = 5;
+constexpr SimTime kIdleParkAfter = 15 * kSec;  ///< Idle time before deep sleep.
+constexpr double kUsageJitter = 0.02;  ///< Run-to-run usage noise (fraction).
+}  // namespace
+
 Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
     : config_(config), scheduler_(&scheduler), rng_(config.seed) {
   KNOTS_CHECK(config_.gpus_per_node > 0);
@@ -80,8 +96,7 @@ Cluster::Cluster(const ClusterConfig& config, Scheduler& scheduler)
   gpu_last_busy_.assign(gpu_index_.size(), 0);
   injector_ = std::make_unique<fault::FaultInjector>(nodes_.size());
   gpu_stale_.assign(gpu_index_.size(), false);
-  aggregator_.set_staleness_horizon(
-      static_cast<SimTime>(config_.stale_after_heartbeats) * config_.tick);
+  aggregator_.set_staleness_horizon(kStaleAfterHeartbeats * kTick);
 
   if (!config_.fabric.empty()) {
     fabric_ = std::make_unique<net::Fabric>(config_.fabric, config_.nodes);
@@ -169,7 +184,7 @@ void Cluster::run() {
   }
   // The drain deadline is evaluated per tick (not captured once) so pods
   // submitted mid-run via submit_pod() extend it.
-  sim::schedule_periodic(sim_, config_.tick, config_.tick,
+  sim::schedule_periodic(sim_, kTick, kTick,
                          [this](SimTime now) {
                            tick();
                            return !(all_terminal() ||
@@ -216,12 +231,6 @@ std::vector<GpuId> Cluster::all_gpus() const {
   return out;
 }
 
-std::size_t Cluster::gpu_dense_index(GpuId id) const {
-  KNOTS_CHECK(id.valid() &&
-              static_cast<std::size_t>(id.value) < gpu_index_.size());
-  return static_cast<std::size_t>(id.value);
-}
-
 NodeId Cluster::node_of_gpu(GpuId id) const {
   const auto [n, g] = gpu_index_.at(static_cast<std::size_t>(id.value));
   return nodes_[n]->id();
@@ -266,7 +275,7 @@ bool Cluster::place(PodId id, GpuId gpu_id, double provisioned_mb) {
   const bool cached = p.spec().klass != workload::PodClass::kBatch ||
                       image_cache_.contains(cache_key);
   image_cache_.insert(cache_key);
-  const SimTime start_latency = cached ? config_.warm_start : config_.cold_start;
+  const SimTime start_latency = cached ? kWarmStart : kColdStart;
   p.begin_start(gpu_id, provisioned_mb, now(), now() + start_latency);
   note_state(p);
   active_.push_back(id);
@@ -370,7 +379,7 @@ void Cluster::evict_node(NodeId id) {
       if (trace_ != nullptr) {
         trace_->record(now(), EventKind::kEvict, pod_id.value, id.value);
       }
-      requeue_after(pod_id, config_.evict_relaunch_delay);
+      requeue_after(pod_id, kEvictRelaunchDelay);
     }
   }
   std::erase_if(active_, [this](PodId pid) {
@@ -559,9 +568,8 @@ void Cluster::detect_stale_transitions(SchedulingContext& ctx) {
 }
 
 gpu::Usage Cluster::jittered(const gpu::Usage& usage, Rng& rng) const {
-  if (config_.usage_jitter <= 0) return usage;
   gpu::Usage out = usage;
-  const double j = 1.0 + rng.normal(0.0, config_.usage_jitter);
+  const double j = 1.0 + rng.normal(0.0, kUsageJitter);
   const double f = std::clamp(j, 0.5, 1.5);
   out.sm = std::clamp(out.sm * f, 0.0, 1.2);
   out.memory_mb *= f;
@@ -613,10 +621,10 @@ void Cluster::advance_running_pods() {
     double factor = slowdown_scratch_[gi];
     if (p.latency_critical()) {
       // Non-preemptive blocking behind co-resident batch kernels.
-      factor *= 1.0 + config_.lc_blocking_tax * batch_sm_scratch_[gi];
+      factor *= 1.0 + kLcBlockingTax * batch_sm_scratch_[gi];
     }
     const auto scaled = static_cast<SimTime>(
-        static_cast<double>(config_.tick) / factor);
+        static_cast<double>(kTick) / factor);
     SimTime dt = std::max<SimTime>(1, scaled);
     // Device generation: a faster GPU retires proportionally more profile
     // time per wall tick. Applied after quantization so the homogeneous
@@ -737,7 +745,7 @@ void Cluster::crash_pod(Pod& p) {
   for (auto* o : observers_) o->on_crash(*this, id);
   if (trace_ != nullptr) trace_->record(now(), EventKind::kCrash, id.value);
   if (crashes_counter_ != nullptr) crashes_counter_->inc();
-  requeue_after(id, config_.relaunch_delay);
+  requeue_after(id, kRelaunchDelay);
 }
 
 void Cluster::sample_figure_metrics() {
@@ -774,7 +782,7 @@ void Cluster::maybe_park_idle_gpus() {
           (w << 6) + static_cast<std::size_t>(std::countr_zero(cand));
       cand &= cand - 1;
       if (!nodes_[gpu_index_[i].first]->online()) continue;
-      if (now() - gpu_last_busy_[i] < config_.idle_park_after) continue;
+      if (now() - gpu_last_busy_[i] < kIdleParkAfter) continue;
       record_park(GpuId{static_cast<std::int32_t>(i)});
     }
   }
@@ -821,11 +829,11 @@ void Cluster::tick() {
 
   // Energy integrates every tick; figure metrics sample at 1 s cadence.
   const double cluster_watts = total_power_watts();
-  metrics_->add_energy(cluster_watts * to_seconds(config_.tick));
+  metrics_->add_energy(cluster_watts * to_seconds(kTick));
   // GPU-seconds accounting for tracked tenants (the ledger is empty — and
   // this loop skipped — on default single-tenant runs).
   if (!ledger_.empty()) {
-    const double tick_seconds = to_seconds(config_.tick);
+    const double tick_seconds = to_seconds(kTick);
     for (const PodId id : active_) {
       const auto& p = *pods_[static_cast<std::size_t>(id.value)];
       if (p.state() == PodState::kRunning) {
@@ -833,8 +841,7 @@ void Cluster::tick() {
       }
     }
   }
-  if (config_.metrics_period > 0 &&
-      (now() / config_.tick) % (config_.metrics_period / config_.tick) == 0) {
+  if ((now() / kTick) % (kMetricsPeriod / kTick) == 0) {
     sample_figure_metrics();
   }
   if (registry_ != nullptr) update_tick_metrics(cluster_watts);

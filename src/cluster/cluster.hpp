@@ -48,6 +48,18 @@ struct NodeClass {
   friend bool operator==(const NodeClass&, const NodeClass&) = default;
 };
 
+/// Progress/scheduling quantum.
+inline constexpr SimTime kTick = 10 * kMsec;
+/// First image pull on a node (§V-B).
+inline constexpr SimTime kColdStart = 2 * kSec;
+/// Cached-image container launch.
+inline constexpr SimTime kWarmStart = 25 * kMsec;
+/// Non-preemptive kernel blocking: a latency-critical pod's progress is
+/// further slowed by 1 + tax × (aggregate SM demand of co-resident batch
+/// pods). Short inference kernels queue behind long batch kernels; batch
+/// pods barely notice the reverse (§I: GPUs cannot preempt).
+inline constexpr double kLcBlockingTax = 2.5;
+
 struct ClusterConfig {
   int nodes = 10;               ///< Paper testbed: ten P100 worker nodes.
   int gpus_per_node = 1;
@@ -65,32 +77,14 @@ struct ClusterConfig {
   /// control loop — the invariant checker audits that the simulated draw
   /// never exceeds it, for power-capped-rack scenarios.
   double power_cap_watts = 0.0;
-  SimTime tick = 10 * kMsec;    ///< Progress/scheduling quantum.
-  SimTime metrics_period = 1 * kSec;  ///< Figure-metrics sampling cadence.
-  SimTime cold_start = 2 * kSec;      ///< First image pull on a node (§V-B).
-  SimTime warm_start = 25 * kMsec;    ///< Cached-image container launch.
-  SimTime relaunch_delay = 3 * kSec;  ///< Crash → rejoin pending queue.
-  /// Node-death eviction → rejoin pending queue. Longer than the crash
-  /// relaunch delay: kubelet must notice the node is gone before pods are
-  /// rescheduled.
-  SimTime evict_relaunch_delay = 5 * kSec;
-  /// Missed heartbeats before the aggregator marks a GPU's series stale.
-  int stale_after_heartbeats = 5;
-  SimTime idle_park_after = 15 * kSec;///< Idle time before deep sleep.
   SimTime drain_grace = 30 * kMinute; ///< Max drain time past last arrival.
-  double usage_jitter = 0.02;         ///< Run-to-run usage noise (fraction).
-  /// Non-preemptive kernel blocking: a latency-critical pod's progress is
-  /// further slowed by 1 + tax × (aggregate SM demand of co-resident batch
-  /// pods). Short inference kernels queue behind long batch kernels; batch
-  /// pods barely notice the reverse (§I: GPUs cannot preempt).
-  double lc_blocking_tax = 2.5;
   double telemetry_noise = 0.005;     ///< NVML measurement noise (sigma).
   std::uint64_t seed = 42;
   /// Heartbeat rows retained per GPU (the node-local time-series store's
   /// retention policy). The default preserves the historical capacity;
   /// datacenter-scale runs shrink it to bound memory — results are
   /// unchanged as long as it covers the widest scheduler lookback window
-  /// (window / tick rows; 500 at the defaults).
+  /// (window / kTick rows; 500 at the defaults).
   std::size_t telemetry_retention = 65536;
   /// Optional datacenter fabric (empty = no fabric — the historical model
   /// where transfers are free). A non-inert fabric charges cold image pulls
@@ -179,8 +173,6 @@ class Cluster : private net::FabricObserver {
     return *devices_[static_cast<std::size_t>(id.value)];
   }
   [[nodiscard]] std::vector<GpuId> all_gpus() const;
-  /// Dense index of a GPU (0..gpu_count), for metrics addressing.
-  [[nodiscard]] std::size_t gpu_dense_index(GpuId id) const;
 
   /// Occupancy bitmap over dense GPU indices: bit (i & 63) of word (i >> 6)
   /// is set while GPU i hosts at least one pod. Maintained at every
@@ -218,9 +210,6 @@ class Cluster : private net::FabricObserver {
   [[nodiscard]] double total_power_watts() const;
   [[nodiscard]] const fault::FaultStats& fault_stats() const noexcept {
     return injector_->stats();
-  }
-  [[nodiscard]] const fault::FaultPlan& fault_plan() const noexcept {
-    return fault_plan_;
   }
 
   // ---- Fabric API ----

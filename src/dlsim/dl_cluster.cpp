@@ -11,6 +11,11 @@
 
 namespace knots::dlsim {
 
+namespace {
+constexpr SimTime kCheckpointInterval = 60 * kMinute;  ///< DLT checkpoints.
+constexpr double kSlicingOverhead = 0.92;  ///< Gandiva time-slice efficiency.
+}  // namespace
+
 using verify::RunDigest;
 using Tag = verify::RunDigest::Tag;
 
@@ -36,7 +41,6 @@ DlEngine::DlEngine(const DlClusterConfig& config, DlScheduler& policy,
                   "nodes x gpus_per_node must fit an int GPU index");
   gpu::NodeSpec node_spec;
   node_spec.gpus_per_node = cfg_.gpus_per_node;
-  node_spec.host_idle_watts = cfg_.host_idle_watts;
   node_spec.gpu = cfg_.gpu;
   nodes_.reserve(static_cast<std::size_t>(cfg_.nodes));
   for (int n = 0; n < cfg_.nodes; ++n) {
@@ -263,7 +267,7 @@ void DlEngine::migrate(int job_id, std::size_t from, std::size_t to) {
 void DlEngine::roll_back(int job_id) {
   auto& job = jobs_[static_cast<std::size_t>(job_id)];
   job.progress =
-      (job.progress / cfg_.checkpoint_interval) * cfg_.checkpoint_interval;
+      (job.progress / kCheckpointInterval) * kCheckpointInterval;
   evict(job_id);
   job.running = false;
   ++job.restarts;
@@ -358,7 +362,7 @@ double DlEngine::job_speed(const DltJob& job, SimTime t,
     double s = paused_until_[gi] > t
                    ? 0.0
                    : 1.0 / static_cast<double>(std::max(1, load_g));
-    if (load_g > 1) s *= cfg_.slicing_overhead;
+    if (load_g > 1) s *= kSlicingOverhead;
     if (fault_effects) s /= injector_.pcie_slowdown(node_of(gi), t);
     speed = std::min(speed, s);
   }

@@ -41,24 +41,12 @@ struct DlClusterConfig {
   int nodes = 32;
   int gpus_per_node = 8;
   SimTime step = 1 * kSec;
-  SimTime checkpoint_interval = 60 * kMinute;  ///< DLT checkpoint cadence.
-  SimTime restart_pause = 180 * kSec;  ///< Container relaunch after a crash.
-  SimTime migration_pause = 15 * kSec; ///< Gandiva job migration cost.
-  SimTime preemption_pause = 30 * kSec;///< Tiresias suspend/resume cost.
   SimTime quantum = 10 * kMinute;      ///< Tiresias LAS rescheduling period.
-  double slicing_overhead = 0.92;      ///< Gandiva time-slice efficiency.
   /// Gandiva only oversubscribes GPUs whose incumbent is still young —
   /// long-running trainers keep exclusive access.
   SimTime slice_young_threshold = 2 * kHour;
-  /// Tiresias' discretized two-queue LAS: attained service saturates at
-  /// this cap, so long jobs compete FIFO instead of starving.
-  SimTime las_attained_cap = 20 * kMinute;
-  double dli_blocking = 2.2;   ///< Latency factor per busy training context.
   double crash_prob = 0.60;    ///< P(TF-greedy DLI crashes the co-located DLT).
   double pp_accuracy = 0.84;   ///< PP peak-prediction accuracy (Fig 10b).
-  /// Tiresias preempts trainers to serve inference most of the time; the
-  /// rest queue behind the running quantum.
-  double tiresias_dli_priority = 0.80;
 
   // -- Shared-substrate device model --
   /// Per-GPU spec (P100 by default); ECC degrades shrink its effective
@@ -68,8 +56,6 @@ struct DlClusterConfig {
   /// two time-sliced trainers with room to spare — fault-free placements
   /// are identical to the pre-substrate simulator.
   double job_memory_mb = 4096.0;
-  /// Host CPU floor folded into node power (0 = GPU-only, as measured).
-  double host_idle_watts = 0.0;
 
   // -- Fabric (knots::net) --
   /// Optional datacenter fabric. Empty = no fabric (communication-free, the
@@ -81,7 +67,7 @@ struct DlClusterConfig {
   /// Gradient bytes each multi-node gang exchanges per training step.
   double allreduce_mb_per_step = 0.0;
   /// Checkpoint bytes a cross-node migration drags over the fabric (added
-  /// to migration_pause as real transfer time).
+  /// to the policy's migration pause as real transfer time).
   double checkpoint_mb = 0.0;
 };
 

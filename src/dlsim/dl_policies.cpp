@@ -9,6 +9,19 @@
 
 namespace knots::dlsim {
 
+namespace {
+constexpr SimTime kRestartPause = 180 * kSec;  ///< Relaunch after a crash.
+constexpr SimTime kMigrationPause = 15 * kSec;  ///< Gandiva migration cost.
+constexpr SimTime kPreemptionPause = 30 * kSec;  ///< Tiresias suspend/resume.
+/// Tiresias' discretized two-queue LAS: attained service saturates at
+/// this cap, so long jobs compete FIFO instead of starving.
+constexpr SimTime kLasAttainedCap = 20 * kMinute;
+constexpr double kDliBlocking = 2.2;  ///< Latency factor per busy trainer.
+/// Tiresias preempts trainers to serve inference most of the time; the
+/// rest queue behind the running quantum.
+constexpr double kTiresiasDliPriority = 0.80;
+}  // namespace
+
 void DlScheduler::on_schedule(cluster::SchedulingContext& ctx) {
   KNOTS_CHECK_MSG(ctx.extension != nullptr,
                   "DL policies schedule through a DlSchedView extension");
@@ -28,7 +41,7 @@ void DlScheduler::crash_trainer(DlSchedView& view, std::size_t gpu) {
   // cannot be prioritized over tasks already ahead in the queue).
   view.crash_job(residents.front());
   ++crashes_;
-  view.pause_gpu(gpu, view.now() + view.config().restart_pause);
+  view.pause_gpu(gpu, view.now() + kRestartPause);
 }
 
 // ---------------------------------------------------------------- Res-Ag --
@@ -53,12 +66,12 @@ SimTime ResAgDlPolicy::serve_query(DlSchedView& view, const DliQuery& query) {
   // Blocked behind non-preemptive training kernels…
   SimTime latency = static_cast<SimTime>(
       static_cast<double>(query.base_latency) *
-      (1.0 + cfg.dli_blocking * static_cast<double>(view.load(gpu))));
+      (1.0 + kDliBlocking * static_cast<double>(view.load(gpu))));
   // …and TF's greedy allocator may blow the device's memory, crashing the
   // co-located trainer and forcing the query itself to relaunch elsewhere.
   if (view.rng().chance(cfg.crash_prob)) {
     crash_trainer(view, gpu);
-    latency += cfg.restart_pause / 20 + query.base_latency;  // retry cost
+    latency += kRestartPause / 20 + query.base_latency;  // retry cost
   }
   return latency;
 }
@@ -87,7 +100,7 @@ void GandivaDlPolicy::schedule(DlSchedView& view) {
     const std::size_t target = view.first_serviceable_gpu();
     if (target != DlEngine::npos) {
       view.migrate(mover, g, target);
-      view.pause_gpu(target, view.now() + cfg.migration_pause);
+      view.pause_gpu(target, view.now() + kMigrationPause);
       ++migrations_;
     } else {
       // Trial-and-error fallback: suspend the young cohabitant back to the
@@ -128,7 +141,7 @@ void GandivaDlPolicy::schedule(DlSchedView& view) {
     for (int g : job.placed_gpus) {
       const auto gi = static_cast<std::size_t>(g);
       if (view.load(gi) > 1) {
-        view.pause_gpu(gi, view.now() + cfg.migration_pause);
+        view.pause_gpu(gi, view.now() + kMigrationPause);
       }
     }
   }
@@ -136,10 +149,9 @@ void GandivaDlPolicy::schedule(DlSchedView& view) {
 
 SimTime GandivaDlPolicy::serve_query(DlSchedView& view,
                                      const DliQuery& query) {
-  const DlClusterConfig& cfg = view.config();
   const std::size_t gpu = random_gpu(view);
   const double factor =
-      1.0 + cfg.dli_blocking * static_cast<double>(view.load(gpu));
+      1.0 + kDliBlocking * static_cast<double>(view.load(gpu));
   SimTime latency = static_cast<SimTime>(
       static_cast<double>(query.base_latency) * factor);
   if (!view.free(gpu)) {
@@ -150,7 +162,7 @@ SimTime GandivaDlPolicy::serve_query(DlSchedView& view,
   // A migration in flight on the chosen GPU stalls the query outright.
   if (view.paused_until(gpu) > view.now()) {
     latency += std::min<SimTime>(view.paused_until(gpu) - view.now(),
-                                 cfg.migration_pause);
+                                 kMigrationPause);
   }
   return latency;
 }
@@ -187,8 +199,8 @@ void TiresiasDlPolicy::schedule(DlSchedView& view) {
   std::stable_sort(live.begin(), live.end(), [&](int a, int b) {
     const auto& ja = view.job(a);
     const auto& jb = view.job(b);
-    const SimTime ka = std::min(ja.attained, cfg.las_attained_cap);
-    const SimTime kb = std::min(jb.attained, cfg.las_attained_cap);
+    const SimTime ka = std::min(ja.attained, kLasAttainedCap);
+    const SimTime kb = std::min(jb.attained, kLasAttainedCap);
     if (ka != kb) return ka < kb;
     return ja.arrival < jb.arrival;
   });
@@ -215,7 +227,7 @@ void TiresiasDlPolicy::schedule(DlSchedView& view) {
         ++preemptions_;
         for (int g : job.placed_gpus) {
           view.pause_gpu(static_cast<std::size_t>(g),
-                         view.now() + cfg.preemption_pause);
+                         view.now() + kPreemptionPause);
         }
       }
     } else {
@@ -226,7 +238,6 @@ void TiresiasDlPolicy::schedule(DlSchedView& view) {
 
 SimTime TiresiasDlPolicy::serve_query(DlSchedView& view,
                                       const DliQuery& query) {
-  const DlClusterConfig& cfg = view.config();
   // A free GPU serves the query natively.
   for (std::size_t g = 0; g < view.gpu_count(); ++g) {
     if (view.gpu_serviceable(g)) return query.base_latency;
@@ -234,7 +245,7 @@ SimTime TiresiasDlPolicy::serve_query(DlSchedView& view,
   // Otherwise Tiresias usually preempts a trainer to prioritize the short
   // query (suspend/resume overhead inflates it a little); the rest queue
   // behind the running quantum.
-  if (view.rng().chance(cfg.tiresias_dli_priority)) {
+  if (view.rng().chance(kTiresiasDliPriority)) {
     ++preemptions_;
     return static_cast<SimTime>(
         static_cast<double>(query.base_latency) * 1.2);
@@ -287,7 +298,7 @@ SimTime CbpPpDlPolicy::serve_query(DlSchedView& view, const DliQuery& query) {
   return static_cast<SimTime>(
       static_cast<double>(query.base_latency) *
       (1.0 +
-       cfg.dli_blocking * static_cast<double>(std::max(1, view.load(gpu)))));
+       kDliBlocking * static_cast<double>(std::max(1, view.load(gpu)))));
 }
 
 // ------------------------------------------------------------- CBP-Local --

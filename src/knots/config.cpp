@@ -102,12 +102,6 @@ ExperimentConfig::Builder& ExperimentConfig::Builder::load_scale(double scale) {
   return *this;
 }
 
-ExperimentConfig::Builder& ExperimentConfig::Builder::sched_params(
-    const sched::SchedParams& params) {
-  cfg_.sched_params = params;
-  return *this;
-}
-
 ExperimentConfig::Builder& ExperimentConfig::Builder::faults(
     fault::FaultPlan plan) {
   cfg_.faults = std::move(plan);

@@ -96,7 +96,6 @@ class ExperimentConfig::Builder {
   Builder& seed(std::uint64_t seed);
   /// Multiplies both the batch and latency-critical arrival rates.
   Builder& load_scale(double scale);
-  Builder& sched_params(const sched::SchedParams& params);
   Builder& faults(fault::FaultPlan plan);
   /// Attaches an explicit fabric plan (knots::net). An empty plan (the
   /// default) keeps the cluster fabric-free.

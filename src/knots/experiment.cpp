@@ -3,7 +3,9 @@
 #include <memory>
 
 #include "cluster/pod.hpp"
+#include "core/check.hpp"
 #include "core/thread_pool.hpp"
+#include "gpu/device_model.hpp"
 #include "knots/kube_knots.hpp"
 #include "sim/event_queue.hpp"
 #include "verify/invariant_checker.hpp"
@@ -92,6 +94,27 @@ double workload_footprint_bytes(const ExperimentConfig& config) {
   return workload::expected_pod_count(workload::app_mix(config.mix_id),
                                       config.workload) *
          kPodBytes;
+}
+
+std::vector<workload::PodSpec> generate_mix_workload(
+    const ExperimentConfig& config) {
+  workload::LoadGenConfig wl = config.workload;
+  wl.device_memory_mb = config.cluster.node_spec.gpu.memory_mb;
+  if (!config.cluster.node_classes.empty()) {
+    // Heterogeneous fleet: cap generated requests at the *smallest* device
+    // class so every pod can be placed anywhere (mirrors the homogeneous
+    // whole-device semantics).
+    double min_mb = 0.0;
+    for (const auto& nc : config.cluster.node_classes) {
+      const auto model = gpu::find_device_model(nc.device_model);
+      KNOTS_CHECK_MSG(model.has_value(), "unknown device model");
+      min_mb = min_mb == 0.0 ? model->gpu.memory_mb
+                             : std::min(min_mb, model->gpu.memory_mb);
+    }
+    wl.device_memory_mb = min_mb;
+  }
+  return workload::generate_workload(workload::app_mix(config.mix_id), wl,
+                                     Rng(config.seed));
 }
 
 std::size_t workload_pod_count(const ExperimentConfig& config) {

@@ -87,6 +87,12 @@ struct ExperimentReport {
 /// starts, so inputs compare this with the host's memory first.
 double workload_footprint_bytes(const ExperimentConfig& config);
 
+/// The pods KubeKnots::submit_mix_workload() submits for `config`: its app
+/// mix drawn at its seed, every request capped at the fleet's smallest
+/// device. Inputs read it to check the workload against tenant caps.
+std::vector<workload::PodSpec> generate_mix_workload(
+    const ExperimentConfig& config);
+
 /// Pods KubeKnots::submit_mix_workload() generates for `config`, counted
 /// without building them (workload::generated_pod_count). Inputs reject a
 /// workload of none: its run would place nothing and report an empty run.

@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/check.hpp"
-#include "gpu/device_model.hpp"
 #include "verify/invariant_checker.hpp"
 #include "verify/run_digest.hpp"
-#include "workload/app_mix.hpp"
 
 namespace knots {
 
@@ -41,24 +38,9 @@ void KubeKnots::submit_mix_workload() {
         "KubeKnots::submit_mix_workload() called after run(); the "
         "simulation is single-shot — build a new KubeKnots for another run");
   }
-  workload::LoadGenConfig wl = config_.workload;
-  wl.device_memory_mb = config_.cluster.node_spec.gpu.memory_mb;
-  if (!config_.cluster.node_classes.empty()) {
-    // Heterogeneous fleet: cap generated requests at the *smallest* device
-    // class so every pod can be placed anywhere (mirrors the homogeneous
-    // whole-device semantics).
-    double min_mb = 0.0;
-    for (const auto& nc : config_.cluster.node_classes) {
-      const auto model = gpu::find_device_model(nc.device_model);
-      KNOTS_CHECK_MSG(model.has_value(), "unknown device model");
-      min_mb = min_mb == 0.0 ? model->gpu.memory_mb
-                             : std::min(min_mb, model->gpu.memory_mb);
-    }
-    wl.device_memory_mb = min_mb;
+  for (auto& p : generate_mix_workload(config_)) {
+    submitted_.push_back(std::move(p));
   }
-  auto pods = workload::generate_workload(workload::app_mix(config_.mix_id),
-                                          wl, Rng(config_.seed));
-  for (auto& p : pods) submitted_.push_back(std::move(p));
 }
 
 void KubeKnots::attach_tracer(obs::TraceSink* sink) {

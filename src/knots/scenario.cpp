@@ -1,12 +1,15 @@
 #include "knots/scenario.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <vector>
 
 #include "core/parse.hpp"
 #include "gpu/device_model.hpp"
+#include "sched/cbp.hpp"
 #include "telemetry/timeseries_db.hpp"
 #include "workload/app_mix.hpp"
 #include "workload/load_generator.hpp"
@@ -85,7 +88,9 @@ struct ScenarioBuilder {
   std::vector<cluster::NodeClass> classes;
   std::vector<int> class_lines;  ///< line number of each class
   std::vector<cluster::TenantQuotaSpec> quotas;
+  std::vector<int> quota_lines;  ///< line number of each tenant
   fault::FaultPlan faults;
+  std::vector<int> fault_lines;  ///< line number of each fault event
   int gpus_per_node = 1;
   /// Line of the last duration, mix or load_scale directive (0 if none).
   int workload_line = 0;
@@ -215,6 +220,7 @@ bool handle_tenant(ScenarioBuilder& b, const Line& line, std::string& error) {
     return false;
   }
   b.quotas.push_back(quota);
+  b.quota_lines.push_back(line.number);
   return true;
 }
 
@@ -275,7 +281,42 @@ bool handle_fault(ScenarioBuilder& b, const Line& line, std::string& error) {
   } else {
     b.faults.node_crash(target, at, duration);
   }
+  b.fault_lines.push_back(line.number);
   b.have_fault = true;
+  return true;
+}
+
+/// Rejects, at its line, a tenant whose quota_mb none of the pods the
+/// workload assigns it can fit. No scheduler provisions a pod below
+/// min(sched::kMinProvisionMb, its request): CBP and PP give an unprofiled
+/// image its request and never resize below their floor, Res-Ag provisions
+/// the request and Uniform the request capped by the device. A cap under
+/// that for every one of the tenant's pods admits none of them, and the run
+/// would only spin through its window rejecting them.
+bool check_tenant_caps(const ScenarioBuilder& b, std::string& error) {
+  const ExperimentConfig& config = b.spec.config;
+  if (config.workload.tenants.empty()) return true;
+  std::map<int, double> smallest_request;
+  for (const workload::PodSpec& pod : generate_mix_workload(config)) {
+    const auto [it, fresh] =
+        smallest_request.try_emplace(pod.tenant, pod.requested_mb);
+    if (!fresh) it->second = std::min(it->second, pod.requested_mb);
+  }
+  for (std::size_t i = 0; i < b.quotas.size(); ++i) {
+    const cluster::TenantQuotaSpec& quota = b.quotas[i];
+    const auto it = smallest_request.find(quota.tenant);
+    if (quota.provision_cap_mb <= 0 || it == smallest_request.end()) continue;
+    const double least = std::min(sched::kMinProvisionMb, it->second);
+    if (quota.provision_cap_mb < least) {
+      std::ostringstream why;
+      why << "tenant " << quota.tenant << " quota_mb "
+          << quota.provision_cap_mb
+          << " fits none of its pods (no scheduler provisions one below "
+          << least << " MB)";
+      error = err(b.quota_lines[i], why.str());
+      return false;
+    }
+  }
   return true;
 }
 
@@ -353,33 +394,41 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
     }
     return b.classes.back();  // unreachable for n < total_nodes
   };
-  for (const auto& quota : b.quotas) {
+  for (std::size_t i = 0; i < b.quotas.size(); ++i) {
+    const auto& quota = b.quotas[i];
     if (quota.provision_cap_mb > total_memory_mb) {
-      error = "tenant " + std::to_string(quota.tenant) + " quota_mb " +
-              std::to_string(static_cast<long long>(quota.provision_cap_mb)) +
-              " exceeds total cluster memory " +
-              std::to_string(static_cast<long long>(total_memory_mb)) + " MB";
+      error = err(b.quota_lines[i],
+                  "tenant " + std::to_string(quota.tenant) + " quota_mb " +
+                      std::to_string(
+                          static_cast<long long>(quota.provision_cap_mb)) +
+                      " exceeds total cluster memory " +
+                      std::to_string(static_cast<long long>(total_memory_mb)) +
+                      " MB");
       return false;
     }
   }
-  for (const auto& ev : b.faults.events) {
+  for (std::size_t i = 0; i < b.faults.events.size(); ++i) {
+    const auto& ev = b.faults.events[i];
+    const int line = b.fault_lines[i];
     if (ev.node.value >= 0 && ev.node.value >= total_nodes) {
-      error = "fault targets node " + std::to_string(ev.node.value) +
-              " but the scenario has only " + std::to_string(total_nodes) +
-              " nodes";
+      error = err(line, "fault targets node " + std::to_string(ev.node.value) +
+                            " but the scenario has only " +
+                            std::to_string(total_nodes) + " nodes");
       return false;
     }
     if (ev.kind != fault::FaultKind::kSpotReclaim) continue;
     const cluster::NodeClass& host = class_of(ev.node.value);
     if (!host.preemptible) {
-      error = "spot_reclaim targets node " + std::to_string(ev.node.value) +
-              " which is not in a preemptible node class";
+      error = err(line, "spot_reclaim targets node " +
+                            std::to_string(ev.node.value) +
+                            " which is not in a preemptible node class");
       return false;
     }
     // The reclaim lands one notice after at=, and recovers duration= later.
     if (host.spot_notice > kNever - ev.at - ev.duration) {
-      error = "spot_reclaim of node " + std::to_string(ev.node.value) +
-              " plus its class notice overflows the clock";
+      error = err(line, "spot_reclaim of node " +
+                            std::to_string(ev.node.value) +
+                            " plus its class notice overflows the clock");
       return false;
     }
   }
@@ -390,7 +439,7 @@ bool finalize(ScenarioBuilder& b, std::string& error) {
   if (b.want_auto_fabric) b.builder.auto_fabric();
   if (b.have_fault) b.builder.faults(std::move(b.faults));
   b.spec.config = b.builder.build();
-  return true;
+  return check_tenant_caps(b, error);
 }
 
 }  // namespace

@@ -19,6 +19,10 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// rate * elapsed subtraction).
 constexpr double kEpsMb = 1e-9;
 
+// auto_derive's 40 G ToR uplinks and per-hop latency (microseconds).
+constexpr double kTorUplinkMbPerS = 5000.0;
+constexpr SimTime kLinkLatency = 50;
+
 /// Smallest whole-microsecond duration in which `rate` MB/s delivers
 /// `remaining` MB. Exact when the division lands on an integer tick, so
 /// doubling every capacity exactly halves every transfer time (the pinned
@@ -168,16 +172,16 @@ FabricPlan FabricPlan::auto_derive(int node_count,
                            ? options.intra_node_mb_per_s
                            : gpu::GpuSpec{}.nvlink_mbps;
   FabricPlan plan;
-  plan.spine("spine", options.spine_mb_per_s, options.link_latency);
+  plan.spine("spine", options.spine_mb_per_s, kLinkLatency);
   const int tors =
       (node_count + options.nodes_per_tor - 1) / options.nodes_per_tor;
   for (int t = 0; t < tors; ++t) {
-    plan.tor_uplink(t, "tor" + std::to_string(t) + "-up",
-                    options.tor_uplink_mb_per_s, options.link_latency);
+    plan.tor_uplink(t, "tor" + std::to_string(t) + "-up", kTorUplinkMbPerS,
+                    kLinkLatency);
   }
   for (int n = 0; n < node_count; ++n) {
     plan.node_uplink(n, "n" + std::to_string(n) + "-up",
-                     options.node_uplink_mb_per_s, options.link_latency);
+                     options.node_uplink_mb_per_s, kLinkLatency);
     plan.intra_node(n, LinkKind::kNvlink, "n" + std::to_string(n) + "-nvl",
                     intra, 0);
     plan.assign_tor(n, n / options.nodes_per_tor);

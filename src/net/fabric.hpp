@@ -71,16 +71,15 @@ struct LinkSpec {
 };
 
 /// Knobs for the auto-derived default topology (paper-ish numbers:
-/// 10 GbE access, 40 G ToR uplinks, a fat shared spine, NVLink-class
-/// intra-node bandwidth taken from gpu::GpuSpec).
+/// 10 GbE access, a fat shared spine, NVLink-class intra-node bandwidth
+/// taken from gpu::GpuSpec). ToR uplinks are 40 G and every fabric hop
+/// costs 50 µs.
 struct AutoFabricOptions {
   int nodes_per_tor = 8;
   double node_uplink_mb_per_s = 1250.0;
-  double tor_uplink_mb_per_s = 5000.0;
   double spine_mb_per_s = 40000.0;
   /// <= 0 resolves to gpu::GpuSpec{}.nvlink_mb_per_s.
   double intra_node_mb_per_s = 0.0;
-  SimTime link_latency = 50;  ///< Per-hop, microseconds.
   double telemetry_reserve_mb_per_s = 1.0;
 };
 

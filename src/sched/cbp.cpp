@@ -11,8 +11,12 @@
 namespace knots::sched {
 
 namespace {
-constexpr double kMinProvisionMb = 64.0;
 constexpr double kResizeHeadroom = 1.05;
+// Utilization-aware admission: projected aggregate SM demand caps.
+constexpr double kSmCapBatch = 1.00;
+constexpr double kSmCapLc = 0.90;
+// First run of an unknown image: assume this SM demand.
+constexpr double kUnknownSmEstimate = 0.50;
 }  // namespace
 
 bool CbpScheduler::forecast_override(const cluster::Cluster&,
@@ -57,7 +61,7 @@ double CbpScheduler::sizing_mb(const cluster::Cluster& cl,
 double CbpScheduler::sm_estimate(const cluster::Cluster& cl,
                                  const cluster::Pod& pod) const {
   const auto* prof = cl.profiles().find(pod.image());
-  if (prof == nullptr) return params_.unknown_sm_estimate;
+  if (prof == nullptr) return kUnknownSmEstimate;
   return prof->mean_sm;
 }
 
@@ -87,13 +91,13 @@ bool CbpScheduler::lc_peak_safe(const cluster::Cluster& cl,
   // blocking behind the co-resident batch kernels.
   const double worst_slowdown =
       std::max(1.0, peak_sum) * tax *
-      (1.0 + cl.config().lc_blocking_tax * batch_peak_sum);
+      (1.0 + cluster::kLcBlockingTax * batch_peak_sum);
   // Required: queue-free compute time under the worst slowdown fits the
   // deadline with start latency and safety margin.
   const auto& spec = pod.spec();
   const double compute_s = to_seconds(spec.profile.total_duration());
   const double budget_s =
-      to_seconds(spec.qos_latency) - to_seconds(cl.config().warm_start);
+      to_seconds(spec.qos_latency) - to_seconds(cluster::kWarmStart);
   return compute_s * worst_slowdown * 1.15 <= budget_s;
 }
 
@@ -175,8 +179,7 @@ void CbpScheduler::on_schedule(cluster::SchedulingContext& ctx) {
     const auto& pod = cl.pod(id);
     const double size = sizing_mb(cl, pod);
     const double sm = sm_estimate(cl, pod);
-    const double sm_cap =
-        pod.latency_critical() ? params_.sm_cap_lc : params_.sm_cap_batch;
+    const double sm_cap = pod.latency_critical() ? kSmCapLc : kSmCapBatch;
 
     // Per-tenant quota pre-check: skip pods whose tenant is over budget
     // rather than burning a full node walk on a placement the cluster will

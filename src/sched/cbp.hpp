@@ -21,6 +21,10 @@
 
 namespace knots::sched {
 
+/// CBP's and PP's provisioning floor: neither sizes nor resizes a profiled
+/// image's container below it (an unprofiled image gets its request).
+inline constexpr double kMinProvisionMb = 64.0;
+
 class CbpScheduler : public cluster::Scheduler {
  public:
   explicit CbpScheduler(SchedParams params = {})

@@ -6,9 +6,8 @@
 namespace knots::sched {
 
 struct SchedParams {
-  // Res-Ag: packs by declared requests with this overcommit budget and a
-  // per-GPU resident cap (the modified device plugin's sharing limit).
-  double overcommit = 1.2;
+  // Res-Ag: per-GPU resident cap (the modified device plugin's sharing
+  // limit).
   int max_residents = 3;
 
   // CBP: pods whose image memory signatures correlate above this Spearman
@@ -19,18 +18,8 @@ struct SchedParams {
   // bench sweeps it).
   double provision_percentile = 80.0;
 
-  // Utilization-aware admission: projected aggregate SM demand caps.
-  double sm_cap_batch = 1.00;
-  double sm_cap_lc = 0.90;
-  // First run of an unknown image: assume this SM demand.
-  double unknown_sm_estimate = 0.50;
-
-  // PP: telemetry window d and forecast horizon (§IV-D: five-second sliding
-  // window, one-second ARIMA forecast).
+  // PP: telemetry window d (§IV-D: five-second sliding window).
   SimTime window = 5 * kSec;
-  SimTime forecast_horizon = 1 * kSec;
-  // Minimum positive lag-1 autocorrelation before trusting a forecast.
-  double min_autocorrelation = 0.0;
 };
 
 }  // namespace knots::sched

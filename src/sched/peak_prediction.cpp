@@ -8,6 +8,14 @@
 
 namespace knots::sched {
 
+namespace {
+// §IV-D: one-second ARIMA forecast, one step per telemetry tick.
+constexpr SimTime kForecastHorizon = 1 * kSec;
+static_assert(kForecastHorizon >= cluster::kTick, "forecast a tick or more");
+// Minimum positive lag-1 autocorrelation before trusting a forecast.
+constexpr double kMinAutocorrelation = 0.0;
+}  // namespace
+
 bool PeakPredictionScheduler::forecast_override(
     const cluster::Cluster& cl, const telemetry::GpuView& view,
     double needed_mb) const {
@@ -23,16 +31,14 @@ bool PeakPredictionScheduler::forecast_override(
   // Eq. 2: no positive autocorrelation → the series carries no
   // forecastable trend; stay conservative.
   const double r1 = stats::autocorrelation(series, 1);
-  if (r1 <= params_.min_autocorrelation) return false;
+  if (r1 <= kMinAutocorrelation) return false;
 
   // Eq. 3: first-order ARIMA forecast of memory utilization, iterated over
   // the forecast horizon (sample spacing = scheduling tick).
   stats::Arima1 model;
   model.fit(series);
-  const auto tick = cl.config().tick;
-  const auto steps = static_cast<std::size_t>(
-      std::max<SimTime>(1, params_.forecast_horizon / std::max<SimTime>(tick, 1)));
-  const double pred_util = std::clamp(model.predict_ahead(steps), 0.0, 1.0);
+  const double pred_util = std::clamp(
+      model.predict_ahead(kForecastHorizon / cluster::kTick), 0.0, 1.0);
   const double capacity = cl.device(view.gpu).effective_memory_mb();
   const double pred_free = capacity * (1.0 - pred_util);
   return pred_free >= needed_mb;

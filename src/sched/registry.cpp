@@ -61,7 +61,7 @@ std::unique_ptr<cluster::Scheduler> make_scheduler(SchedulerKind kind,
                                                    SchedParams params) {
   switch (kind) {
     case SchedulerKind::kUniform:
-      return std::make_unique<UniformScheduler>(params);
+      return std::make_unique<UniformScheduler>();
     case SchedulerKind::kResourceAgnostic:
       return std::make_unique<ResourceAgnosticScheduler>(params);
     case SchedulerKind::kCbp:

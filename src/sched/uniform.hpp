@@ -4,19 +4,15 @@
 #pragma once
 
 #include "cluster/scheduler.hpp"
-#include "sched/params.hpp"
 
 namespace knots::sched {
 
 class UniformScheduler final : public cluster::Scheduler {
  public:
-  explicit UniformScheduler(SchedParams params = {}) : params_(params) {}
-
   [[nodiscard]] std::string name() const override { return "Uniform"; }
   void on_schedule(cluster::SchedulingContext& ctx) override;
 
  private:
-  SchedParams params_;
   std::size_t rr_cursor_ = 0;
 };
 

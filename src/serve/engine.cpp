@@ -154,8 +154,7 @@ void ServingEngine::prime() {
   }
 
   // Pump cadence: one serial poll per cluster tick.
-  const SimTime tick = cluster_.config().tick;
-  sim::schedule_periodic(sim_, tick, tick,
+  sim::schedule_periodic(sim_, cluster::kTick, cluster::kTick,
                          [this](SimTime now) { return pump(now); });
 }
 
@@ -189,8 +188,7 @@ double ServingEngine::contention_factor(PodId pod) const {
   const double own_sm = p.current_usage().sm;
   const double co_sm = std::max(0.0, totals.sm_util - own_sm);
   // Same non-preemptive blocking model the cluster applies to LC pods.
-  return dev.slowdown() *
-         (1.0 + cluster_.config().lc_blocking_tax * co_sm);
+  return dev.slowdown() * (1.0 + cluster::kLcBlockingTax * co_sm);
 }
 
 void ServingEngine::on_arrival(std::uint32_t request_index) {

@@ -59,8 +59,8 @@ class UtilizationAggregator {
 
   // -- Staleness rule (DESIGN.md §7) --
   /// A GPU is stale when now − last_heartbeat > horizon. Horizon 0
-  /// (default) disables the rule; the cluster sets it to
-  /// stale_after_heartbeats × tick.
+  /// (default) disables the rule; the cluster sets it to five missed
+  /// heartbeats (five ticks).
   void set_staleness_horizon(SimTime horizon) noexcept { horizon_ = horizon; }
   /// Advances the aggregator's notion of "now" (called once per cluster
   /// tick); snapshots compare heartbeat ages against it.

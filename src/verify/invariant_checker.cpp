@@ -11,6 +11,9 @@ namespace knots::verify {
 
 namespace {
 
+/// Absolute slack for floating-point memory accounting comparisons.
+constexpr double kEpsMb = 1e-6;
+
 std::string fmt_double(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6g", v);
@@ -55,7 +58,6 @@ void InvariantChecker::check_time(const cluster::Cluster& cluster) {
 }
 
 void InvariantChecker::check_devices(const cluster::Cluster& cluster) {
-  const double eps = options_.memory_epsilon_mb;
   // Dense GPU ids: walk indices instead of allocating all_gpus() per tick.
   const std::size_t gpus = cluster.gpu_count();
   for (std::size_t g = 0; g < gpus; ++g) {
@@ -67,19 +69,20 @@ void InvariantChecker::check_devices(const cluster::Cluster& cluster) {
     // Space-shared memory: aggregate *usage* must fit the usable device
     // (physical capacity minus ECC-retired pages) at every rest state
     // (transient overshoot crashes the grower before the tick ends).
-    if (totals.memory_used_mb > dev.effective_memory_mb() + eps) {
+    if (totals.memory_used_mb > dev.effective_memory_mb() + kEpsMb) {
       report(cluster, "gpu-memory",
              gpu_tag(gpu) + " usage " + fmt_double(totals.memory_used_mb) +
                  " MB exceeds usable capacity " +
                  fmt_double(dev.effective_memory_mb()) + " MB");
     }
-    if (totals.memory_used_mb < -eps || totals.memory_provisioned_mb < -eps) {
+    if (totals.memory_used_mb < -kEpsMb ||
+        totals.memory_provisioned_mb < -kEpsMb) {
       report(cluster, "gpu-memory",
              gpu_tag(gpu) + " negative memory accounting");
     }
     if (options_.provision_ceiling_ratio > 0 &&
         totals.memory_provisioned_mb >
-            options_.provision_ceiling_ratio * spec.memory_mb + eps) {
+            options_.provision_ceiling_ratio * spec.memory_mb + kEpsMb) {
       report(cluster, "gpu-provision",
              gpu_tag(gpu) + " provisioned " +
                  fmt_double(totals.memory_provisioned_mb) +
@@ -123,7 +126,7 @@ void InvariantChecker::check_devices(const cluster::Cluster& cluster) {
     }
     double provisioned_sum = 0;
     for (const double mb : dev.allocations()) provisioned_sum += mb;
-    if (std::abs(provisioned_sum - totals.memory_provisioned_mb) > eps) {
+    if (std::abs(provisioned_sum - totals.memory_provisioned_mb) > kEpsMb) {
       report(cluster, "gpu-accounting",
              gpu_tag(gpu) + " provisioned total " +
                  fmt_double(totals.memory_provisioned_mb) +
@@ -180,7 +183,6 @@ void InvariantChecker::audit_pod(const cluster::Cluster& cluster,
   // A placed pod must be resident on its GPU with a matching allocation,
   // and that GPU's node must be alive.
   if (state == S::kStarting || state == S::kRunning) {
-    const double eps = options_.memory_epsilon_mb;
     if (cluster.node_health(cluster.node_of_gpu(pod.gpu())) ==
         cluster::NodeHealth::kDown) {
       report(cluster, "node-health",
@@ -194,7 +196,7 @@ void InvariantChecker::audit_pod(const cluster::Cluster& cluster,
       report(cluster, "pod-residency",
              pod_tag(id) + " in state " + std::string(to_string(state)) +
                  " but not resident on " + gpu_tag(pod.gpu()));
-    } else if (std::abs(*recorded - pod.provisioned_mb()) > eps) {
+    } else if (std::abs(*recorded - pod.provisioned_mb()) > kEpsMb) {
       report(cluster, "pod-residency",
              pod_tag(id) + " allocation " + fmt_double(pod.provisioned_mb()) +
                  " MB disagrees with device record " +
@@ -304,7 +306,6 @@ void InvariantChecker::check_power_cap(const cluster::Cluster& cluster) {
 void InvariantChecker::check_tenants(const cluster::Cluster& cluster) {
   const auto& ledger = cluster.tenant_ledger();
   if (ledger.empty()) return;
-  const double eps = options_.memory_epsilon_mb;
 
   // Ground truth: per-tenant provisioned memory recomputed from device
   // residents. A run has a handful of tenants, so a linear scan finds each
@@ -336,14 +337,14 @@ void InvariantChecker::check_tenants(const cluster::Cluster& cluster) {
       truth = it->mb;
       it->has_row = true;
     }
-    if (std::abs(truth - row.provisioned_mb) > eps) {
+    if (std::abs(truth - row.provisioned_mb) > kEpsMb) {
       report(cluster, "tenant-accounting",
              "tenant " + std::to_string(row.tenant) + " ledger charge " +
                  fmt_double(row.provisioned_mb) + " MB != resident sum " +
                  fmt_double(truth) + " MB");
     }
     if (row.quota.provision_cap_mb > 0 &&
-        row.provisioned_mb > row.quota.provision_cap_mb + eps) {
+        row.provisioned_mb > row.quota.provision_cap_mb + kEpsMb) {
       report(cluster, "tenant-quota",
              "tenant " + std::to_string(row.tenant) + " provisioned " +
                  fmt_double(row.provisioned_mb) + " MB exceeds quota " +
@@ -354,7 +355,7 @@ void InvariantChecker::check_tenants(const cluster::Cluster& cluster) {
   // for mean a charge was dropped; reported in ascending tenant order.
   const auto dropped = std::partition(
       tenant_sums_.begin(), tenant_sums_.end(), [&](const TenantSum& t) {
-        return t.has_row || !ledger.tracks(t.tenant) || t.mb <= eps;
+        return t.has_row || !ledger.tracks(t.tenant) || t.mb <= kEpsMb;
       });
   std::sort(dropped, tenant_sums_.end(),
             [](const TenantSum& a, const TenantSum& b) {

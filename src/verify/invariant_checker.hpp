@@ -51,8 +51,6 @@ struct InvariantOptions {
   /// Provisioned-memory ceiling as a multiple of device capacity; values
   /// <= 0 disable the check (schedulers that overcommit by design).
   double provision_ceiling_ratio = 0.0;
-  /// Absolute slack for floating-point memory accounting comparisons.
-  double memory_epsilon_mb = 1e-6;
   /// Abort via KNOTS_CHECK on the first violation instead of collecting.
   bool fatal = kFatalByDefault;
   /// Cap on stored violation records (the count keeps incrementing).

@@ -40,16 +40,23 @@ double arrival_burstiness(CovLevel level) {
 
 namespace {
 
+// Batch-job profile cycles, and the range users overstate requests by
+// (Observation 2).
+constexpr int kMinCycles = 3;
+constexpr int kMaxCycles = 8;
+constexpr double kMinOverstatement = 1.3;
+constexpr double kMaxOverstatement = 2.1;
+constexpr SimTime kQosLatency = 150 * kMsec;  ///< LC end-to-end deadline.
+
 PodSpec make_batch_pod(const AppMix& mix, const LoadGenConfig& cfg,
                        SimTime arrival, Rng& rng) {
   const RodiniaApp app = mix.batch_apps[static_cast<std::size_t>(
       rng.uniform_int(0, static_cast<std::int64_t>(mix.batch_apps.size()) - 1))];
   const double scale = rng.uniform(cfg.min_time_scale, cfg.max_time_scale);
-  const int cycles = static_cast<int>(
-      rng.uniform_int(cfg.min_cycles, cfg.max_cycles));
+  const int cycles =
+      static_cast<int>(rng.uniform_int(kMinCycles, kMaxCycles));
   // Users overstate requests by a sampled factor (Observation 2).
-  const double overstate =
-      rng.uniform(cfg.min_overstatement, cfg.max_overstatement);
+  const double overstate = rng.uniform(kMinOverstatement, kMaxOverstatement);
   return BatchJobSpec(app)
       .time_scale(scale)
       .cycles(cycles)
@@ -77,7 +84,7 @@ PodSpec make_lc_pod(const AppMix& mix, const LoadGenConfig& cfg,
   return ServiceSpec(service)
       .batch(batch)
       .tf_greedy(cfg.device_memory_mb)
-      .qos_target(cfg.qos_latency)
+      .qos_target(kQosLatency)
       .arrival(arrival)
       .build();
 }

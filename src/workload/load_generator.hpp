@@ -59,12 +59,6 @@ struct LoadGenConfig {
   /// Batch-job length scaling range (characterization cycle → job).
   double min_time_scale = 20.0;
   double max_time_scale = 45.0;
-  int min_cycles = 3;
-  int max_cycles = 8;
-  /// Users overstate requests by this factor range (Observation 2).
-  double min_overstatement = 1.3;
-  double max_overstatement = 2.1;
-  SimTime qos_latency = 150 * kMsec;
   /// Multi-tenant scenarios: generated pods are assigned these tenant ids
   /// round-robin in arrival order. Empty = everything on tenant 0 (the
   /// single-tenant default).

@@ -295,7 +295,7 @@ reject_scenario "scenario unknown device model" "unknown device model" <<'EOF'
 nodeclass fleet k80-24g 2
 EOF
 
-reject_scenario "scenario quota over cluster" "exceeds total cluster memory" <<'EOF'
+reject_scenario "scenario quota over cluster" "line 2: tenant 1 quota_mb 99999999 exceeds total cluster memory" <<'EOF'
 nodeclass fleet p100-16g 2
 tenant 1 quota_mb=99999999
 EOF
@@ -304,9 +304,16 @@ reject_scenario "scenario spot sans notice" "notice" <<'EOF'
 nodeclass spot p100-16g 2 preemptible
 EOF
 
-reject_scenario "scenario reclaim of on-demand" "not in a preemptible node class" <<'EOF'
+reject_scenario "scenario reclaim of on-demand" "line 2: spot_reclaim targets node 0 which is not in a preemptible node class" <<'EOF'
 nodeclass fleet p100-16g 2
 fault spot_reclaim node=0 at=5s
+EOF
+
+reject_scenario "scenario tenant cap no pod fits" "line 3: tenant 1 quota_mb 1 fits none of its pods" <<'EOF'
+nodeclass a p100-16g 2
+duration 30s
+tenant 1 quota_mb=1
+workload_tenants 1
 EOF
 
 reject_scenario "scenario empty spec" "no node classes" </dev/null

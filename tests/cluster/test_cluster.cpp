@@ -125,8 +125,8 @@ TEST(Cluster, ColdStartOncePerImagePerNode) {
   const auto& jcts = cl.metrics().batches();
   ASSERT_EQ(jcts.size(), 2u);
   // First pays ~2 s cold start; second only the warm start.
-  EXPECT_GT(jcts[0].jct, cfg.cold_start);
-  EXPECT_LT(jcts[1].jct, cfg.cold_start);
+  EXPECT_GT(jcts[0].jct, kColdStart);
+  EXPECT_LT(jcts[1].jct, kColdStart);
 }
 
 TEST(Cluster, ParkRequiresEmptyGpu) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "dlsim/dl_cluster.hpp"
@@ -62,6 +63,39 @@ constexpr Golden kFaultFree[] = {
     {"tiresias", 0x9890bc06a6ff501bull, 586},
     {"cbp-pp", 0x142fe7c75c2a1c1dull, 65},
 };
+
+// The run digest folds decisions only; these pin the figure values each
+// fault-free run reports (JCTs, query latencies, violations, restarts,
+// migrations, preemptions, power and energy), in kFaultFree's order.
+constexpr std::uint64_t kFaultFreeFigures[] = {
+    0x065827821bca6bceull,  // resag
+    0x611b82eab076b65eull,  // gandiva
+    0x2943fa390b1497feull,  // tiresias
+    0x7c5aa73d2dd2c4fcull,  // cbp-pp
+};
+static_assert(std::size(kFaultFreeFigures) == std::size(kFaultFree));
+
+/// FNV-1a fold of a result's figure values, in field order.
+std::uint64_t figure_digest(const DlResult& r) {
+  verify::RunDigest d;
+  for (const double h : r.jct_hours) d.mix_double(h);
+  d.mix_double(r.avg_jct_h);
+  d.mix_double(r.median_jct_h);
+  d.mix_double(r.p99_jct_h);
+  for (const DliRecord& q : r.queries) {
+    d.mix_u64(static_cast<std::uint64_t>(q.arrival));
+    d.mix_u64(static_cast<std::uint64_t>(q.latency));
+    d.mix_u64(q.violated ? 1 : 0);
+  }
+  d.mix_u64(r.dli_violations);
+  d.mix_double(r.violations_per_hour);
+  d.mix_u64(r.crash_restarts);
+  d.mix_u64(r.migrations);
+  d.mix_u64(r.preemptions);
+  d.mix_double(r.mean_power_watts);
+  d.mix_double(r.energy_joules);
+  return d.value();
+}
 
 constexpr Golden kStorm[] = {
     {"resag", 0x0f3ca67c8a71cf3bull, 293},
@@ -123,12 +157,16 @@ std::uint64_t replay_digest(const obs::TraceSink& trace) {
 }
 
 TEST(DlDigest, FaultFreeGoldenDigests) {
-  for (const auto& g : kFaultFree) {
+  for (std::size_t i = 0; i < std::size(kFaultFree); ++i) {
+    const Golden& g = kFaultFree[i];
     SCOPED_TRACE(g.policy);
     const auto r =
         run_dl_simulation(g.policy, small_cluster(), small_workload(), kSeed);
     EXPECT_EQ(r.run_digest, g.digest)
         << "digest drifted (actual 0x" << std::hex << r.run_digest << ")";
+    const std::uint64_t figures = figure_digest(r);
+    EXPECT_EQ(figures, kFaultFreeFigures[i])
+        << "figure values drifted (actual 0x" << std::hex << figures << ")";
     EXPECT_EQ(r.digest_events, g.events);
     EXPECT_EQ(r.node_crashes, 0u);
     EXPECT_EQ(r.jobs_evicted, 0u);

@@ -114,7 +114,6 @@ TEST(TiresiasPolicy, LasPrefersLeastAttained) {
 TEST(TiresiasPolicy, AttainedCapPreventsStarvationOrdering) {
   DlClusterConfig cfg = tiny_cfg(1);
   cfg.quantum = 0;
-  cfg.las_attained_cap = 20 * kMinute;
   // Both far past the cap: FIFO by arrival decides, not attained service.
   TiresiasDlPolicy policy;
   DlEngine eng(cfg, policy, 7);

@@ -150,7 +150,7 @@ TEST(ScenarioSpec, RejectionMatrix) {
        "unknown nodeclass token"},
       {"quota exceeds cluster",
        "nodeclass a p100-16g 2\ntenant 1 quota_mb=99999999\n",
-       "exceeds total cluster memory"},
+       "line 2: tenant 1 quota_mb 99999999 exceeds total cluster memory"},
       {"tenant declared twice",
        "nodeclass a p100-16g 2\ntenant 1 quota_mb=100\ntenant 1 "
        "quota_mb=200\n",
@@ -162,10 +162,10 @@ TEST(ScenarioSpec, RejectionMatrix) {
        "positive"},
       {"fault node out of range",
        "nodeclass a p100-16g 2\nfault node_crash node=2 at=5s\n",
-       "only 2 nodes"},
+       "line 2: fault targets node 2 but the scenario has only 2 nodes"},
       {"spot reclaim of on-demand node",
        "nodeclass a p100-16g 2\nfault spot_reclaim node=0 at=5s\n",
-       "not in a preemptible node class"},
+       "line 2: spot_reclaim targets node 0 which is not in a preemptible"},
       {"unknown fault kind",
        "nodeclass a p100-16g 2\nfault meteor node=0 at=5s\n",
        "unknown fault kind"},
@@ -220,7 +220,7 @@ TEST(ScenarioSpec, RejectionMatrix) {
       {"spot notice past the clock",
        "nodeclass a p100-16g 2 preemptible notice=9000000000000s\n"
        "fault spot_reclaim node=0 at=9000000000000s\n",
-       "overflows the clock"},
+       "line 2: spot_reclaim of node 0 plus its class notice overflows"},
       {"node total past int",
        "nodeclass a p100-16g 2000000000\nnodeclass b p100-16g 2000000000\n",
        "nodes in total"},
@@ -258,6 +258,12 @@ TEST(ScenarioSpec, RejectionMatrix) {
       {"window drawing no pod",
        "seed 42\nmix 3\nduration 2s\nnodeclass a p100-16g 1\n",
        "line 3: the workload generates no pods"},
+      // A tenant cap below every provision its pods could get would run to
+      // the drain deadline placing none of them: rejected at its line.
+      {"tenant cap no pod fits",
+       "nodeclass a p100-16g 2\nduration 30s\ntenant 1 quota_mb=1\n"
+       "workload_tenants 1\n",
+       "line 3: tenant 1 quota_mb 1 fits none of its pods"},
   };
   for (const Rejection& c : cases) {
     SCOPED_TRACE(c.label);
@@ -267,6 +273,18 @@ TEST(ScenarioSpec, RejectionMatrix) {
     EXPECT_NE(error.find(c.expect), std::string::npos)
         << "diagnostic was: " << error;
   }
+}
+
+TEST(ScenarioSpec, TenantCapAtTheProvisionFloorParses) {
+  // The smallest provision any scheduler gives these pods is CBP's 64 MB
+  // floor (every request is larger), so a 64 MB cap can admit a pod.
+  std::string error;
+  const auto spec = parse(
+      "nodeclass a p100-16g 2\nduration 30s\ntenant 1 quota_mb=64\n"
+      "workload_tenants 1\n",
+      error);
+  ASSERT_TRUE(spec.has_value()) << error;
+  EXPECT_EQ(spec->config.cluster.tenant_quotas.front().provision_cap_mb, 64.0);
 }
 
 TEST(ScenarioSpec, UnreadableFileIsAnError) {

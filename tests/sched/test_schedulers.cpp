@@ -82,7 +82,7 @@ TEST(ResAg, RespectsResidentCap) {
   params.max_residents = 2;
   class Probe : public cluster::Scheduler {
    public:
-    Probe(SchedParams p) : inner_(p, 7) {}
+    Probe(SchedParams p) : inner_(p) {}
     std::string name() const override { return inner_.name(); }
     void on_schedule(cluster::SchedulingContext& ctx) override {
       inner_.on_schedule(ctx);

@@ -73,17 +73,58 @@ ExperimentConfig golden_config(sched::SchedulerKind kind) {
 // To regenerate after an *intentional* behaviour change: run this test and
 // copy the "actual" values from the failure output into the table, then
 // record the change in EXPERIMENTS.md.
+//
+// The run digest folds decisions only, so each row also pins the figure
+// values the report derives from the run (utilisation, QoS, power, energy,
+// JCT and LC latency): a change to a sampling cadence or a power model
+// that leaves every decision in place still fails here.
 struct GoldenDigest {
   sched::SchedulerKind kind;
   std::uint64_t digest;
+  std::uint64_t figures;
 };
+
+void mix_percentiles(RunDigest& d, const UtilPercentiles& u) {
+  d.mix_double(u.p50);
+  d.mix_double(u.p90);
+  d.mix_double(u.p99);
+  d.mix_double(u.max);
+}
+
+/// FNV-1a fold of the report's figure values, in field order.
+std::uint64_t figure_digest(const ExperimentReport& r) {
+  RunDigest d;
+  for (const UtilPercentiles& u : r.per_gpu) mix_percentiles(d, u);
+  mix_percentiles(d, r.cluster_wide);
+  for (const double cov : r.per_gpu_cov) d.mix_double(cov);
+  d.mix_u64(r.queries);
+  d.mix_u64(r.qos_violations);
+  d.mix_double(r.violations_per_kilo);
+  d.mix_double(r.mean_power_watts);
+  d.mix_double(r.energy_joules);
+  d.mix_u64(r.crashes);
+  d.mix_double(r.mean_jct_s);
+  d.mix_double(r.median_jct_s);
+  d.mix_double(r.p99_jct_s);
+  d.mix_double(r.lc_p50_ms);
+  d.mix_double(r.lc_p99_ms);
+  d.mix_u64(r.pods_total);
+  d.mix_u64(r.pods_completed);
+  d.mix_u64(r.ticks);
+  d.mix_u64(r.events);
+  return d.value();
+}
 
 TEST(RunDigest, GoldenPerScheduler) {
   const GoldenDigest golden[] = {
-      {sched::SchedulerKind::kUniform, 0xd0c2a2db96af286dull},
-      {sched::SchedulerKind::kResourceAgnostic, 0x07884542fa949d9eull},
-      {sched::SchedulerKind::kCbp, 0x7173dae2bf4b9374ull},
-      {sched::SchedulerKind::kPeakPrediction, 0x86e8b45560a1a94cull},
+      {sched::SchedulerKind::kUniform, 0xd0c2a2db96af286dull,
+       0x7993d04551fe5041ull},
+      {sched::SchedulerKind::kResourceAgnostic, 0x07884542fa949d9eull,
+       0x4b68eda70ae7f0f9ull},
+      {sched::SchedulerKind::kCbp, 0x7173dae2bf4b9374ull,
+       0xbb1771255fba2d26ull},
+      {sched::SchedulerKind::kPeakPrediction, 0x86e8b45560a1a94cull,
+       0xef60c616f7497e49ull},
   };
   for (const auto& g : golden) {
     const auto report = run_experiment(golden_config(g.kind));
@@ -91,6 +132,10 @@ TEST(RunDigest, GoldenPerScheduler) {
         << "scheduler " << sched::to_string(g.kind)
         << " digest drifted (actual 0x" << std::hex << report.run_digest
         << ")";
+    const std::uint64_t figures = figure_digest(report);
+    EXPECT_EQ(figures, g.figures)
+        << "scheduler " << sched::to_string(g.kind)
+        << " figure values drifted (actual 0x" << std::hex << figures << ")";
   }
 }
 
