@@ -2,6 +2,7 @@
 // latency-critical container metrics, (b) CDF of average/maximum CPU and
 // memory utilization, (c) heat map of the six batch-task metrics.
 #include <iostream>
+#include <string>
 
 #include "bench_common.hpp"
 #include "core/percentile.hpp"
@@ -37,7 +38,11 @@ int main(int argc, char** argv) {
   TablePrinter cdf("Fig 2b: CDF of container core/memory utilization %");
   cdf.columns({"CDF", "avg CPU", "max CPU", "avg Mem", "max Mem"});
   for (double p : {10.0, 25.0, 50.0, 75.0, 90.0, 99.0}) {
-    cdf.row("P" + fmt(p, 0),
+    // Appended, not "P" + fmt(...): GCC 12 reports a false -Wrestrict
+    // overlap in that operator+ at -O3.
+    std::string label = "P";
+    label += fmt(p, 0);
+    cdf.row(label,
             {percentile(cpu_avg, p), percentile(cpu_max, p),
              percentile(mem_avg, p), percentile(mem_max, p)},
             1);

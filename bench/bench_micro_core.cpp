@@ -119,11 +119,13 @@ void BM_PeriodicTick(benchmark::State& state) {
 BENCHMARK(BM_PeriodicTick)->Arg(10000)->Arg(1000000);
 
 void BM_FarArrivals(benchmark::State& state) {
-  // ServingEngine::prime's shape: three services' Poisson arrivals over a
-  // 300 s window, 100k each, scheduled up front one ascending run per
-  // service, so nearly every one waits on the queue's far path. A 10 ms
-  // cluster tick runs alongside and every 30 s schedules one far one-shot
-  // behind the newest arrival; then the engine drains.
+  // Three services' Poisson arrivals over a 300 s window, 100k each, one
+  // ascending table per service. /0 schedules every arrival up front, so
+  // nearly every one waits on the queue's far path; /1 replays each table
+  // with one arrival queued (Simulation::replay_sorted), as
+  // ServingEngine::prime does. A 10 ms cluster tick runs alongside and
+  // every 30 s schedules one far one-shot; then the engine drains.
+  const bool replay = state.range(0) != 0;
   constexpr SimTime kWindow = 300 * kSec;
   constexpr int kPerStream = 100000;
   constexpr SimTime kTick = 10 * kMsec;
@@ -141,7 +143,13 @@ void BM_FarArrivals(benchmark::State& state) {
   for (auto _ : state) {
     sim::Simulation sim;
     for (const auto& stream : streams) {
-      for (const SimTime t : stream) sim.schedule_at(t, [] {});
+      if (replay) {
+        sim.replay_sorted(
+            stream.size(), [&stream](std::size_t k) { return stream[k]; },
+            [](std::size_t) {});
+      } else {
+        for (const SimTime t : stream) sim.schedule_at(t, [] {});
+      }
     }
     std::uint64_t ticks = 0;
     sim::schedule_periodic(sim, kTick, kTick, [&](SimTime now) {
@@ -154,7 +162,7 @@ void BM_FarArrivals(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
-BENCHMARK(BM_FarArrivals)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FarArrivals)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_FullClusterRun(benchmark::State& state) {
   const auto kind = static_cast<sched::SchedulerKind>(state.range(0));

@@ -162,18 +162,34 @@ void Cluster::load(std::vector<workload::PodSpec> specs) {
   std::sort(specs.begin(), specs.end(),
             [](const auto& a, const auto& b) { return a.id < b.id; });
   pods_.reserve(specs.size());
+  arrival_order_.reserve(specs.size());
   for (auto& spec : specs) {
     KNOTS_CHECK_MSG(spec.id.value == static_cast<std::int32_t>(pods_.size()),
                     "pod ids must be dense and zero-based");
     last_arrival_ = std::max(last_arrival_, spec.arrival);
-    const SimTime arrival = spec.arrival;
-    const PodId id = spec.id;
+    arrival_order_.push_back(spec.id);
     const ImageId image = profile_store_.intern(image_key(spec));
     pods_.push_back(pod_arena_.create(std::move(spec), image));
-    sim_.schedule_at(arrival, [this, id] { on_arrival(id); });
   }
   pod_states_.assign(pods_.size(),
                      static_cast<std::uint8_t>(PodState::kPending));
+  // Arrivals scheduled one by one in id order would pop in (arrival, id)
+  // order; replaying that order pops them identically with one queued.
+  const auto arrival_of = [this](PodId id) {
+    return pods_[static_cast<std::size_t>(id.value)]->spec().arrival;
+  };
+  std::sort(arrival_order_.begin(), arrival_order_.end(),
+            [&](PodId a, PodId b) {
+              const SimTime ta = arrival_of(a);
+              const SimTime tb = arrival_of(b);
+              return ta != tb ? ta < tb : a < b;
+            });
+  sim_.replay_sorted(
+      arrival_order_.size(),
+      [this, arrival_of](std::size_t k) {
+        return arrival_of(arrival_order_[k]);
+      },
+      [this](std::size_t k) { on_arrival(arrival_order_[k]); });
 }
 
 void Cluster::run() {

@@ -7,6 +7,10 @@
 // switch tax); memory is space-shared — aggregate *usage* above physical
 // capacity crashes the pod whose growth tripped the violation, which
 // relaunches from scratch at the back of the queue after a delay.
+//
+// load() keeps the workload's arrivals as a table in (arrival, id) order
+// and replays it with one arrival event queued at a time; submit_pod() and
+// every other one-shot (faults, relaunches, pulls) schedule their own event.
 #pragma once
 
 #include <cstdint>
@@ -101,7 +105,10 @@ class Cluster : private net::FabricObserver {
  public:
   Cluster(const ClusterConfig& config, Scheduler& scheduler);
 
-  /// Registers the workload; call once before run().
+  /// Registers the workload; call once before run(). The arrivals are
+  /// replayed in (arrival, id) order with one event queued at a time
+  /// (sim::Simulation::replay_sorted), in the order scheduling each by id
+  /// would pop them.
   void load(std::vector<workload::PodSpec> specs);
 
   /// Installs a fault schedule (validated against the topology); call
@@ -360,6 +367,9 @@ class Cluster : private net::FabricObserver {
   // thousands of relaunch-churned pods).
   core::SlabArena<Pod> pod_arena_;
   std::vector<Pod*> pods_;
+  /// load()'s pods in (arrival, id) order: the table the engine replays
+  /// their arrivals from.
+  std::vector<PodId> arrival_order_;
   std::deque<PodId> pending_;
   std::vector<PodId> active_;  ///< Starting or running, in placement order.
   /// Pods possibly still kStarting, in placement order (a subsequence of

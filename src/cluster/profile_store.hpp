@@ -32,6 +32,10 @@ struct ImageProfile {
   /// footprint percentiles of this; keeping the sorted copy here turns each
   /// into an O(1) percentile_sorted() lookup.
   std::vector<double> memory_signature_sorted;
+  /// stats::fractional_ranks(memory_signature), maintained by record_run():
+  /// memory_correlation() correlates these instead of re-ranking both
+  /// signatures for every pair CBP checks.
+  std::vector<double> memory_signature_ranks;
 };
 
 class ProfileStore {
@@ -51,9 +55,10 @@ class ProfileStore {
   /// Interned images, profiled or not.
   [[nodiscard]] std::size_t size() const noexcept { return profiles_.size(); }
 
-  /// Spearman correlation between two images' memory signatures; nullopt
-  /// when either image has no run yet (CBP then provisions conservatively)
-  /// or their signature lengths differ.
+  /// Spearman correlation between two images' memory signatures (the
+  /// Pearson correlation of their stored ranks, bit for bit
+  /// stats::spearman); nullopt when either image has no run yet (CBP then
+  /// provisions conservatively) or their signature lengths differ.
   [[nodiscard]] std::optional<double> memory_correlation(ImageId a,
                                                          ImageId b) const;
 

@@ -7,7 +7,6 @@
 #include "core/thread_pool.hpp"
 #include "gpu/device_model.hpp"
 #include "knots/kube_knots.hpp"
-#include "sim/event_queue.hpp"
 #include "verify/invariant_checker.hpp"
 #include "verify/run_digest.hpp"
 #include "workload/app_mix.hpp"
@@ -88,9 +87,10 @@ void record_verification(ExperimentReport& report,
 }
 
 double workload_footprint_bytes(const ExperimentConfig& config) {
-  constexpr double kPodBytes = sizeof(workload::PodSpec) +
-                               sizeof(cluster::Pod) +
-                               sim::EventQueue::event_bytes();
+  // The spec, the pod built from it, and its place in the arrival order
+  // Cluster::load replays.
+  constexpr double kPodBytes =
+      sizeof(workload::PodSpec) + sizeof(cluster::Pod) + sizeof(PodId);
   return workload::expected_pod_count(workload::app_mix(config.mix_id),
                                       config.workload) *
          kPodBytes;

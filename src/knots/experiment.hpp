@@ -83,8 +83,9 @@ struct ExperimentReport {
 
 /// Bytes `config`'s pod workload needs at its expected pod count
 /// (workload::expected_pod_count): each pod's spec, its cluster Pod and its
-/// queued arrival event. The whole workload is generated before the run
-/// starts, so inputs compare this with the host's memory first.
+/// entry in the arrival order Cluster::load replays. The whole workload is
+/// generated before the run starts, so inputs compare this with the host's
+/// memory first.
 double workload_footprint_bytes(const ExperimentConfig& config);
 
 /// The pods KubeKnots::submit_mix_workload() submits for `config`: its app

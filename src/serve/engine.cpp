@@ -118,21 +118,38 @@ void ServingEngine::prime() {
   primed_ = true;
 
   // Arrival streams: one independent fork per service, pre-generated so the
-  // stream depends only on (config, seed).
+  // stream depends only on (config, seed). All are drawn before the request
+  // table is filled, so it is allocated once at its exact size.
+  std::vector<std::vector<SimTime>> streams;
+  streams.reserve(services_.size());
+  std::size_t total = 0;
   for (std::size_t s = 0; s < services_.size(); ++s) {
     const auto process = make_process(config_, services_[s].cfg);
-    const auto arrivals =
-        process->generate(window_, rng_.fork_at(kArrivalStreamBase, s));
-    for (const SimTime t : arrivals) {
-      const auto idx = static_cast<std::uint32_t>(requests_.size());
+    streams.push_back(
+        process->generate(window_, rng_.fork_at(kArrivalStreamBase, s)));
+    total += streams.back().size();
+  }
+  requests_.reserve(total);
+  // Each service's requests are one ascending table, replayed with one
+  // arrival queued at a time. The services reserve their sequence blocks in
+  // order, so every arrival pops where scheduling them all here would put it.
+  for (std::size_t s = 0; s < services_.size(); ++s) {
+    const auto first = static_cast<std::uint32_t>(requests_.size());
+    for (const SimTime t : streams[s]) {
       Request r;
-      r.id = idx;
+      r.id = static_cast<std::uint32_t>(requests_.size());
       r.service = static_cast<std::uint16_t>(s);
       r.arrival = t;
       r.deadline = t + services_[s].effective_slo;
       requests_.push_back(r);
-      sim_.schedule_at(t, [this, idx] { on_arrival(idx); });
     }
+    sim_.replay_sorted(
+        streams[s].size(),
+        [this, first](std::size_t k) { return requests_[first + k].arrival; },
+        [this, first](std::size_t k) {
+          on_arrival(first + static_cast<std::uint32_t>(k));
+        });
+    streams[s] = {};
   }
 
   // Initial replica sets (arrival 0; the scheduler places them at the

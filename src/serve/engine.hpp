@@ -3,7 +3,9 @@
 //
 // One engine drives every configured service: it pre-generates each
 // service's arrival stream (seeded off Rng::fork_at, so streams are
-// independent of each other), sheds every arrival whose predicted
+// independent of each other) into one 32-byte request row per arrival,
+// replays each service's rows with one arrival event queued at a time
+// (sim::Simulation::replay_sorted), sheds every arrival whose predicted
 // completion misses its deadline, forms dynamic batches (size-or-timeout)
 // in one queue per service, dispatches them to warm serving replicas —
 // cluster pods of PodClass::kService placed by the *existing* scheduler
@@ -52,9 +54,11 @@ class ServingEngine {
   void set_trace_sink(obs::TraceSink* sink) noexcept { trace_ = sink; }
   void set_metrics_registry(obs::MetricsRegistry* registry);
 
-  /// Generates arrival streams, launches the initial replica sets and
-  /// schedules every serving event. Call after Cluster::load and before
-  /// Cluster::run.
+  /// Generates arrival streams into the request table, replays each
+  /// service's arrivals from it (one queued per service; each pops where
+  /// scheduling every arrival here, service by service, would put it),
+  /// launches the initial replica sets and starts the autoscaler and pump
+  /// cadences. Call after Cluster::load and before Cluster::run.
   void prime();
 
   // ---- Post-run inspection ----

@@ -18,13 +18,15 @@ enum class RequestOutcome : std::uint8_t {
   kExpired,      ///< Dropped at dispatch: its deadline had already passed.
 };
 
+/// One row of the engine's request table; outcome packs beside service so
+/// a row is 32 bytes.
 struct Request {
   std::uint32_t id = 0;
   std::uint16_t service = 0;  ///< Index into ServingConfig::services.
+  RequestOutcome outcome = RequestOutcome::kPending;
   SimTime arrival = 0;
   SimTime deadline = 0;       ///< arrival + SLO.
   SimTime completion = -1;    ///< Set when served or expired.
-  RequestOutcome outcome = RequestOutcome::kPending;
 
   [[nodiscard]] SimTime latency() const noexcept {
     return completion - arrival;

@@ -6,7 +6,6 @@
 
 #include "core/check.hpp"
 #include "serve/engine.hpp"
-#include "sim/event_queue.hpp"
 #include "verify/invariant_checker.hpp"
 #include "verify/run_digest.hpp"
 #include "workload/app_mix.hpp"
@@ -56,8 +55,9 @@ double serving_footprint_bytes(const ServingConfig& config) {
   }
   const double requests = qps * peak * static_cast<double>(config.window) /
                           static_cast<double>(kSec);
-  constexpr double kRequestBytes =
-      sizeof(Request) + sim::EventQueue::event_bytes();
+  // A request-table row, plus the arrival time its stream holds until
+  // prime() copies it into the table.
+  constexpr double kRequestBytes = sizeof(Request) + sizeof(SimTime);
   double bytes = requests * kRequestBytes;
   if (config.background_batch) {
     ExperimentConfig batch = config.experiment;

@@ -131,8 +131,9 @@ struct ServingReport {
 
 /// Bytes a serving run needs before its first event: every service's
 /// requests at the shape's peak rate (qps × window × peak multiplier), each
-/// a Request and its queued arrival event, plus the background batch workload (workload_footprint_bytes over
-/// the window). Inputs compare this with the host's memory first.
+/// a Request and the arrival time prime() draws it from, plus the
+/// background batch workload (workload_footprint_bytes over the window).
+/// Inputs compare this with the host's memory first.
 double serving_footprint_bytes(const ServingConfig& config);
 
 /// Runs the serving scenario to completion (single-threaded,

@@ -8,9 +8,8 @@
 
 namespace knots::sim {
 
-std::uint64_t EventQueue::schedule(SimTime t, Handler fn) {
-  const std::uint64_t id = next_seq_++;
-  Event ev{t, id, std::move(fn)};
+void EventQueue::insert(SimTime t, std::uint64_t seq, Handler fn) {
+  Event ev{t, seq, std::move(fn)};
   const std::int64_t ab = bucket_of(t);
   if (in_horizon(ab)) {
     insert_wheel(std::move(ev));
@@ -18,7 +17,6 @@ std::uint64_t EventQueue::schedule(SimTime t, Handler fn) {
     far_[ab >> kBucketsLog2].push_back(std::move(ev));
   }
   ++size_;
-  return id;
 }
 
 void EventQueue::cancel(std::uint64_t id) {
@@ -66,8 +64,9 @@ void EventQueue::insert_wheel(Event ev) {
   auto& b = buckets_[s];
   if (ab == cur_ab_ && cur_sorted_) {
     // Sorted insert into the draining bucket's pending region. Popped
-    // entries in [0, cur_pos_) all precede `ev` (its time is >= now and its
-    // seq is fresh), so [cur_pos_, end) is the correct search window.
+    // entries in [0, cur_pos_) all precede `ev` — its time is >= now and
+    // its seq is fresh, or it is a replayed entry whose key follows the
+    // entry that just popped — so [cur_pos_, end) is the search window.
     auto it = std::upper_bound(
         b.begin() + static_cast<std::ptrdiff_t>(cur_pos_), b.end(), ev,
         [](const Event& a, const Event& x) { return event_before(a, x); });

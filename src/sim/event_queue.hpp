@@ -2,8 +2,8 @@
 //
 // A two-level calendar queue tuned for the engine's dominant workload —
 // dense periodic events (cluster ticks every 10 ms, heartbeats, relaunch
-// timers) plus a long tail of far-future one-shots (the load generator
-// schedules every pod arrival up front):
+// timers) plus far-future one-shots (fault events, and each replayed
+// arrival table's next entry, which may lie minutes ahead):
 //
 //  * the *wheel* covers a sliding horizon of kBuckets × kBucketWidth of
 //    simulated time. An event at absolute time t lands in absolute bucket
@@ -32,6 +32,12 @@
 // events pop in ascending (time, insertion-sequence) order, so
 // same-timestamp events run FIFO and every run replays identically.
 //
+// reserve_seqs(n) hands out a block of n sequence numbers that no later
+// schedule() reuses, and schedule_reserved() enqueues an event under one of
+// them. Simulation::replay_sorted uses the pair to keep one entry of a
+// sorted table queued at a time while every entry pops under the key it
+// would have had if the whole table had been scheduled at once.
+//
 // cancel(id) lazily tombstones a *pending* event by the id schedule()
 // returned; the slot is skipped (and the handler destroyed) when the
 // cursor reaches it. Canceling an id that already fired or was already
@@ -45,6 +51,7 @@
 #include <limits>
 #include <map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "core/types.hpp"
@@ -66,12 +73,29 @@ class EventQueue {
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Bytes one queued event occupies (inputs bound their event load by it).
-  static constexpr std::size_t event_bytes() noexcept { return sizeof(Event); }
 
   /// Enqueues `fn` at absolute time `t` (must be >= the time of the last
   /// event popped). Returns the event's id (its insertion sequence).
-  std::uint64_t schedule(SimTime t, Handler fn);
+  std::uint64_t schedule(SimTime t, Handler fn) {
+    const std::uint64_t id = next_seq_++;
+    insert(t, id, std::move(fn));
+    return id;
+  }
+
+  /// Reserves `n` consecutive sequence numbers and returns the first.
+  std::uint64_t reserve_seqs(std::uint64_t n) {
+    const std::uint64_t base = next_seq_;
+    next_seq_ += n;
+    return base;
+  }
+
+  /// Enqueues `fn` at `t` under `seq`, a number reserve_seqs() returned
+  /// that no event has used yet. Besides schedule()'s rule on `t`, the key
+  /// (t, seq) must follow every popped event's key: replay_sorted schedules
+  /// entry k + 1 when entry k pops.
+  void schedule_reserved(SimTime t, std::uint64_t seq, Handler fn) {
+    insert(t, seq, std::move(fn));
+  }
 
   /// Tombstones the pending event `id` (see header contract).
   void cancel(std::uint64_t id);
@@ -123,6 +147,7 @@ class EventQueue {
                         : far_.begin()->first << kBucketsLog2;
   }
 
+  void insert(SimTime t, std::uint64_t seq, Handler fn);
   void insert_wheel(Event ev);
   /// Moves the cursor to absolute bucket `ab` (never past far_start()),
   /// cascading the earliest far block into the wheel when `ab` is its

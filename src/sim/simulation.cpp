@@ -1,6 +1,7 @@
 #include "sim/simulation.hpp"
 
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "obs/profile.hpp"
@@ -10,6 +11,41 @@ namespace knots::sim {
 std::uint64_t Simulation::schedule_at(SimTime t, Handler fn) {
   KNOTS_CHECK_MSG(t >= now_, "cannot schedule into the past");
   return queue_.schedule(t, std::move(fn));
+}
+
+void Simulation::replay_sorted(std::size_t n,
+                               std::function<SimTime(std::size_t)> time_of,
+                               std::function<void(std::size_t)> fire) {
+  if (n == 0) return;
+  Replay& r = replays_.emplace_back(Replay{
+      this, std::move(time_of), std::move(fire), queue_.reserve_seqs(n), n});
+  const SimTime first = r.time_of(0);
+  KNOTS_CHECK_MSG(first >= now_, "cannot schedule into the past");
+  schedule_entry(r, 0, first);
+}
+
+void Simulation::schedule_entry(Replay& r, std::size_t k, SimTime t) {
+  // The queued handler: a pointer and an index, which std::function stores
+  // in place, so replaying an entry allocates nothing.
+  struct Entry {
+    Replay* replay;
+    std::size_t k;
+    void operator()() const {
+      // Queue the next entry before this one runs, as if the whole table
+      // were queued. Its key follows this entry's, which follows every key
+      // popped so far, as schedule_reserved requires.
+      Simulation& sim = *replay->sim;
+      if (k + 1 < replay->n) {
+        const SimTime next = replay->time_of(k + 1);
+        KNOTS_CHECK_MSG(next >= sim.now_, "replayed table is not sorted");
+        sim.schedule_entry(*replay, k + 1, next);
+      }
+      replay->fire(k);
+    }
+  };
+  static_assert(sizeof(Entry) <= 2 * sizeof(void*) &&
+                std::is_trivially_copyable_v<Entry>);
+  queue_.schedule_reserved(t, r.base_seq + k, Entry{&r, k});
 }
 
 void Simulation::run_until(SimTime end) {

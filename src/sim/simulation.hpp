@@ -4,9 +4,16 @@
 // run FIFO and every run with the same inputs replays identically. Storage
 // is a two-level calendar queue (see event_queue.hpp) with the same
 // ordering contract as the binary heap it replaced.
+//
+// A table of events already sorted by time (a workload's pod arrivals, a
+// service's request arrivals) is replayed rather than scheduled:
+// replay_sorted keeps one of its entries queued, so the queue holds one
+// event per table instead of one per entry, and pop order is the same as
+// if the whole table had been scheduled at once.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 
 #include "core/check.hpp"
@@ -19,6 +26,12 @@ namespace knots::sim {
 class Simulation {
  public:
   using Handler = std::function<void()>;
+
+  Simulation() = default;
+  /// Queued handlers point into the simulation (replayed tables, periodic
+  /// chains), so it stays where it was built.
+  Simulation(const Simulation&) = delete;
+  Simulation& operator=(const Simulation&) = delete;
 
   [[nodiscard]] SimTime now() const noexcept { return now_; }
   [[nodiscard]] std::uint64_t events_processed() const noexcept {
@@ -38,6 +51,18 @@ class Simulation {
     KNOTS_CHECK(dt >= 0);
     return schedule_at(now_ + dt, std::move(fn));
   }
+
+  /// Replays a table of `n` events whose times never decrease: entry k
+  /// calls `fire(k)` at `time_of(k)`. A block of n sequence numbers is
+  /// reserved now and entry k pops under the k-th, the key it would have
+  /// had if the n entries were scheduled here one after another, but only
+  /// one entry is queued at a time: entry k + 1 is scheduled when entry k
+  /// fires, with no allocation. `time_of(0)` must not be in the past, and
+  /// an entry earlier than the one before it aborts. Replayed entries
+  /// cannot be canceled; the table must outlive the run.
+  void replay_sorted(std::size_t n,
+                     std::function<SimTime(std::size_t)> time_of,
+                     std::function<void(std::size_t)> fire);
 
   /// Cancels a *pending* event by the id schedule_at/schedule_after
   /// returned. Canceling an event that already fired or was already
@@ -62,7 +87,18 @@ class Simulation {
   }
 
  private:
+  struct Replay {
+    Simulation* sim;
+    std::function<SimTime(std::size_t)> time_of;
+    std::function<void(std::size_t)> fire;
+    std::uint64_t base_seq = 0;
+    std::size_t n = 0;
+  };
+  /// Queues entry `k` of `r` at `t` under its reserved sequence number.
+  void schedule_entry(Replay& r, std::size_t k, SimTime t);
+
   EventQueue queue_;
+  std::deque<Replay> replays_;  ///< Stable addresses for queued entries.
   SimTime now_ = 0;
   std::uint64_t processed_ = 0;
   bool stop_requested_ = false;

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "obs/trace.hpp"
 #include "sched/registry.hpp"
 #include "workload/load_generator.hpp"
 
@@ -99,6 +103,50 @@ TEST(Cluster, PlacementApiBasics) {
   EXPECT_FALSE(cl.place(PodId{0}, GpuId{0}, 500));
   cl.run();
   EXPECT_EQ(cl.completed_count(), 1u);
+}
+
+TEST(Cluster, LoadQueuesOneArrival) {
+  // load() replays the arrivals with one queued, however many pods it has.
+  auto scheduler = sched::make_scheduler(sched::SchedulerKind::kUniform);
+  Cluster cl(small_cluster(), *scheduler);
+  auto pods = small_workload();
+  ASSERT_GT(pods.size(), 10u);
+  cl.load(std::move(pods));
+  EXPECT_LE(cl.engine().pending_events(), 1u);
+}
+
+TEST(Cluster, LoadReplaysArrivalsInArrivalThenIdOrder) {
+  // Ids out of arrival order, and arrival times shared by several pods:
+  // pods join the queue by arrival, equal arrivals by id — the order
+  // scheduling each pod's arrival by id pops them in.
+  auto scheduler = sched::make_scheduler(sched::SchedulerKind::kUniform);
+  Cluster cl(small_cluster(), *scheduler);
+  obs::TraceSink trace;
+  cl.set_trace_sink(&trace);
+  const std::vector<SimTime> arrivals{3 * kSec, kSec, kSec, 0,
+                                      2 * kSec, kSec, 0,   3 * kSec};
+  std::vector<workload::PodSpec> specs;
+  for (std::size_t i = 0; i < arrivals.size(); ++i) {
+    workload::PodSpec spec;
+    spec.id = PodId{static_cast<std::int32_t>(i)};
+    spec.app = "lud";
+    spec.arrival = arrivals[i];
+    spec.profile = workload::AppProfile(
+        "p", {{100 * kMsec, gpu::Usage{0.2, 300, 0, 0}}});
+    spec.requested_mb = 400;
+    specs.push_back(spec);
+  }
+  // Handed over in neither id nor arrival order.
+  std::reverse(specs.begin(), specs.end());
+  cl.load(std::move(specs));
+  cl.run();
+
+  std::vector<std::int32_t> submitted;
+  for (const obs::TraceEvent& e : trace.events()) {
+    if (e.kind == obs::EventKind::kSubmit) submitted.push_back(e.a);
+  }
+  EXPECT_EQ(submitted, (std::vector<std::int32_t>{3, 6, 1, 2, 5, 4, 0, 7}));
+  EXPECT_EQ(cl.completed_count(), arrivals.size());
 }
 
 TEST(Cluster, ColdStartOncePerImagePerNode) {

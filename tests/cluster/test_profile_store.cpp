@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
+
+#include "core/rng.hpp"
+#include "stats/correlation.hpp"
 
 namespace knots::cluster {
 namespace {
@@ -79,6 +85,45 @@ TEST(ProfileStore, CorrelationBetweenSimilarSignaturesIsHigh) {
   store.record_run(c, 0, 0, anti);
   EXPECT_NEAR(*store.memory_correlation(a, b), 1.0, 1e-9);
   EXPECT_NEAR(*store.memory_correlation(a, c), -1.0, 1e-9);
+}
+
+TEST(ProfileStore, CorrelationEqualsSpearmanBitForBit) {
+  // memory_correlation correlates ranks stored at record_run; it must give
+  // exactly stats::spearman of the merged signatures. 64-point signatures
+  // drawn from eight levels tie, EMA merges blend them, and one image's
+  // signature is constant (every rank tied).
+  ProfileStore store;
+  Rng rng(11);
+  const auto signature = [&] {
+    std::vector<double> sig;
+    for (int i = 0; i < 64; ++i) {
+      sig.push_back(static_cast<double>(rng.uniform_int(0, 7)) * 128.0);
+    }
+    return sig;
+  };
+  std::vector<ImageId> images;
+  for (int i = 0; i < 6; ++i) {
+    const ImageId id = store.intern("img" + std::to_string(i));
+    for (int run = 0; run < 1 + i % 3; ++run) {
+      store.record_run(id, 0.1, 0.2, signature());
+    }
+    images.push_back(id);
+  }
+  const ImageId flat = store.intern("flat");
+  store.record_run(flat, 0.1, 0.2, std::vector<double>(64, 512.0));
+  images.push_back(flat);
+  for (const ImageId a : images) {
+    for (const ImageId b : images) {
+      const auto got = store.memory_correlation(a, b);
+      ASSERT_TRUE(got.has_value());
+      const double want = stats::spearman(store.find(a)->memory_signature,
+                                          store.find(b)->memory_signature);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(*got),
+                std::bit_cast<std::uint64_t>(want))
+          << a.value << " vs " << b.value;
+    }
+  }
+  EXPECT_EQ(store.find(images[2])->observed_runs, 3);
 }
 
 TEST(ProfileStore, CorrelationNullWhenLengthsMismatch) {

@@ -5,6 +5,7 @@
 // the fault path cannot drift silently.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -35,17 +36,22 @@ fault::FaultPlan storm_plan() {
       .pcie_stall(NodeId{3}, 5 * kSec, 2 * kSec, 4.0);
 }
 
-/// Runs `cfg` by driving a ServingEngine on a bare cluster, as the
-/// benchmark's serving run does, and returns the engine's report and its
-/// request table.
-std::pair<ServingReport, std::vector<Request>> drive_engine(
-    const ServingConfig& cfg) {
+/// A ServingEngine on a bare cluster, built as the benchmark's serving run
+/// builds it: the batch pods loaded and the engine primed, nothing run.
+struct Deployment {
+  std::unique_ptr<cluster::Scheduler> scheduler;
+  std::unique_ptr<cluster::Cluster> cluster;
+  std::unique_ptr<ServingEngine> engine;
+};
+
+Deployment prime_deployment(const ServingConfig& cfg) {
   const ExperimentConfig& exp = cfg.experiment;
-  auto scheduler = sched::make_scheduler(exp.scheduler, exp.sched_params);
+  Deployment d;
+  d.scheduler = sched::make_scheduler(exp.scheduler, exp.sched_params);
   cluster::ClusterConfig cluster_cfg = exp.cluster;
   cluster_cfg.seed = exp.seed;
-  cluster::Cluster cluster(cluster_cfg, *scheduler);
-  cluster.set_fault_plan(exp.faults);
+  d.cluster = std::make_unique<cluster::Cluster>(cluster_cfg, *d.scheduler);
+  d.cluster->set_fault_plan(exp.faults);
 
   workload::LoadGenConfig wl = exp.workload;
   wl.duration = cfg.window;
@@ -58,15 +64,27 @@ std::pair<ServingReport, std::vector<Request>> drive_engine(
   for (std::size_t i = 0; i < pods.size(); ++i) {
     pods[i].id = PodId{static_cast<std::int32_t>(i)};
   }
-  cluster.load(std::move(pods));
+  d.cluster->load(std::move(pods));
 
-  ServingEngine engine(cluster, cfg, Rng(exp.seed).fork(0x53525645));
-  engine.prime();
-  cluster.run();
-  ServingReport report;
-  engine.fill_report(report);
-  return {report, engine.requests()};
+  d.engine = std::make_unique<ServingEngine>(*d.cluster, cfg,
+                                             Rng(exp.seed).fork(0x53525645));
+  d.engine->prime();
+  return d;
 }
+
+/// Runs `cfg` by driving a ServingEngine on a bare cluster, as the
+/// benchmark's serving run does, and returns the engine's report and its
+/// request table.
+std::pair<ServingReport, std::vector<Request>> drive_engine(
+    const ServingConfig& cfg) {
+  const Deployment d = prime_deployment(cfg);
+  d.cluster->run();
+  ServingReport report;
+  d.engine->fill_report(report);
+  return {report, d.engine->requests()};
+}
+
+static_assert(sizeof(Request) == 32, "a request-table row is 32 bytes");
 
 TEST(Serving, DeterminismLaw) {
   // The serving determinism law: identical config + seed produce a
@@ -248,6 +266,23 @@ TEST(Serving, EveryRequestEndsInOneOutcome) {
   // Both non-served outcomes were reached, so the checks above bit.
   EXPECT_GT(shed_total, 0u);
   EXPECT_GT(expired_total, 0u);
+}
+
+// prime() replays each service's arrivals with one queued at a time, so
+// what it leaves queued follows the services and replicas, not the
+// requests.
+TEST(Serving, PrimeQueuesOneArrivalPerService) {
+  const ServingConfig cfg = small_serving(ArrivalShape::kPoisson);
+  const Deployment d = prime_deployment(cfg);
+  std::size_t replicas = 0;
+  for (const ServiceConfig& svc : cfg.services) {
+    replicas += static_cast<std::size_t>(svc.min_replicas);
+  }
+  EXPECT_GT(d.engine->requests().size(), 500u);  // 60 qps over 10 s
+  // An arrival per service, a pod arrival per initial replica, the
+  // autoscaler's and the pump's cadences, and the batch pods' replay.
+  EXPECT_LE(d.cluster->engine().pending_events(),
+            cfg.services.size() + replicas + 3);
 }
 
 TEST(Serving, ObservabilityDoesNotPerturbTheRun) {

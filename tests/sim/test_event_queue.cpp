@@ -5,19 +5,26 @@
 // order under any interleaving of schedule / cancel / pop, including times
 // that straddle bucket boundaries, the wheel horizon, and the far blocks
 // past it. The fuzz drives both implementations with the same operation
-// stream and demands identical pop sequences.
+// stream and demands identical pop sequences. The replay arm holds tables
+// replayed under reserved sequence numbers to the same order as their
+// entries scheduled one by one.
 
 #include "sim/event_queue.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <deque>
 #include <optional>
 #include <queue>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
+#include "sim/simulation.hpp"
 
 namespace knots::sim {
 namespace {
@@ -464,6 +471,210 @@ TEST(EventQueueFuzz, FarBlocksMatchPriorityQueueReference) {
   }
   EXPECT_GT(behind_block_peeks, 0u);
   EXPECT_GT(emptied_blocks, 0u);
+}
+
+/// Drives two Simulations with one operation stream: side 0 replays each
+/// table through replay_sorted, side 1 schedules its entries one after
+/// another with schedule_at. Every event logs (time, label) on its side,
+/// and a table entry may schedule a follow-up event when it fires, so
+/// fresh sequence numbers interleave with reserved ones.
+class ReplayDifferential {
+ public:
+  static constexpr SimTime kNoFollowUp = -1;
+
+  /// Adds a table of ascending `times`; entry k schedules a follow-up
+  /// `follow_ups[k]` after it fires unless that is kNoFollowUp.
+  void add_table(std::vector<SimTime> times, std::vector<SimTime> follow_ups) {
+    const std::size_t n = times.size();
+    Table& tab = tables_.emplace_back(
+        Table{std::move(times), std::move(follow_ups), next_label_, 0});
+    next_label_ += n;
+    sides_[0].sim.replay_sorted(
+        n, [&tab](std::size_t k) { return tab.times[k]; },
+        [this, &tab](std::size_t k) { fire_entry(0, tab, k); });
+    for (std::size_t k = 0; k < n; ++k) {
+      sides_[1].sim.schedule_at(tab.times[k],
+                                [this, &tab, k] { fire_entry(1, tab, k); });
+      pending_.emplace(tab.times[k], tab.first_label + k);
+    }
+  }
+
+  /// Schedules an ordinary event at `t` on both sides.
+  void schedule(SimTime t) {
+    const std::uint64_t label = next_label_++;
+    for (int side = 0; side < 2; ++side) {
+      sides_[side].sim.schedule_at(t, [this, side, label] {
+        fire(side, label, kNoFollowUp);
+      });
+    }
+    pending_.emplace(t, label);
+  }
+
+  /// run_until on both sides; fails the test unless their logs, clocks and
+  /// queue lengths agree.
+  void run_until(SimTime end) {
+    for (Side& side : sides_) side.sim.run_until(end);
+    check();
+  }
+
+  void run_all() {
+    for (Side& side : sides_) side.sim.run_all();
+    check();
+    EXPECT_TRUE(pending_.empty());
+  }
+
+  [[nodiscard]] SimTime now() const { return sides_[1].sim.now(); }
+  /// The earliest event neither side has fired.
+  [[nodiscard]] std::optional<SimTime> next_pending() const {
+    if (pending_.empty()) return std::nullopt;
+    return pending_.begin()->first;
+  }
+  /// A table entry's time, for ties against ordinary events.
+  [[nodiscard]] SimTime entry_time(std::size_t table, std::size_t k) const {
+    return tables_[table].times[k];
+  }
+  [[nodiscard]] std::size_t tables() const noexcept { return tables_.size(); }
+  [[nodiscard]] std::size_t table_size(std::size_t table) const {
+    return tables_[table].times.size();
+  }
+  [[nodiscard]] std::size_t fired() const { return sides_[1].log.size(); }
+
+ private:
+  struct Table {
+    std::vector<SimTime> times;
+    std::vector<SimTime> follow_ups;
+    std::uint64_t first_label;
+    std::size_t fired;  ///< Entries side 1 has fired.
+  };
+  struct Side {
+    Simulation sim;
+    std::vector<std::pair<SimTime, std::uint64_t>> log;
+  };
+  static constexpr std::uint64_t kFollowUpBit = std::uint64_t{1} << 62;
+
+  void fire_entry(int side, Table& tab, std::size_t k) {
+    if (side == 1) ++tab.fired;
+    fire(side, tab.first_label + k, tab.follow_ups[k]);
+  }
+
+  void fire(int side, std::uint64_t label, SimTime follow_up) {
+    Side& s = sides_[side];
+    s.log.emplace_back(s.sim.now(), label);
+    if (side == 1) pending_.erase({s.sim.now(), label});
+    if (follow_up == kNoFollowUp) return;
+    const std::uint64_t child = label | kFollowUpBit;
+    if (side == 1) pending_.emplace(s.sim.now() + follow_up, child);
+    s.sim.schedule_after(follow_up, [this, side, child] {
+      fire(side, child, kNoFollowUp);
+    });
+  }
+
+  void check() {
+    EXPECT_EQ(sides_[0].log, sides_[1].log);
+    EXPECT_EQ(sides_[0].sim.now(), sides_[1].sim.now());
+    // The replaying side queues one event per unfinished table in place of
+    // the table's unfired entries.
+    std::size_t unfired = 0;
+    std::size_t open = 0;
+    for (const Table& tab : tables_) {
+      unfired += tab.times.size() - tab.fired;
+      if (tab.fired < tab.times.size()) ++open;
+    }
+    EXPECT_EQ(sides_[0].sim.pending_events(),
+              sides_[1].sim.pending_events() - unfired + open);
+  }
+
+  std::array<Side, 2> sides_;
+  std::deque<Table> tables_;  ///< Stable: the handlers point into it.
+  std::set<std::pair<SimTime, std::uint64_t>> pending_;  ///< Unfired events.
+  std::uint64_t next_label_ = 0;
+};
+
+/// The replay arm: tables replayed through Simulation::replay_sorted must
+/// pop exactly as the same entries scheduled one after another. Tables
+/// hold runs of equal times and gaps past the ~8.4 s horizon, and start
+/// while other tables are mid-replay; ordinary events tie with table
+/// entries at the same microsecond, from before and after the table's
+/// reservation; entries schedule zero-delay and later follow-ups; and
+/// events are scheduled behind a run_until peek.
+TEST(EventQueueFuzz, ReplayedTablesMatchPreScheduledEvents) {
+  std::size_t ties = 0;
+  std::size_t behind_peeks = 0;
+  std::size_t far_gaps = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(seed);
+    ReplayDifferential d;
+    const auto ordinary_time = [&](SimTime now) {
+      return rng.chance(0.7) ? now + rng.uniform_int(0, 4 * kBucketWidth)
+                             : now + rng.uniform_int(kHorizon / 2,
+                                                     3 * kHorizon);
+    };
+    for (int step = 0; step < 600; ++step) {
+      const SimTime now = d.now();
+      const double roll = rng.uniform();
+      if (roll < 0.1) {
+        const auto n = static_cast<std::size_t>(rng.uniform_int(1, 300));
+        std::vector<SimTime> times;
+        std::vector<SimTime> follow_ups;
+        SimTime t = rng.chance(0.7) ? now + rng.uniform_int(0, kBucketWidth)
+                                    : now + rng.uniform_int(kHorizon,
+                                                            2 * kHorizon);
+        for (std::size_t k = 0; k < n; ++k) {
+          const double gap = rng.uniform();
+          if (gap < 0.3) {
+            // Equal to the entry before it.
+          } else if (gap < 0.8) {
+            t += rng.uniform_int(1, kBucketWidth);
+          } else if (gap < 0.97) {
+            t += rng.uniform_int(kBucketWidth, 40 * kBucketWidth);
+          } else {
+            t += rng.uniform_int(kHorizon, 2 * kHorizon);
+            ++far_gaps;
+          }
+          times.push_back(t);
+          const double f = rng.uniform();
+          follow_ups.push_back(
+              f < 0.8    ? ReplayDifferential::kNoFollowUp
+              : f < 0.9  ? 0
+                         : rng.uniform_int(1, 2 * kBucketWidth));
+        }
+        d.add_table(std::move(times), std::move(follow_ups));
+      } else if (roll < 0.3) {
+        if (d.tables() > 0 && rng.chance(0.6)) {
+          // Tie an ordinary event to a table entry that has not fired.
+          const auto tab = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(d.tables()) - 1));
+          const auto k = static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(d.table_size(tab)) - 1));
+          if (d.entry_time(tab, k) >= now) {
+            d.schedule(d.entry_time(tab, k));
+            ++ties;
+          }
+        } else {
+          d.schedule(ordinary_time(now));
+        }
+      } else if (roll < 0.45) {
+        // Stop short of the next event, then schedule between the bound
+        // and the event run_until peeked.
+        const SimTime bound = now + rng.uniform_int(0, 2 * kBucketWidth);
+        d.run_until(bound);
+        const auto next = d.next_pending();
+        if (next && *next > bound + 1) {
+          d.schedule(rng.uniform_int(bound, *next - 1));
+          ++behind_peeks;
+        }
+      } else {
+        d.run_until(now + rng.uniform_int(0, kHorizon / 4));
+      }
+      ASSERT_FALSE(HasFailure()) << "seed " << seed << " step " << step;
+    }
+    d.run_all();
+    ASSERT_FALSE(HasFailure()) << "seed " << seed << " drain";
+    EXPECT_GT(d.fired(), 1000u) << "seed " << seed;
+  }
+  EXPECT_GT(ties, 0u);
+  EXPECT_GT(behind_peeks, 0u);
+  EXPECT_GT(far_gaps, 0u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "core/rng.hpp"
@@ -159,6 +160,47 @@ TEST(Simulation, ScheduleBehindAPeekedFarEventKeepsOrder) {
       ref.pop();
     }
   }
+}
+
+TEST(Simulation, ReplayKeepsOneEntryQueued) {
+  // A replayed table occupies one queue slot however long it is, fires
+  // every entry at its time in table order, and interleaves with ordinary
+  // events by (time, insertion) as if its entries had been scheduled where
+  // replay_sorted was called: before the event at 20 scheduled after it,
+  // after the one at 10 scheduled before it.
+  Simulation sim;
+  std::vector<std::pair<SimTime, int>> fired;
+  const auto log = [&](int label) { fired.emplace_back(sim.now(), label); };
+  sim.schedule_at(10, [&] { log(-1); });
+  const std::vector<SimTime> times{0, 10, 10, 20, 9'000'000};
+  sim.replay_sorted(
+      times.size(), [&](std::size_t k) { return times[k]; },
+      [&](std::size_t k) { log(static_cast<int>(k)); });
+  sim.schedule_at(20, [&] { log(-2); });
+  EXPECT_EQ(sim.pending_events(), 3u);
+  sim.run_all();
+  EXPECT_EQ(fired, (std::vector<std::pair<SimTime, int>>{{0, 0},
+                                                          {10, -1},
+                                                          {10, 1},
+                                                          {10, 2},
+                                                          {20, 3},
+                                                          {20, -2},
+                                                          {9'000'000, 4}}));
+  EXPECT_EQ(sim.events_processed(), 7u);
+  EXPECT_TRUE(sim.empty());
+}
+
+void replay_unsorted_table() {
+  Simulation sim;
+  const std::vector<SimTime> times{5, 9, 7};
+  sim.replay_sorted(
+      times.size(), [&](std::size_t k) { return times[k]; },
+      [](std::size_t) {});
+  sim.run_all();
+}
+
+TEST(SimulationDeathTest, ReplayedEntryEarlierThanItsPredecessorAborts) {
+  EXPECT_DEATH(replay_unsorted_table(), "replayed table is not sorted");
 }
 
 TEST(Simulation, ManyEventsStressOrdering) {
